@@ -8,6 +8,7 @@ payoff_a[j][k] is A's utility at s_jk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -175,40 +176,63 @@ def expected_payoff(dist: OutcomeDistribution, game: TwoPlayerGame, player: str)
     return sum(dist.prob(j, k) * table(j, k) for j in (0, 1) for k in (0, 1))
 
 
-def load_game(path) -> TwoPlayerGame:
-    """Parse a game file: 'key = value' lines, '#' comments.
+def read_key_values(path, required: dict, optional: dict) -> dict:
+    """Parse a 'key = value' file ('#' starts a comment) into converted values.
 
-    Required keys: label_a0, label_a1, label_b0, label_b1, ua, ub. The ua/ub
-    values are four reals, row-major (s00 s01 s10 s11), space or comma
-    separated. An optional 'name' key labels the game.
+    `required` and `optional` map each allowed key to a converter for its
+    value. Errors name path:line: a line without '=', a key outside both
+    maps, a repeated key, or a value its converter rejects with ValueError.
     """
-    fields: dict[str, str] = {}
+    fields = {**required, **optional}
+    out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-
-    required = ["label_a0", "label_a1", "label_b0", "label_b1", "ua", "ub"]
-    missing = [k for k in required if k not in fields]
+                raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in fields:
+                raise ValueError(f"{where}: unknown key {key!r}; expected one of {sorted(fields)}")
+            if key in out:
+                raise ValueError(f"{where}: duplicate key {key!r}")
+            try:
+                out[key] = fields[key](value)
+            except ValueError as e:
+                raise ValueError(f"{where}: {key}: {e}") from None
+    missing = [k for k in required if k not in out]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
+    return out
 
-    def parse_table(key: str) -> tuple[tuple[float, float], tuple[float, float]]:
-        parts = fields[key].replace(",", " ").split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}: {key} needs 4 reals, got {len(parts)}")
-        v = [float(x) for x in parts]
-        return ((v[0], v[1]), (v[2], v[3]))
 
+def _payoff_table(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    parts = text.replace(",", " ").split()
+    if len(parts) != 4:
+        raise ValueError(f"needs 4 reals, got {len(parts)}")
+    v = [float(x) for x in parts]
+    if not all(math.isfinite(x) for x in v):
+        raise ValueError(f"payoffs must be finite, got {text!r}")
+    return ((v[0], v[1]), (v[2], v[3]))
+
+
+def load_game(path) -> TwoPlayerGame:
+    """Parse a game file with read_key_values.
+
+    Required keys: label_a0, label_a1, label_b0, label_b1, ua, ub. The ua/ub
+    values are four finite reals, row-major (s00 s01 s10 s11), space or
+    comma separated. An optional 'name' key labels the game.
+    """
+    fields = read_key_values(path, {
+        "label_a0": str, "label_a1": str, "label_b0": str, "label_b1": str,
+        "ua": _payoff_table, "ub": _payoff_table,
+    }, {"name": str})
     return TwoPlayerGame(
         name=fields.get("name", "custom"),
         actions_a=(fields["label_a0"], fields["label_a1"]),
         actions_b=(fields["label_b0"], fields["label_b1"]),
-        payoff_a=parse_table("ua"),
-        payoff_b=parse_table("ub"),
+        payoff_a=fields["ua"],
+        payoff_b=fields["ub"],
     )

@@ -74,9 +74,7 @@ def parse_initial_flag(text: str) -> np.ndarray:
         comps = [float(p) for p in parts]
     except ValueError:
         raise CliError(f"non-numeric component in initial state {text!r}") from None
-    amps = np.array(
-        [complex(comps[2 * i], comps[2 * i + 1]) for i in range(4)], dtype=np.complex128
-    )
+    amps = [complex(comps[2 * i], comps[2 * i + 1]) for i in range(4)]
     nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:
         raise CliError("initial state must have nonzero norm")
@@ -85,17 +83,15 @@ def parse_initial_flag(text: str) -> np.ndarray:
             f"warning: initial state norm {nrm!r} deviates from 1; normalizing",
             file=sys.stderr,
         )
-    return amps / nrm
+    return quantum_game.parse_initial_state(amps)
 
 
 def resolve_game(args) -> classical_game.TwoPlayerGame:
     if getattr(args, "game_file", None):
         try:
             return classical_game.load_game(args.game_file)
-        except FileNotFoundError as e:
+        except (FileNotFoundError, ValueError) as e:
             raise CliError(str(e)) from None
-        except ValueError as e:
-            raise CliError(f"{args.game_file}: {e}") from None
     try:
         return classical_game.builtin_game(args.game)
     except ValueError as e:
@@ -155,67 +151,50 @@ def cmd_equilibria(args) -> int:
 _U1_MODELS = ("qg-u1", "qg-u1-1", "qg-u1-2")
 
 
+def _strategy_flag(theta, phi, default):
+    """StrategyU from a --theta-X/--phi-X pair, or default without --theta-X."""
+    if theta is None:
+        return default
+    return quantum_game.StrategyU(
+        parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
+    )
+
+
 def _solve_config(args, game):
     model = args.model.lower().replace("_", "-")
     gate_flags = args.gate_a is not None or args.gate_b is not None
     angle_flags = any(
         v is not None for v in (args.theta_a, args.phi_a, args.theta_b, args.phi_b)
     )
-    if model in _U1_MODELS:
-        if gate_flags:
-            raise CliError("gate flags apply to the qg-g4 model only")
-        if model == "qg-u1":
-            if args.gamma is None or args.theta_a is None or args.theta_b is None:
-                raise CliError("qg-u1 needs --gamma, --theta-a and --theta-b")
-            gamma = parse_angle(args.gamma)
-            sa = quantum_game.StrategyU(
-                parse_angle(args.theta_a),
-                parse_angle(args.phi_a) if args.phi_a is not None else 0.0,
-            )
-            sb = quantum_game.StrategyU(
-                parse_angle(args.theta_b),
-                parse_angle(args.phi_b) if args.phi_b is not None else 0.0,
-            )
-            initial = (
-                parse_initial_flag(args.initial)
-                if args.initial
-                else quantum_game.equal_superposition()
-            )
-        else:
-            p = quantum_game.preset(model)
-            gamma = parse_angle(args.gamma) if args.gamma is not None else p.gamma
-            sa = (
-                quantum_game.StrategyU(
-                    parse_angle(args.theta_a),
-                    parse_angle(args.phi_a) if args.phi_a is not None else 0.0,
-                )
-                if args.theta_a is not None
-                else p.strategy_a
-            )
-            sb = (
-                quantum_game.StrategyU(
-                    parse_angle(args.theta_b),
-                    parse_angle(args.phi_b) if args.phi_b is not None else 0.0,
-                )
-                if args.theta_b is not None
-                else p.strategy_b
-            )
-            initial = parse_initial_flag(args.initial) if args.initial else p.initial
-        return initial, gamma, sa, sb
+    if model not in _U1_MODELS + ("qg-g4",):
+        raise CliError(
+            f"unknown model {args.model!r}; expected qg-u1, qg-u1-1, qg-u1-2 or qg-g4"
+        )
     if model == "qg-g4":
         if angle_flags:
             raise CliError("theta/phi flags apply to the qg-u1 models only")
         if args.gate_b is None:
             raise CliError("qg-g4 needs --gate-b (H, X, Y, Z or I)")
-        p = quantum_game.preset("qg-g4")
-        gamma = parse_angle(args.gamma) if args.gamma is not None else p.gamma
-        ga = quantum_game.as_gate(args.gate_a) if args.gate_a else p.strategy_a
-        gb = quantum_game.as_gate(args.gate_b)
-        initial = parse_initial_flag(args.initial) if args.initial else p.initial
-        return initial, gamma, ga, gb
-    raise CliError(
-        f"unknown model {args.model!r}; expected qg-u1, qg-u1-1, qg-u1-2 or qg-g4"
-    )
+    elif gate_flags:
+        raise CliError("gate flags apply to the qg-g4 model only")
+    if model == "qg-u1":
+        if args.gamma is None or args.theta_a is None or args.theta_b is None:
+            raise CliError("qg-u1 needs --gamma, --theta-a and --theta-b")
+        initial, gamma, sa, sb = quantum_game.equal_superposition(), None, None, None
+    else:
+        p = quantum_game.preset(model)
+        initial, gamma, sa, sb = p.initial, p.gamma, p.strategy_a, p.strategy_b
+    if args.gamma is not None:
+        gamma = parse_angle(args.gamma)
+    if model == "qg-g4":
+        sa = quantum_game.as_gate(args.gate_a) if args.gate_a else sa
+        sb = quantum_game.as_gate(args.gate_b)
+    else:
+        sa = _strategy_flag(args.theta_a, args.phi_a, sa)
+        sb = _strategy_flag(args.theta_b, args.phi_b, sb)
+    if args.initial:
+        initial = parse_initial_flag(args.initial)
+    return initial, gamma, sa, sb
 
 
 def cmd_solve(args) -> int:
@@ -305,9 +284,7 @@ def _simulate_setup(args):
             raise CliError("--config replaces --scenario/--policies; do not combine them")
         try:
             policy, config = experiments.load_experiment_config(args.config)
-        except FileNotFoundError as e:
-            raise CliError(str(e)) from None
-        except ValueError as e:
+        except (FileNotFoundError, ValueError) as e:
             raise CliError(str(e)) from None
         return [policy], config
     if not args.scenario:

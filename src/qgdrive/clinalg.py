@@ -47,15 +47,6 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(dagger(m) @ m - eye)) <= tol)
 
 
-def basis_state(index: int) -> np.ndarray:
-    """Computational basis vector e_index of the 4-dim joint space."""
-    if not 0 <= index <= 3:
-        raise ValueError(f"basis index must be in 0..3, got {index}")
-    v = np.zeros(4, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
 def state_vector(amplitudes, tol: float = 1e-9, normalize: bool = False) -> np.ndarray:
     """Validate (or normalize) a length-4 amplitude vector.
 

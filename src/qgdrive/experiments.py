@@ -30,6 +30,7 @@ from .classical_game import (
     builtin_game,
     cg_epd_distribution,
     cg_ms_distribution,
+    read_key_values,
 )
 from .quantum_game import (
     GATE_ORDER,
@@ -322,31 +323,22 @@ def parse_report_csv(text: str) -> list[MetricsSummary]:
 # Experiment config files
 
 def load_experiment_config(path) -> tuple[PolicySpec, MonteCarloConfig]:
-    """Key-value experiment file.
+    """Key-value experiment file, parsed with read_key_values.
 
     Recognized keys: scenario.kind, episodes, master_seed, policy.name,
     policy.assumed_gate (optional). '#' starts a comment.
     """
-    fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-    required = ["scenario.kind", "episodes", "master_seed", "policy.name"]
-    missing = [k for k in required if k not in fields]
-    if missing:
-        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
+    fields = read_key_values(
+        path,
+        {"scenario.kind": str, "episodes": int, "master_seed": int, "policy.name": str},
+        {"policy.assumed_gate": str},
+    )
     policy = PolicySpec(fields["policy.name"], fields.get("policy.assumed_gate", "Z"))
     kind = fields["scenario.kind"]
     config = MonteCarloConfig(
         scenario=builtin_scenario(kind),
         game=builtin_game(kind),
-        episodes=int(fields["episodes"]),
-        master_seed=int(fields["master_seed"]),
+        episodes=fields["episodes"],
+        master_seed=fields["master_seed"],
     )
     return policy, config

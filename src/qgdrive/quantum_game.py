@@ -125,14 +125,14 @@ def qubit_product(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
 def basis_state(label: "str | int") -> np.ndarray:
     """Joint basis state by index 0..3 or label s00..s11."""
-    if isinstance(label, str):
-        try:
-            index = BASIS_LABELS.index(label.lower())
-        except ValueError:
-            raise ValueError(f"unknown basis label {label!r}; expected one of {BASIS_LABELS}")
-    else:
-        index = label
-    return clinalg.basis_state(index)
+    index = label
+    if isinstance(label, str) and label.lower() in BASIS_LABELS:
+        index = BASIS_LABELS.index(label.lower())
+    if index not in range(4):
+        raise ValueError(f"unknown basis state {label!r}; expected 0..3 or one of {BASIS_LABELS}")
+    v = np.zeros(4, dtype=np.complex128)
+    v[index] = 1.0
+    return v
 
 
 def equal_superposition() -> np.ndarray:
@@ -177,16 +177,8 @@ def entangler(gamma: float) -> np.ndarray:
 
 
 def entangler_dagger(gamma: float) -> np.ndarray:
-    """J^dagger in closed form (+i sin on the anti-diagonal)."""
-    g = _check_gamma(gamma)
-    c = math.cos(g / 2.0)
-    s = math.sin(g / 2.0)
-    return clinalg.mat(
-        (c, 0, 0, 1j * s),
-        (0, c, 1j * s, 0),
-        (0, 1j * s, c, 0),
-        (1j * s, 0, 0, c),
-    )
+    """J^dagger (+i sin on the anti-diagonal)."""
+    return entangler(gamma).conj().T
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ collision and every other joint action never does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +92,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.dt <= 0 or self.horizon <= 0:
             raise ValueError("dt and horizon must be positive")
+        for name in ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{name} must be finite with lo <= hi, got {(lo, hi)!r}")
 
 
 def merging_scenario(**overrides) -> ScenarioConfig:
@@ -187,29 +191,6 @@ def common_position(config: ScenarioConfig, state: VehicleState) -> float:
     if state.lane == EV_LANE_START[config.kind]:
         return state.s + config.lane_offset
     return state.s
-
-
-def kinematic_step(state: VehicleState, accel: float, dt: float) -> VehicleState:
-    """Constant-acceleration update over one step; speed saturates at zero.
-
-    When the commanded deceleration would cross v=0 inside the step the
-    acceleration is rescaled so the vehicle stops exactly, keeping position
-    monotone.
-    """
-    a = accel
-    if state.v + a * dt < 0.0:
-        a = -state.v / dt
-    v_next = state.v + a * dt
-    s_next = state.s + state.v * dt + 0.5 * a * dt * dt
-    return replace(state, s=s_next, v=v_next)
-
-
-def detect_collision(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> bool:
-    """Same lane and center distance below half the summed lengths."""
-    if ev.lane != iv.lane:
-        return False
-    gap = abs(common_position(config, ev) - common_position(config, iv))
-    return gap < 0.5 * (ev.length + iv.length)
 
 
 def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
@@ -429,17 +410,22 @@ def run_episode(
             else:
                 ev_a = idm_accel(ev_v, None, 0.0, idm)
 
-        # integrate both vehicles
-        if ev_v + ev_a * dt < 0.0:
+        # integrate both vehicles; one that would cross v=0 inside the step
+        # brakes to rest exactly (v is set: v + (-v/dt)*dt can round below 0)
+        ev_v_next = ev_v + ev_a * dt
+        if ev_v_next < 0.0:
             ev_a = -ev_v / dt
+            ev_v_next = 0.0
         ev_s += ev_v * dt + 0.5 * ev_a * dt * dt
-        ev_v += ev_a * dt
+        ev_v = ev_v_next
 
         iv_a_step = iv_a
-        if iv_v + iv_a_step * dt < 0.0:
+        iv_v_next = iv_v + iv_a_step * dt
+        if iv_v_next < 0.0:
             iv_a_step = -iv_v / dt
+            iv_v_next = 0.0
         iv_s += iv_v * dt + 0.5 * iv_a_step * dt * dt
-        iv_v += iv_a_step * dt
+        iv_v = iv_v_next
 
         t += dt
         steps += 1

@@ -173,6 +173,29 @@ class TestLoadGame:
         with pytest.raises(ValueError, match="missing"):
             cg.load_game(path)
 
+    @pytest.mark.parametrize("bad_line,match", [
+        ("ua = 1 2 3 4", "duplicate key 'ua'"),
+        ("ub_typo = 1 2 3 4", "unknown key 'ub_typo'"),
+    ])
+    def test_strict_keys(self, tmp_path, bad_line, match):
+        path = tmp_path / "g.game"
+        path.write_text(
+            "label_a0 = x\nlabel_a1 = y\nlabel_b0 = x\nlabel_b1 = y\n"
+            "ua = 1 2 3 4\nub = 4 3 2 1\n" + bad_line + "\n"
+        )
+        with pytest.raises(ValueError, match=f"g.game:7: {match}"):
+            cg.load_game(path)
+
+    @pytest.mark.parametrize("payoffs", ["nan 1 2 3", "1 inf 2 3", "1 2 -inf 3"])
+    def test_non_finite_payoff_rejected(self, tmp_path, payoffs):
+        path = tmp_path / "g.game"
+        path.write_text(
+            "label_a0 = x\nlabel_a1 = y\nlabel_b0 = x\nlabel_b1 = y\n"
+            f"ua = {payoffs}\nub = 4 3 2 1\n"
+        )
+        with pytest.raises(ValueError, match="g.game:5: ua: payoffs must be finite"):
+            cg.load_game(path)
+
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "g.game"
         path.write_text(

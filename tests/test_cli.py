@@ -81,6 +81,16 @@ class TestEquilibria:
         assert code == 2
         assert "degenerate" in err.lower()
 
+    def test_non_finite_payoff_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.game"
+        path.write_text(
+            "label_a0 = x\nlabel_a1 = y\nlabel_b0 = x\nlabel_b1 = y\n"
+            "ua = nan 1 2 3\nub = 2 2 2 2\n"
+        )
+        code, _, err = run(capsys, "equilibria", "--game-file", str(path))
+        assert code == 2
+        assert "nan.game:5" in err
+
     def test_missing_game_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "equilibria", "--game-file", str(tmp_path / "no.game"))
         assert code == 2
@@ -270,6 +280,16 @@ class TestSimulate:
         )
         assert code == 0
         assert "CG_EPD" in out_path.read_text()
+
+    def test_config_file_unknown_key_is_usage_error(self, capsys, tmp_path):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(
+            "scenario.kind = merging\nepisodes = 40\n"
+            "master_seed = 1\npolicy.name = qg-g4\npolicy.assumed_gat = X\n"
+        )
+        code, _, err = run(capsys, "simulate", "--config", str(conf))
+        assert code == 2
+        assert "exp.conf:5: unknown key 'policy.assumed_gat'" in err
 
     def test_config_excludes_flags(self, capsys, tmp_path):
         conf = tmp_path / "exp.conf"

@@ -17,16 +17,6 @@ class TestConstructors:
         assert m.shape == (2, 2)
         assert m[1, 0] == 3
 
-    def test_basis_state_one_hot(self):
-        for i in range(4):
-            v = clinalg.basis_state(i)
-            assert v[i] == 1.0
-            assert np.count_nonzero(v) == 1
-
-    def test_basis_state_range(self):
-        with pytest.raises(ValueError):
-            clinalg.basis_state(4)
-
     def test_state_vector_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             clinalg.state_vector([1.0, 1.0, 0.0, 0.0])

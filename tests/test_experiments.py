@@ -286,6 +286,26 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="missing"):
             ex.load_experiment_config(path)
 
+    @pytest.mark.parametrize("bad_line,match", [
+        ("episodes = 100", "exp.conf:5: duplicate key 'episodes'"),
+        ("policy.assumed_gat = X", "exp.conf:5: unknown key 'policy.assumed_gat'"),
+        ("# typo below\nmaster_sed = 3", "exp.conf:6: unknown key 'master_sed'"),
+    ])
+    def test_strict_keys(self, tmp_path, bad_line, match):
+        path = tmp_path / "exp.conf"
+        path.write_text(
+            "scenario.kind = merging\nepisodes = 40\n"
+            "master_seed = 1\npolicy.name = cg-epd\n" + bad_line + "\n"
+        )
+        with pytest.raises(ValueError, match=match):
+            ex.load_experiment_config(path)
+
+    def test_non_integer_episodes_names_the_line(self, tmp_path):
+        path = tmp_path / "exp.conf"
+        path.write_text("scenario.kind = merging\nepisodes = 4e3\n")
+        with pytest.raises(ValueError, match="exp.conf:2: episodes"):
+            ex.load_experiment_config(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "exp.conf"
         path.write_text("episodes 100\n")

@@ -101,6 +101,18 @@ class TestStates:
         v = qg.equal_superposition()
         assert np.allclose(v, 0.5)
 
+    def test_basis_state_one_hot(self):
+        for i in range(4):
+            v = qg.basis_state(i)
+            assert v[i] == 1.0
+            assert np.count_nonzero(v) == 1
+
+    def test_basis_state_range(self):
+        with pytest.raises(ValueError):
+            qg.basis_state(4)
+        with pytest.raises(ValueError):
+            qg.basis_state(-1)
+
     def test_basis_labels_map_to_indices(self):
         for i, label in enumerate(qg.BASIS_LABELS):
             assert qg.basis_state(label)[i] == 1.0

@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             sim.merging_scenario(horizon=0)
 
+    @pytest.mark.parametrize("bad", [(2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])
+    @pytest.mark.parametrize("field", ["ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"])
+    def test_sampling_ranges_validated(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            sim.merging_scenario(**{field: bad})
+
     def test_action_semantics_structure(self):
         for kind in ("merging", "roundabout"):
             sem = sim.action_semantics(sim.builtin_scenario(kind))
@@ -76,37 +82,53 @@ class TestSampling:
         assert a == b
 
 
+def first_step(ev, iv, ev_action=0, iv_action=1, **overrides):
+    """Trace point after one step of a merging episode."""
+    cfg = sim.builtin_scenario("merging", **overrides)
+    return sim.run_episode(cfg, ev, iv, ev_action, iv_action, record_trace=True).trace[0]
+
+
+FAR_RAMP_EV = sim.VehicleState("ramp", 0.0, 0.0)
+
+
 class TestKinematics:
     def test_constant_speed_step(self):
-        s = sim.VehicleState("main", 10.0, 20.0)
-        out = sim.kinematic_step(s, 0.0, 0.1)
-        assert out.s == pytest.approx(12.0)
-        assert out.v == 20.0
+        # a merging EV that goes holds its speed on the ramp
+        p = first_step(sim.VehicleState("ramp", 10.0, 20.0), sim.VehicleState("main", 200.0, 0.0))
+        assert p.ev_s == pytest.approx(12.0)
+        assert p.ev_v == 20.0
 
     def test_acceleration_step(self):
-        out = sim.kinematic_step(sim.VehicleState("main", 0.0, 10.0), 2.0, 0.5)
-        assert out.v == pytest.approx(11.0)
-        assert out.s == pytest.approx(5.25)
+        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 10.0), iv_action=0, dt=0.5)
+        assert p.iv_v == pytest.approx(11.0)
+        assert p.iv_s == pytest.approx(5.25)
 
     def test_braking_clamps_at_standstill(self):
-        out = sim.kinematic_step(sim.VehicleState("main", 0.0, 1.0), -2.0, 1.0)
-        assert out.v == 0.0
+        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 1.0), dt=1.0)
+        assert p.iv_v == 0.0
         # the vehicle stops inside the step; it advances half the free run
-        assert out.s == pytest.approx(0.5)
+        assert p.iv_s == pytest.approx(0.5)
 
     def test_stopped_vehicle_stays_put_under_braking(self):
-        out = sim.kinematic_step(sim.VehicleState("main", 3.0, 0.0), -2.0, 0.1)
-        assert out.v == 0.0
-        assert out.s == 3.0
+        cfg = sim.builtin_scenario("merging")
+        r = sim.run_episode(
+            cfg, FAR_RAMP_EV, sim.VehicleState("main", 3.0, 0.0), 0, 1, record_trace=True
+        )
+        assert all(p.iv_v == 0.0 and p.iv_s == 3.0 for p in r.trace)
 
     @given(
         st.floats(min_value=0.0, max_value=40.0),
-        st.floats(min_value=-6.0, max_value=4.0),
+        st.floats(min_value=0.0, max_value=6.0),
     )
-    @settings(max_examples=60)
-    def test_speed_never_negative(self, v, a):
-        out = sim.kinematic_step(sim.VehicleState("main", 0.0, v), a, 0.1)
-        assert out.v >= 0.0
+    @settings(max_examples=2000)
+    def test_speed_never_negative(self, v, a_nominal):
+        # both vehicles brake at a_nominal: the yielding EV on the ramp and
+        # the decelerating IV on the main lane
+        cfg = sim.builtin_scenario("merging", a_nominal=a_nominal)
+        ev, iv = mid_merging()
+        ev, iv = sim.VehicleState(ev.lane, ev.s, v), sim.VehicleState(iv.lane, iv.s, v)
+        r = sim.run_episode(cfg, ev, iv, 1, 1, record_trace=True)
+        assert all(p.ev_v >= 0.0 and p.iv_v >= 0.0 for p in r.trace)
 
 
 class TestGeometry:
@@ -119,11 +141,21 @@ class TestGeometry:
         assert sim.common_position(r, sim.VehicleState("inside", 50.0, 0.0)) == 50.0
 
     def test_collision_same_lane_only(self):
+        # stationary vehicles: a collision is a center distance below the
+        # 5 m half-sum of lengths, on the same lane
         cfg = sim.builtin_scenario("merging")
-        a = sim.VehicleState("main", 100.0, 0.0)
-        assert sim.detect_collision(cfg, a, sim.VehicleState("main", 104.0, 0.0))
-        assert not sim.detect_collision(cfg, a, sim.VehicleState("main", 105.0, 0.0))
-        assert not sim.detect_collision(cfg, a, sim.VehicleState("ramp", 80.0, 0.0))
+        iv = sim.VehicleState("main", 100.0, 0.0)
+
+        def episode(ev):
+            return sim.run_episode(cfg, ev, iv, 0, 1, record_trace=True)
+
+        hit = episode(sim.VehicleState("main", 104.0, 0.0))
+        assert hit.collided and hit.steps_run == 1
+        assert not episode(sim.VehicleState("main", 105.0, 0.0)).collided
+        # the ramp EV at 80 m projects onto the IV's main-lane position
+        ramp = episode(sim.VehicleState("ramp", 80.0, 0.0))
+        assert not ramp.collided
+        assert {p.headway for p in ramp.trace} == {0.0}
 
     def test_classification_precedence(self):
         assert sim.classify_outcome(True, True, False) == "collision"
