@@ -213,6 +213,35 @@ class TestRuns:
         assert b == ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), replay)
         assert (a.cr, a.sr) != (b.cr, b.sr)
 
+    @pytest.mark.parametrize("kind,replay,episodes,policies,want", [
+        ("merging", False, 200, ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "mobil"], [
+            ("CG_EPD", 0.245, 0.515, 63.0809337292406),
+            ("CG_MS", 0.47, 0.43, 55.44357704739754),
+            ("QG_U1_1", 0.54, 0.46, 64.25097573373057),
+            ("QG_U1_2", 0.245, 0.515, 63.0809337292406),
+            ("QG_G4[Z]", 0.0, 1.0, 116.42112636937344),
+            ("MOBIL", 0.305, 0.58, 71.47306386833519),
+        ]),
+        ("roundabout", True, 100, ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "idm"], [
+            ("CG_EPD", 0.63, 0.23, 22.37398987256631),
+            ("CG_MS", 0.81, 0.11, 19.156902643247914),
+            ("QG_U1_1", 0.62, 0.38, 22.019941526665338),
+            ("QG_U1_2", 0.63, 0.23, 22.37398987256631),
+            ("QG_G4[uniform]", 0.18, 0.73, 37.45840094237928),
+            ("IDM", 0.35, 0.65, 40.071021451113204),
+        ]),
+    ], ids=["merging", "roundabout-replay"])
+    def test_seeded_stream_is_frozen(self, kind, replay, episodes, policies, want):
+        # golden numbers at seed 7: any change to the draw order, the
+        # decision rule or the replay loop moves at least one of them
+        cfg = ex.MonteCarloConfig(
+            builtin_scenario(kind, decision_replay=replay), builtin_game(kind), episodes, 7
+        )
+        got = ex.run_comparison([ex.PolicySpec(p, "uniform" if replay else "Z") for p in policies], cfg)
+        assert [(s.method, s.cr, s.sr) for s in got] == [w[:3] for w in want]
+        for s, w in zip(got, want):
+            assert s.mean_headway_m == pytest.approx(w[3], rel=1e-12)
+
     def test_decision_replay_controller_policy(self):
         replay = ex.MonteCarloConfig(
             builtin_scenario("roundabout", decision_replay=True),
