@@ -218,17 +218,23 @@ def _payoff_table(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
     return ((v[0], v[1]), (v[2], v[3]))
 
 
+def _non_empty(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
 def load_game(path) -> TwoPlayerGame:
     """Parse a game file with read_key_values.
 
     Required keys: label_a0, label_a1, label_b0, label_b1, ua, ub. The ua/ub
     values are four finite reals, row-major (s00 s01 s10 s11), space or
-    comma separated. An optional 'name' key labels the game.
+    comma separated. An optional non-empty 'name' key labels the game.
     """
     fields = read_key_values(path, {
         "label_a0": str, "label_a1": str, "label_b0": str, "label_b1": str,
         "ua": _payoff_table, "ub": _payoff_table,
-    }, {"name": str})
+    }, {"name": _non_empty})
     return TwoPlayerGame(
         name=fields.get("name", "custom"),
         actions_a=(fields["label_a0"], fields["label_a1"]),

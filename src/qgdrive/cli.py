@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -291,8 +292,6 @@ def _simulate_setup(args):
         raise CliError("--scenario is required (or use --config)")
     if not args.policies:
         raise CliError("--policies is required (or use --config)")
-    if args.episodes <= 0:
-        raise CliError(f"--episodes must be positive, got {args.episodes}")
     try:
         scenario = scenario_sim.builtin_scenario(args.scenario)
         game = classical_game.builtin_game(args.scenario)
@@ -320,14 +319,12 @@ def cmd_simulate(args) -> int:
     path = output_path(args.out, f"report_{config.scenario.kind}.{ext}")
     experiments.emit_report(summaries, path, fmt=args.format)
     print(f"wrote {path}")
-    header = ("scenario", "method", "episodes", "cr", "sr", "mean_headway_m", "cr_ci95")
-    widths = (12, 16, 9, 9, 9, 15, 9)
+    header = experiments.REPORT_HEADER.split(",")
+    # text columns fit the labels; the others fit their name, at least 9 wide
+    widths = [{"scenario": 12, "method": 16}.get(h, max(len(h) + 1, 9)) for h in header]
     print("".join(f"{h:<{w}}" for h, w in zip(header, widths)))
     for s in summaries:
-        cells = (
-            s.scenario, s.method, str(s.episodes), _fmt6(s.cr), _fmt6(s.sr),
-            _fmt6(s.mean_headway_m), _fmt6(s.cr_ci95),
-        )
+        cells = [_fmt6(v) if isinstance(v, float) else str(v) for v in astuple(s)]
         print("".join(f"{c:<{w}}" for c, w in zip(cells, widths)))
     print("mean_headway_m averages post-decision steps, collision step excluded")
     return 0

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -162,27 +163,29 @@ def _sample_joint(dist: OutcomeDistribution, u_ev: float, u_iv: float) -> tuple[
     return a_ev, a_iv
 
 
-def _decide_joint_full(policy, game, rng, scenario, ev, iv, dists):
-    """(EV action, IV action, episode distribution | None)."""
+def episode_decision(policy, scenario, dists, rng, ev, iv):
+    """Episode-start (EV action, IV action) and the episode's replay callback
+    `(ev, iv) -> (EV action, IV action)`, for `dists` from policy_distributions.
+
+    The start draws the EV uniform, the IV uniform, then a uniform QG_G4's
+    opponent gate. Each callback call draws two uniforms for a game policy
+    (keeping the gate) or one, the IV's, for IDM/MOBIL.
+    """
     u_ev = float(rng.random())
     u_iv = float(rng.random())
-    if policy.name in ("IDM", "MOBIL"):
+    if dists is None:
         if scenario is None or ev is None or iv is None:
             raise ValueError(f"{policy.name} decisions need scenario and initial states")
-        if policy.name == "MOBIL":
-            a_ev = mobil_merge_decision(scenario, ev, iv)
-        else:
-            a_ev = idm_entry_decision(scenario, ev, iv)
-        return a_ev, (0 if u_iv < 0.5 else 1), None
-    if dists is None:
-        dists = policy_distributions(policy, game)
-    if isinstance(dists, tuple):
-        # uniform opponent gate: drawn after the shared decision uniforms
-        dist = dists[int(rng.integers(len(dists)))]
-    else:
-        dist = dists
-    a_ev, a_iv = _sample_joint(dist, u_ev, u_iv)
-    return a_ev, a_iv, dist
+        pick = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
+
+        def rule(ev, iv, u_iv):
+            return pick(scenario, ev, iv), (0 if u_iv < 0.5 else 1)
+
+        return rule(ev, iv, u_iv), lambda ev, iv: rule(ev, iv, float(rng.random()))
+    dist = dists[int(rng.integers(len(dists)))] if isinstance(dists, tuple) else dists
+    return _sample_joint(dist, u_ev, u_iv), (
+        lambda ev, iv: _sample_joint(dist, float(rng.random()), float(rng.random()))
+    )
 
 
 def decide_joint(
@@ -194,26 +197,15 @@ def decide_joint(
     iv=None,
     dists=None,
 ) -> tuple[int, int]:
-    """One joint (EV action, IV action) decision.
+    """The episode-start decision of episode_decision.
 
     Game policies sample their outcome distribution; IDM/MOBIL need the
     scenario and sampled initial states and keep the IV on a uniform draw.
     `dists` may carry precomputed policy_distributions output.
     """
-    a_ev, a_iv, _ = _decide_joint_full(policy, game, rng, scenario, ev, iv, dists)
-    return a_ev, a_iv
-
-
-def _episode_decider(policy: PolicySpec, scenario: ScenarioConfig, dist):
-    """Per-step decision callback for decision_replay scenarios."""
-    if dist is not None:
-        def decide(rng, ev, iv):
-            return _sample_joint(dist, float(rng.random()), float(rng.random()))
-        return decide
-    pick = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
-    def decide(rng, ev, iv):
-        return pick(scenario, ev, iv), (0 if float(rng.random()) < 0.5 else 1)
-    return decide
+    if dists is None:
+        dists = policy_distributions(policy, game)
+    return episode_decision(policy, scenario, dists, rng, ev, iv)[0]
 
 
 def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
@@ -221,25 +213,21 @@ def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSumm
     randomness contract."""
     _check_compatible(policy, config.scenario)
     scenario = config.scenario
-    game = config.game
-    dists = policy_distributions(policy, game)
+    dists = policy_distributions(policy, config.game)
     collisions = 0
     successes = 0
     headway_total = 0.0
-    headway_count = 0
     for i in range(config.episodes):
         rng = episode_rng(config.master_seed, i)
         ev0, iv0 = sample_initial(scenario, rng)
-        a_ev, a_iv, dist = _decide_joint_full(policy, game, rng, scenario, ev0, iv0, dists)
-        decide = _episode_decider(policy, scenario, dist) if scenario.decision_replay else None
-        result = run_episode(scenario, ev0, iv0, a_ev, a_iv, decide=decide, rng=rng)
+        (a_ev, a_iv), decide = episode_decision(policy, scenario, dists, rng, ev0, iv0)
+        result = run_episode(scenario, ev0, iv0, a_ev, a_iv,
+                             decide=decide if scenario.decision_replay else None)
         if result.outcome == "collision":
             collisions += 1
         elif result.outcome == "success":
             successes += 1
-        if result.steps_run:
-            headway_total += result.mean_headway
-            headway_count += 1
+        headway_total += result.mean_headway
     n = config.episodes
     return MetricsSummary(
         scenario=scenario.kind,
@@ -247,7 +235,7 @@ def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSumm
         episodes=n,
         cr=collisions / n,
         sr=successes / n,
-        mean_headway_m=headway_total / headway_count if headway_count else 0.0,
+        mean_headway_m=headway_total / n,
         cr_ci95=wilson_halfwidth(collisions, n),
     )
 
@@ -265,34 +253,18 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
 # ---------------------------------------------------------------------------
 # Reports
 
-REPORT_HEADER = "scenario,method,episodes,cr,sr,mean_headway_m,cr_ci95"
+REPORT_HEADER = ",".join(f.name for f in fields(MetricsSummary))
 
 
 def render_report(summaries, fmt: str = "csv") -> str:
-    """Report text in csv or json form; rates are fractions, not percent."""
+    """Report text, one csv column or json key per MetricsSummary field (str of
+    a float is its shortest round-trip repr); rates are fractions, not percent."""
     rows = list(summaries)
     if fmt == "csv":
-        lines = [REPORT_HEADER]
-        for s in rows:
-            lines.append(
-                f"{s.scenario},{s.method},{s.episodes},"
-                f"{s.cr!r},{s.sr!r},{s.mean_headway_m!r},{s.cr_ci95!r}"
-            )
+        lines = [REPORT_HEADER] + [",".join(map(str, astuple(s))) for s in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = [
-            {
-                "scenario": s.scenario,
-                "method": s.method,
-                "episodes": s.episodes,
-                "cr": s.cr,
-                "sr": s.sr,
-                "mean_headway_m": s.mean_headway_m,
-                "cr_ci95": s.cr_ci95,
-            }
-            for s in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([asdict(s) for s in rows], indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
 
 
@@ -306,39 +278,40 @@ def parse_report_csv(text: str) -> list[MetricsSummary]:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0] != REPORT_HEADER:
         raise ValueError("not a report csv: bad header")
-    out = []
-    for ln in lines[1:]:
-        sc, method, n, cr, sr, hd, ci = ln.split(",")
-        out.append(
-            MetricsSummary(
-                scenario=sc, method=method, episodes=int(n),
-                cr=float(cr), sr=float(sr),
-                mean_headway_m=float(hd), cr_ci95=float(ci),
-            )
-        )
-    return out
+    types = get_type_hints(MetricsSummary)
+    return [
+        MetricsSummary(**{k: types[k](v) for k, v in zip(types, ln.split(","), strict=True)})
+        for ln in lines[1:]
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Experiment config files
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n <= 0:
+        raise ValueError(f"must be positive, got {n}")
+    return n
+
+
 def load_experiment_config(path) -> tuple[PolicySpec, MonteCarloConfig]:
     """Key-value experiment file, parsed with read_key_values.
 
-    Recognized keys: scenario.kind, episodes, master_seed, policy.name,
-    policy.assumed_gate (optional). '#' starts a comment.
+    Recognized keys: scenario.kind, episodes (positive), master_seed,
+    policy.name, policy.assumed_gate (optional). '#' starts a comment.
     """
-    fields = read_key_values(
+    values = read_key_values(
         path,
-        {"scenario.kind": str, "episodes": int, "master_seed": int, "policy.name": str},
+        {"scenario.kind": str, "episodes": _positive_int, "master_seed": int, "policy.name": str},
         {"policy.assumed_gate": str},
     )
-    policy = PolicySpec(fields["policy.name"], fields.get("policy.assumed_gate", "Z"))
-    kind = fields["scenario.kind"]
+    policy = PolicySpec(values["policy.name"], values.get("policy.assumed_gate", "Z"))
+    kind = values["scenario.kind"]
     config = MonteCarloConfig(
         scenario=builtin_scenario(kind),
         game=builtin_game(kind),
-        episodes=fields["episodes"],
-        master_seed=fields["master_seed"],
+        episodes=values["episodes"],
+        master_seed=values["master_seed"],
     )
     return policy, config

@@ -82,7 +82,7 @@ class ScenarioConfig:
     conflict_zone_length: float = 0.0
     pass_clearance: float = 10.0   # IV must be this far past the EV to release a yield
     # re-take the joint decision every pre-maneuver step instead of holding
-    # the episode-start decision; needs a decide callback in run_episode
+    # the episode-start decision; run_monte_carlo is its only reader
     decision_replay: bool = False
     idm: IdmParams = IdmParams()
     mobil: MobilParams = MobilParams()
@@ -90,8 +90,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in EV_LANE_START:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        for name in ("dt", "horizon", "a_nominal"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -328,16 +330,15 @@ def run_episode(
     iv_action: int,
     record_trace: bool = False,
     decide=None,
-    rng=None,
 ) -> EpisodeResult:
     """Integrate one episode under a joint decision.
 
     The EV phase machine and the IV's held acceleration are described in the
     module docstring. The episode stops at the first collision step or after
-    config.horizon steps. With config.decision_replay and a decide callback
-    `(rng, ev_state, iv_state) -> (ev_action, iv_action)`, the joint decision
-    is re-taken at every step until the EV's maneuver is underway; the
-    result then records the last commanded pair.
+    config.horizon steps. Given a decide callback
+    `(ev_state, iv_state) -> (ev_action, iv_action)`, the joint decision is
+    re-taken at every step until the EV's maneuver is underway; the result
+    then records the last commanded pair.
     """
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
@@ -349,7 +350,6 @@ def run_episode(
     half = 0.5 * (ev0.length + iv0.length)
     entry_lane = EV_LANE_START[kind]
     target_lane = EV_LANE_TARGET[kind]
-    replay = config.decision_replay and decide is not None
 
     ev_s, ev_v, ev_lane = ev0.s, ev0.v, ev0.lane
     iv_s, iv_v = iv0.s, iv0.v
@@ -371,9 +371,8 @@ def run_episode(
     t = 0.0
 
     for _ in range(config.horizon):
-        if replay and steps and phase in (_GO, _YIELD):
+        if decide is not None and steps and phase in (_GO, _YIELD):
             ev_action, iv_action = decide(
-                rng,
                 VehicleState(ev_lane, ev_s, ev_v, ev0.length),
                 VehicleState(IV_LANE[kind], iv_s, iv_v, iv0.length),
             )

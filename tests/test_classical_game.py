@@ -176,6 +176,7 @@ class TestLoadGame:
     @pytest.mark.parametrize("bad_line,match", [
         ("ua = 1 2 3 4", "duplicate key 'ua'"),
         ("ub_typo = 1 2 3 4", "unknown key 'ub_typo'"),
+        ("name =", "name: must not be empty"),
     ])
     def test_strict_keys(self, tmp_path, bad_line, match):
         path = tmp_path / "g.game"

@@ -329,9 +329,10 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=match):
             ex.load_experiment_config(path)
 
-    def test_non_integer_episodes_names_the_line(self, tmp_path):
+    @pytest.mark.parametrize("episodes", ["4e3", "0"])
+    def test_bad_episodes_names_the_line(self, tmp_path, episodes):
         path = tmp_path / "exp.conf"
-        path.write_text("scenario.kind = merging\nepisodes = 4e3\n")
+        path.write_text(f"scenario.kind = merging\nepisodes = {episodes}\n")
         with pytest.raises(ValueError, match="exp.conf:2: episodes"):
             ex.load_experiment_config(path)
 

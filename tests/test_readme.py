@@ -1,12 +1,23 @@
-"""Every ```python block in README.md runs as written."""
+"""Every ```python block in README.md runs as written, and every `qgdrive`
+command line in its shell blocks parses with the CLI's own parser."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from qgdrive import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.S | re.M)
+COMMANDS = [
+    shlex.split(line, comments=True)
+    for block in re.findall(r"^```\n(.*?)^```$", TEXT, re.S | re.M)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.startswith("qgdrive ")
+]
 
 
 def test_readme_has_python_examples():
@@ -17,3 +28,13 @@ def test_readme_has_python_examples():
 def test_readme_example_runs(source, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_has_command_lines():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(c[1:]) for c in COMMANDS])
+def test_readme_command_line_parses(argv):
+    # a renamed or removed flag makes argparse exit with code 2
+    cli.build_parser().parse_args(argv[1:])

@@ -39,11 +39,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             sim.merging_scenario(horizon=0)
 
-    @pytest.mark.parametrize("bad", [(2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])
-    @pytest.mark.parametrize("field", ["ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"])
+    # each case: (bad sampling range, bad dt / a_nominal); a_nominal = 0
+    # divides by zero in idm_entry_decision, a negative one swaps the actions
+    @pytest.mark.parametrize("bad", [
+        pytest.param(((2.0, 1.0), 0.0), id="bad0"),
+        pytest.param(((math.nan, 1.0), math.nan), id="bad1"),
+        pytest.param(((0.0, math.inf), math.inf), id="bad2"),
+        pytest.param(((-math.inf, 0.0), -2.0), id="bad3"),
+    ])
+    @pytest.mark.parametrize("field", [
+        "ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range", "dt", "a_nominal",
+    ])
     def test_sampling_ranges_validated(self, field, bad):
+        value = bad[0] if field.endswith("_range") else bad[1]
         with pytest.raises(ValueError, match=field):
-            sim.merging_scenario(**{field: bad})
+            sim.merging_scenario(**{field: value})
 
     def test_action_semantics_structure(self):
         for kind in ("merging", "roundabout"):
@@ -118,7 +128,7 @@ class TestKinematics:
 
     @given(
         st.floats(min_value=0.0, max_value=40.0),
-        st.floats(min_value=0.0, max_value=6.0),
+        st.floats(min_value=0.0, max_value=6.0, exclude_min=True),
     )
     @settings(max_examples=2000)
     def test_speed_never_negative(self, v, a_nominal):
@@ -329,33 +339,29 @@ class TestEpisodes:
 
 
 class TestDecisionReplay:
-    def test_off_by_default_and_callback_ignored(self):
-        cfg = sim.builtin_scenario("merging")
+    def test_without_callback_the_start_decision_holds(self):
+        # run_episode replays only when given a callback; the scenario flag
+        # is read by run_monte_carlo
+        cfg = sim.builtin_scenario("merging", decision_replay=True)
         ev, iv = mid_merging()
-        calls = []
-
-        def decide(rng, e, i):
-            calls.append(1)
-            return 1, 1
-
-        r = sim.run_episode(cfg, ev, iv, 0, 0, decide=decide, rng=None)
+        r = sim.run_episode(cfg, ev, iv, 0, 0)
         assert r.outcome == "collision"
-        assert calls == []
+        assert (r.ev_action, r.iv_action) == (0, 0)
 
     def test_replayed_decision_overrides_the_start(self):
         # the start says collide, every replay says yield: no collision
-        cfg = sim.builtin_scenario("merging", decision_replay=True)
+        cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
-        r = sim.run_episode(cfg, ev, iv, 0, 0, decide=lambda rng, e, i: (1, 1))
+        r = sim.run_episode(cfg, ev, iv, 0, 0, decide=lambda e, i: (1, 1))
         assert r.outcome != "collision"
         assert (r.ev_action, r.iv_action) == (1, 1)
 
     def test_replay_stops_once_the_maneuver_is_underway(self):
-        cfg = sim.builtin_scenario("roundabout", decision_replay=True)
+        cfg = sim.builtin_scenario("roundabout")
         ev, iv = mid_roundabout()
         seen_phases = []
 
-        def decide(rng, e, i):
+        def decide(e, i):
             seen_phases.append(e.lane)
             return 0, 0
 
@@ -364,11 +370,11 @@ class TestDecisionReplay:
         assert set(seen_phases) == {"approach"}
 
     def test_replay_sees_current_states(self):
-        cfg = sim.builtin_scenario("merging", decision_replay=True)
+        cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
         positions = []
 
-        def decide(rng, e, i):
+        def decide(e, i):
             positions.append(e.s)
             return 1, 1
 
