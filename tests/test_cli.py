@@ -206,6 +206,11 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_unknown_model(self, capsys):
+        code, _, err = run(capsys, "sweep", "--model", "qg-g5")
+        assert code == 2
+        assert err
+
 
 class TestSimulate:
     def test_small_run(self, capsys, tmp_path):
@@ -301,6 +306,18 @@ class TestSimulate:
             capsys, "simulate", "--config", str(conf), "--scenario", "merging"
         )
         assert code == 2
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "no.conf"))
+        assert code == 2
+        assert err
+
+    def test_empty_policy_list(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--scenario", "merging", "--policies", ",", "--episodes", "10"
+        )
+        assert code == 2
+        assert err
 
 
 class TestTopLevel:
