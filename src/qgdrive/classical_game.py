@@ -180,12 +180,17 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     """Parse a 'key = value' file ('#' starts a comment) into converted values.
 
     `required` and `optional` map each allowed key to a converter for its
-    value. Errors name path:line: a line without '=', a key outside both
-    maps, a repeated key, or a value its converter rejects with ValueError.
+    value. Errors are ValueErrors: a missing file, or, naming path:line, a
+    line without '=', a key outside both maps, a repeated key, or a value
+    its converter rejects with ValueError.
     """
     fields = {**required, **optional}
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"{path}: no such file") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -4,12 +4,16 @@ Four verbs: `equilibria` (classical solution of a 2x2 game), `solve` (one
 model configuration to an outcome distribution), `sweep` (parameter grids
 to CSV), `simulate` (seeded Monte Carlo comparison to a report file).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error. File
-outputs are byte-identical across repeated runs with the same flags and
-seed. Angles accept radians or pi-fraction literals ('pi/2', '3pi/4');
-`--initial` accepts 'equal', a basis label, or eight comma-separated
-re/im-interleaved amplitude components, auto-normalized. The environment
-variable QGDRIVE_OUTPUT_DIR overrides the default output directory.
+Exit codes: 0 success; 2 rejected input (an argparse usage error, or any
+ValueError, which is how the library and CliError reject a flag, file or
+value); 1 runtime failure (an OSError such as an unwritable output path,
+or any other exception). `main` is the only place that maps errors to exit
+codes. Long flags must be spelled in full. File outputs are byte-identical
+across repeated runs with the same flags and seed. Angles accept radians
+or pi-fraction literals ('pi/2', '3pi/4'); `--initial` accepts 'equal', a
+basis label, or eight comma-separated re/im-interleaved amplitude
+components, auto-normalized. The environment variable QGDRIVE_OUTPUT_DIR
+overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -24,13 +28,13 @@ from dataclasses import astuple
 import numpy as np
 
 from . import classical_game, experiments, quantum_game, scenario_sim
-from .classical_game import DegenerateGameError, NoInteriorEquilibriumError
+from .classical_game import NoInteriorEquilibriumError
 
 OUTPUT_DIR_ENV = "QGDRIVE_OUTPUT_DIR"
 
 
-class CliError(Exception):
-    """Usage or config problem; mapped to exit code 2."""
+class CliError(ValueError):
+    """Usage or config problem found by the CLI itself; exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +66,7 @@ def parse_initial_flag(text: str) -> np.ndarray:
     """'equal', a basis label, or 8 comma-separated re/im components."""
     s = text.strip()
     if "," not in s:
-        try:
-            return quantum_game.parse_initial_state(s)
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        return quantum_game.parse_initial_state(s)
     parts = s.split(",")
     if len(parts) != 8:
         raise CliError(
@@ -76,27 +77,27 @@ def parse_initial_flag(text: str) -> np.ndarray:
     except ValueError:
         raise CliError(f"non-numeric component in initial state {text!r}") from None
     amps = [complex(comps[2 * i], comps[2 * i + 1]) for i in range(4)]
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
+    if not any(amps):
         raise CliError("initial state must have nonzero norm")
+    state = quantum_game.parse_initial_state(amps)
+    nrm = float(np.linalg.norm(amps))
     if abs(nrm - 1.0) > 1e-6:
         print(
             f"warning: initial state norm {nrm!r} deviates from 1; normalizing",
             file=sys.stderr,
         )
-    return quantum_game.parse_initial_state(amps)
+    return state
 
 
 def resolve_game(args) -> classical_game.TwoPlayerGame:
     if getattr(args, "game_file", None):
-        try:
-            return classical_game.load_game(args.game_file)
-        except (FileNotFoundError, ValueError) as e:
-            raise CliError(str(e)) from None
-    try:
-        return classical_game.builtin_game(args.game)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+        return classical_game.load_game(args.game_file)
+    return classical_game.builtin_game(args.game)
+
+
+def file_stem(game: classical_game.TwoPlayerGame) -> str:
+    """Default output file stem: the game name's first word, '/' as '_'."""
+    return game.name.split()[0].replace("/", "_")
 
 
 def output_path(explicit: "str | None", default_name: str) -> str:
@@ -133,8 +134,6 @@ def cmd_equilibria(args) -> int:
         print("pure Nash equilibria: none")
     try:
         ms = classical_game.mixed_strategy(game)
-    except DegenerateGameError as e:
-        raise CliError(str(e)) from None
     except NoInteriorEquilibriumError as e:
         print(f"no interior mixed equilibrium: p = {e.p!r}, q = {e.q!r}")
     else:
@@ -149,9 +148,6 @@ def cmd_equilibria(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-_U1_MODELS = ("qg-u1", "qg-u1-1", "qg-u1-2")
-
-
 def _strategy_flag(theta, phi, default):
     """StrategyU from a --theta-X/--phi-X pair, or default without --theta-X."""
     if theta is None:
@@ -161,16 +157,12 @@ def _strategy_flag(theta, phi, default):
     )
 
 
-def _solve_config(args, game):
-    model = args.model.lower().replace("_", "-")
+def _solve_config(args):
+    model = args.model
     gate_flags = args.gate_a is not None or args.gate_b is not None
     angle_flags = any(
         v is not None for v in (args.theta_a, args.phi_a, args.theta_b, args.phi_b)
     )
-    if model not in _U1_MODELS + ("qg-g4",):
-        raise CliError(
-            f"unknown model {args.model!r}; expected qg-u1, qg-u1-1, qg-u1-2 or qg-g4"
-        )
     if model == "qg-g4":
         if angle_flags:
             raise CliError("theta/phi flags apply to the qg-u1 models only")
@@ -200,11 +192,8 @@ def _solve_config(args, game):
 
 def cmd_solve(args) -> int:
     game = resolve_game(args)
-    try:
-        initial, gamma, sa, sb = _solve_config(args, game)
-        dist = quantum_game.play(game, initial, gamma, sa, sb)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    initial, gamma, sa, sb = _solve_config(args)
+    dist = quantum_game.play(game, initial, gamma, sa, sb)
     eu_a = classical_game.expected_payoff(dist, game, "a")
     eu_b = classical_game.expected_payoff(dist, game, "b")
     probs = dist.as_tuple()
@@ -236,20 +225,16 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     game = resolve_game(args)
-    model = args.model.lower().replace("_", "-")
     initial = parse_initial_flag(args.initial) if args.initial else None
-    if model == "qg-u1":
-        try:
-            result = quantum_game.sweep_u1(
-                game,
-                mode=args.mode,
-                initial=initial,
-                gamma_points=args.gamma_points,
-                theta_points=args.theta_points,
-            )
-        except ValueError as e:
-            raise CliError(str(e)) from None
-        path = output_path(args.out, f"sweep_u1_{game.name.split()[0]}_{args.mode}.csv")
+    if args.model == "qg-u1":
+        result = quantum_game.sweep_u1(
+            game,
+            mode=args.mode,
+            initial=initial,
+            gamma_points=args.gamma_points,
+            theta_points=args.theta_points,
+        )
+        path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{args.mode}.csv")
         quantum_game.write_sweep_csv(result, path)
         print(f"wrote {path} ({len(result.rows)} rows)")
         mx, mn = result.argmax, result.argmin
@@ -258,22 +243,17 @@ def cmd_sweep(args) -> int:
         print(f"argmin E[u_A]: gamma = {mn.gamma!r}, theta_a = {mn.theta_a!r}, "
               f"theta_b = {mn.theta_b!r}, E = {mn.eu_a!r}")
         return 0
-    if model == "qg-g4":
-        gamma = parse_angle(args.gamma) if args.gamma is not None else quantum_game.GAMMA_MAX
-        try:
-            table = quantum_game.sweep_g4(game, initial=initial, gamma=gamma)
-        except ValueError as e:
-            raise CliError(str(e)) from None
-        path = output_path(args.out, f"gate_table_{game.name.split()[0]}.csv")
-        quantum_game.write_gate_table_csv(table, path)
-        print(f"wrote {path} (gamma = {table.gamma!r})")
-        letters = [g.value for g in quantum_game.GATE_ORDER]
-        print("E[u_A] by (A gate row, B gate column):")
-        print("     " + "".join(f"{c:>11}" for c in letters))
-        for letter, row in zip(letters, table.eu_a):
-            print(f"  {letter}  " + "".join(f"{_fmt4(x):>11}" for x in row))
-        return 0
-    raise CliError(f"unknown sweep model {args.model!r}; expected qg-u1 or qg-g4")
+    gamma = parse_angle(args.gamma) if args.gamma is not None else quantum_game.GAMMA_MAX
+    table = quantum_game.sweep_g4(game, initial=initial, gamma=gamma)
+    path = output_path(args.out, f"gate_table_{file_stem(game)}.csv")
+    quantum_game.write_gate_table_csv(table, path)
+    print(f"wrote {path} (gamma = {table.gamma!r})")
+    letters = [g.value for g in quantum_game.GATE_ORDER]
+    print("E[u_A] by (A gate row, B gate column):")
+    print("     " + "".join(f"{c:>11}" for c in letters))
+    for letter, row in zip(letters, table.eu_a):
+        print(f"  {letter}  " + "".join(f"{_fmt4(x):>11}" for x in row))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +263,22 @@ def _simulate_setup(args):
     if args.config:
         if args.policies or args.scenario:
             raise CliError("--config replaces --scenario/--policies; do not combine them")
-        try:
-            policy, config = experiments.load_experiment_config(args.config)
-        except (FileNotFoundError, ValueError) as e:
-            raise CliError(str(e)) from None
+        policy, config = experiments.load_experiment_config(args.config)
         return [policy], config
     if not args.scenario:
         raise CliError("--scenario is required (or use --config)")
     if not args.policies:
         raise CliError("--policies is required (or use --config)")
-    try:
-        scenario = scenario_sim.builtin_scenario(args.scenario)
-        game = classical_game.builtin_game(args.scenario)
-        specs = [
-            experiments.PolicySpec(name, args.assumed_gate)
-            for name in args.policies.split(",")
-            if name.strip()
-        ]
-        if not specs:
-            raise CliError("--policies lists no policy")
-        config = experiments.MonteCarloConfig(
-            scenario=scenario, game=game, episodes=args.episodes, master_seed=args.seed
-        )
-        for spec in specs:
-            experiments._check_compatible(spec, scenario)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    scenario = scenario_sim.builtin_scenario(args.scenario)
+    game = classical_game.builtin_game(args.scenario)
+    specs = [
+        experiments.PolicySpec(name, args.assumed_gate)
+        for name in args.policies.split(",")
+        if name.strip()
+    ]
+    config = experiments.MonteCarloConfig(
+        scenario=scenario, game=game, episodes=args.episodes, master_seed=args.seed
+    )
     return specs, config
 
 
@@ -336,24 +306,31 @@ def cmd_simulate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgdrive",
+        allow_abbrev=False,
         description="Classical and quantum game solvers with a kinematic "
         "driving simulator for merging and roundabout-entry conflicts.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add_verb(name, summary):
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    def add_model_flag(p, choices):
+        p.add_argument("--model", required=True, choices=choices,
+                       type=lambda name: name.lower().replace("_", "-"))
 
     def add_game_flags(p):
         p.add_argument("--game", default="merging",
                        help="builtin game name: merging or roundabout")
         p.add_argument("--game-file", help="game definition file (overrides --game)")
 
-    p_eq = sub.add_parser("equilibria", help="pure and mixed classical equilibria")
+    p_eq = add_verb("equilibria", "pure and mixed classical equilibria")
     add_game_flags(p_eq)
     p_eq.set_defaults(func=cmd_equilibria)
 
-    p_solve = sub.add_parser("solve", help="outcome distribution of one configuration")
+    p_solve = add_verb("solve", "outcome distribution of one configuration")
     add_game_flags(p_solve)
-    p_solve.add_argument("--model", required=True,
-                         help="qg-u1, qg-u1-1, qg-u1-2 or qg-g4")
+    add_model_flag(p_solve, ("qg-u1", "qg-u1-1", "qg-u1-2", "qg-g4"))
     p_solve.add_argument("--initial", help="equal, s00..s11, or 8 re/im components")
     p_solve.add_argument("--gamma", help="entanglement angle in [0, pi/2]")
     p_solve.add_argument("--theta-a", help="A rotation angle in [0, pi]")
@@ -365,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", default="text", choices=("text", "csv", "json"))
     p_solve.set_defaults(func=cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="parameter grid to CSV")
+    p_sweep = add_verb("sweep", "parameter grid to CSV")
     add_game_flags(p_sweep)
-    p_sweep.add_argument("--model", required=True, help="qg-u1 or qg-g4")
+    add_model_flag(p_sweep, ("qg-u1", "qg-g4"))
     p_sweep.add_argument("--mode", default="theta_b_zero",
                          choices=quantum_game.SWEEP_MODES,
                          help="qg-u1 grid variant")
@@ -378,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo policy comparison")
+    p_sim = add_verb("simulate", "seeded Monte Carlo policy comparison")
     p_sim.add_argument("--scenario", help="merging or roundabout")
     p_sim.add_argument("--policies",
                        help="comma-separated: cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,idm,mobil")
@@ -401,7 +378,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except CliError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

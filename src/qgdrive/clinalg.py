@@ -50,13 +50,17 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
 def state_vector(amplitudes, tol: float = 1e-9, normalize: bool = False) -> np.ndarray:
     """Validate (or normalize) a length-4 amplitude vector.
 
-    With normalize=False the norm must already be 1 within tol; with
-    normalize=True any nonzero vector is rescaled to unit norm.
+    The amplitudes and their norm must be finite. With normalize=False the
+    norm must already be 1 within tol; with normalize=True any nonzero vector
+    is rescaled to unit norm.
     """
     v = np.asarray(amplitudes, dtype=np.complex128)
     if v.shape != (4,):
         raise ValueError(f"state vector must have 4 amplitudes, got shape {v.shape}")
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        n = np.linalg.norm(v)
+    if not np.isfinite(n):
+        raise ValueError(f"state vector amplitudes and norm must be finite, got norm {float(n)}")
     if normalize:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")

@@ -89,6 +89,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.episodes <= 0:
             raise ValueError(f"episodes must be positive, got {self.episodes}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,8 @@ def decide_joint(
 
 def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
     """Seeded episode loop for one policy; see the module docstring for the
-    randomness contract."""
-    _check_compatible(policy, config.scenario)
+    randomness contract. IDM or MOBIL on the wrong scenario raises ValueError
+    from its decision rule in the first episode."""
     scenario = config.scenario
     dists = policy_distributions(policy, config.game)
     collisions = 0
@@ -288,22 +290,27 @@ def parse_report_csv(text: str) -> list[MetricsSummary]:
 # ---------------------------------------------------------------------------
 # Experiment config files
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n <= 0:
-        raise ValueError(f"must be positive, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """read_key_values converter: an integer no smaller than lo."""
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise ValueError(f"must be at least {lo}, got {n}")
+        return n
+    return convert
 
 
 def load_experiment_config(path) -> tuple[PolicySpec, MonteCarloConfig]:
     """Key-value experiment file, parsed with read_key_values.
 
-    Recognized keys: scenario.kind, episodes (positive), master_seed,
-    policy.name, policy.assumed_gate (optional). '#' starts a comment.
+    Recognized keys: scenario.kind, episodes (positive), master_seed
+    (non-negative), policy.name, policy.assumed_gate (optional). '#' starts
+    a comment.
     """
     values = read_key_values(
         path,
-        {"scenario.kind": str, "episodes": _positive_int, "master_seed": int, "policy.name": str},
+        {"scenario.kind": str, "episodes": _int_at_least(1), "master_seed": _int_at_least(0),
+         "policy.name": str},
         {"policy.assumed_gate": str},
     )
     policy = PolicySpec(values["policy.name"], values.get("policy.assumed_gate", "Z"))

@@ -5,6 +5,11 @@ import pytest
 
 from qgdrive import cli
 
+GAME_FILE = (
+    "label_a0 = x\nlabel_a1 = y\nlabel_b0 = x\nlabel_b1 = y\n"
+    "ua = 0 10 4 1\nub = 0 4 10 1\n"
+)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -211,6 +216,21 @@ class TestSweep:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("model,written", [
+        ("qg-g4", "gate_table_my_game.csv"),
+        ("qg-u1", "sweep_u1_my_game_theta_b_zero.csv"),
+    ])
+    def test_slash_in_game_name(self, capsys, tmp_path, monkeypatch, model, written):
+        game = tmp_path / "g.txt"
+        game.write_text(GAME_FILE + "name = my/game\n")
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+        code, _, _ = run(
+            capsys, "sweep", "--game-file", str(game), "--model", model,
+            "--gamma-points", "3", "--theta-points", "3",
+        )
+        assert code == 0
+        assert (tmp_path / written).exists()
+
 
 class TestSimulate:
     def test_small_run(self, capsys, tmp_path):
@@ -296,6 +316,16 @@ class TestSimulate:
         assert code == 2
         assert "exp.conf:5: unknown key 'policy.assumed_gat'" in err
 
+    def test_config_incompatible_policy_is_usage_error(self, capsys, tmp_path):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(
+            "scenario.kind = roundabout\nepisodes = 5\n"
+            "master_seed = 1\npolicy.name = mobil\n"
+        )
+        code, _, err = run(capsys, "simulate", "--config", str(conf))
+        assert code == 2
+        assert "merging-only" in err
+
     def test_config_excludes_flags(self, capsys, tmp_path):
         conf = tmp_path / "exp.conf"
         conf.write_text(
@@ -311,6 +341,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "no.conf"))
         assert code == 2
         assert err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--scenario", "merging", "--policies", "cg-epd",
+            "--episodes", "10", "--seed", "-1",
+        )
+        assert code == 2
+        assert "master_seed" in err
 
     def test_empty_policy_list(self, capsys):
         code, _, err = run(
@@ -329,3 +367,17 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        "equilibria --game-f g.game",
+        "solve --model qg-u1-1 --form json",
+        "sweep --model qg-u1 --gamma-p 3 --theta-p 3 --out X",
+        "simulate --scenario merging --policies cg-epd --epi 5",
+    ], ids=["equilibria", "solve", "sweep", "simulate"])
+    def test_abbreviated_flag_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.game").write_text(GAME_FILE)
+        code, _, err = run(capsys, *argv.split())
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "X").exists()

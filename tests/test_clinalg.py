@@ -30,6 +30,16 @@ class TestConstructors:
         with pytest.raises(ValueError):
             clinalg.state_vector([0, 0, 0, 0], normalize=True)
 
+    @pytest.mark.parametrize("amps,normalize", [
+        ([np.nan, 0, 0, 0], False),
+        ([np.nan, 0, 1, 0], True),
+        ([np.inf, 0, 0, 0], True),
+        ([1e308, 0, 1e308, 0], True),  # finite amplitudes, overflowing norm
+    ], ids=["nan", "nan-normalize", "inf", "overflow"])
+    def test_state_vector_rejects_non_finite(self, amps, normalize):
+        with pytest.raises(ValueError, match="finite"):
+            clinalg.state_vector(amps, normalize=normalize)
+
 
 class TestAlgebra:
     def test_kron_matches_block_structure(self):

@@ -41,6 +41,11 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             merging_config(episodes=0)
 
+    def test_master_seed_must_be_non_negative(self):
+        assert merging_config(seed=0).master_seed == 0
+        with pytest.raises(ValueError, match="master_seed"):
+            merging_config(seed=-1)
+
 
 class TestSeeding:
     def test_episode_rng_reproducible(self):
@@ -334,6 +339,12 @@ class TestConfigFile:
         path = tmp_path / "exp.conf"
         path.write_text(f"scenario.kind = merging\nepisodes = {episodes}\n")
         with pytest.raises(ValueError, match="exp.conf:2: episodes"):
+            ex.load_experiment_config(path)
+
+    def test_negative_master_seed_names_the_line(self, tmp_path):
+        path = tmp_path / "exp.conf"
+        path.write_text("scenario.kind = merging\nepisodes = 40\nmaster_seed = -1\n")
+        with pytest.raises(ValueError, match="exp.conf:3: master_seed"):
             ex.load_experiment_config(path)
 
     def test_malformed_line(self, tmp_path):
