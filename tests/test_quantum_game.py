@@ -292,6 +292,19 @@ class TestGateTable:
             got = table.row_a(letter)
             assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9, letter
 
+    @pytest.mark.parametrize(
+        "gamma", [0.0, 0.7, qg.GAMMA_MAX], ids=["gamma_0", "gamma_0_7", "gamma_pi_2"]
+    )
+    def test_gate_table_matches_single_point_solver(self, gamma):
+        game = merging_game()
+        psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
+        table = qg.sweep_g4(game, initial=psi0, gamma=gamma)
+        for i, ga in enumerate(qg.GATE_ORDER):
+            for k, gb in enumerate(qg.GATE_ORDER):
+                dist = qg.play(game, psi0, gamma, ga, gb)
+                assert table.eu_a[i][k] == expected_payoff(dist, game, "a"), (ga, gb)
+                assert table.eu_b[i][k] == expected_payoff(dist, game, "b"), (ga, gb)
+
     def test_x_y_rows_identical_without_entanglement(self):
         table = qg.sweep_g4(merging_game(), gamma=0.0)
         assert max(
@@ -340,13 +353,18 @@ class TestSweep:
             assert abs(row.eu_a - want) < 1e-9
 
     def test_rows_match_single_point_solver(self):
-        result = qg.sweep_u1(merging_game(), mode="equal_thetas", gamma_points=5, theta_points=5)
-        for row in result.rows[:: 6]:
-            dist = qg.play(
-                merging_game(), qg.equal_superposition(), row.gamma,
-                qg.StrategyU(row.theta_a), qg.StrategyU(row.theta_b),
-            )
-            assert abs(expected_payoff(dist, merging_game(), "a") - row.eu_a) < 1e-12
+        # every row, both modes, bit for bit, from a start with no symmetry
+        game = merging_game()
+        psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
+        for mode in qg.SWEEP_MODES:
+            result = qg.sweep_u1(game, mode=mode, initial=psi0, gamma_points=5, theta_points=5)
+            for row in result.rows:
+                dist = qg.play(
+                    game, psi0, row.gamma, qg.StrategyU(row.theta_a), qg.StrategyU(row.theta_b),
+                )
+                assert (row.p00, row.p01, row.p10, row.p11) == dist.as_tuple(), (mode, row)
+                assert row.eu_a == expected_payoff(dist, game, "a"), (mode, row)
+                assert row.eu_b == expected_payoff(dist, game, "b"), (mode, row)
 
     def test_extrema_on_coarse_grid(self):
         result = qg.sweep_u1(merging_game(), gamma_points=11, theta_points=11)
