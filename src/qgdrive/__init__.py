@@ -39,7 +39,6 @@ from .quantum_game import (
     StrategyU,
     basis_state,
     entangler,
-    entangler_dagger,
     equal_superposition,
     final_state,
     outcome_probabilities,

@@ -180,9 +180,10 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     """Parse a 'key = value' file ('#' starts a comment) into converted values.
 
     `required` and `optional` map each allowed key to a converter for its
-    value. Errors are ValueErrors: a missing file, or, naming path:line, a
-    line without '=', a key outside both maps, a repeated key, or a value
-    its converter rejects with ValueError.
+    value. Errors are ValueErrors: a missing or unreadable file (a directory,
+    no permission), or, naming path:line, a line without '=', a key outside
+    both maps, a repeated key, or a value its converter rejects with
+    ValueError.
     """
     fields = {**required, **optional}
     out = {}
@@ -190,6 +191,8 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"{path}: no such file") from None
+    except OSError as e:
+        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()

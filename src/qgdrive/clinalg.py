@@ -31,11 +31,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128).conj().T
 
 
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply operator m to state vector v."""
-    return np.asarray(m, dtype=np.complex128) @ np.asarray(v, dtype=np.complex128)
-
-
 def norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(v, dtype=np.complex128)))
 

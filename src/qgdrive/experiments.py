@@ -9,11 +9,13 @@ policy-internal draws.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
-distribution conditioned on that EV action. For every policy whose IV
-conditional is uniform (CG-EPD, both QG-U1 presets, the assumed-gate QG-G4)
-this reduces to an independent 50/50 IV draw shared across policies.
-IDM/MOBIL compute the EV action deterministically from the sampled initial
-states; their IV stays on the 50/50 draw.
+distribution conditioned on that EV action. Only CG-EPD and the two QG-U1
+presets have a uniform IV conditional, which reduces to an independent
+50/50 IV draw shared across policies. CG-MS and QG-G4 do not: QG_G4[Z]'s
+distribution is (0, 1, 0, 0), so its IV decelerates in every episode, and
+each of the uniform opponent model's five gate distributions fixes the IV's
+action given the EV's. IDM/MOBIL compute the EV action deterministically
+from the sampled initial states; their IV stays on the 50/50 draw.
 """
 
 from __future__ import annotations
@@ -243,12 +245,16 @@ def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSumm
 
 
 def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
-    """Run every policy over the same episode set (same master seed)."""
+    """Run every policy over the same episode set (same master seed). Each
+    report label may appear once; a repeat is rejected before anything runs."""
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:
         raise ValueError("no policies given")
-    for spec in specs:
+    labels = [spec.label() for spec in specs]
+    for i, spec in enumerate(specs):
         _check_compatible(spec, config.scenario)
+        if labels[i] in labels[:i]:
+            raise ValueError(f"policy {labels[i]} is given more than once")
     return tuple(run_monte_carlo(spec, config) for spec in specs)
 
 

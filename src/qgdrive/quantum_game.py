@@ -37,15 +37,13 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "GateTable",
-    "qubit",
-    "qubit_product",
     "basis_state",
     "equal_superposition",
     "parse_initial_state",
     "gate_matrix",
     "entangler",
-    "entangler_dagger",
     "strategy_unitary",
+    "final_states",
     "final_state",
     "outcome_probabilities",
     "expected_payoff",
@@ -66,7 +64,8 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 class QuantumGate(enum.Enum):
-    """Five-gate strategy set. Values are the wire-format single letters."""
+    """Five-gate strategy set, declared in gate-table order (GATE_ORDER).
+    Values are the wire-format single letters."""
 
     HADAMARD = "H"
     PAULI_X = "X"
@@ -83,14 +82,8 @@ _GATE_MATRICES = {
     QuantumGate.IDENTITY: clinalg.mat((1, 0), (0, 1)),
 }
 
-# Row/column order for the 5x5 gate table and its CSV form.
-GATE_ORDER = (
-    QuantumGate.HADAMARD,
-    QuantumGate.PAULI_X,
-    QuantumGate.PAULI_Y,
-    QuantumGate.PAULI_Z,
-    QuantumGate.IDENTITY,
-)
+# Row/column order for the 5x5 gate table and its CSV form: H, X, Y, Z, I.
+GATE_ORDER = tuple(QuantumGate)
 
 
 def as_gate(gate: "QuantumGate | str") -> QuantumGate:
@@ -107,20 +100,6 @@ def as_gate(gate: "QuantumGate | str") -> QuantumGate:
 
 def gate_matrix(gate: "QuantumGate | str") -> np.ndarray:
     return _GATE_MATRICES[as_gate(gate)].copy()
-
-
-def qubit(alpha: complex, beta: complex, tol: float = 1e-9) -> np.ndarray:
-    """Single-qubit state (alpha, beta); must be normalized within tol."""
-    v = np.array([alpha, beta], dtype=np.complex128)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"qubit norm {n!r} deviates from 1 by more than {tol}")
-    return v
-
-
-def qubit_product(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Joint product state with player A on the high bit."""
-    return clinalg.kron(np.asarray(qa).reshape(2), np.asarray(qb).reshape(2))
 
 
 def basis_state(label: "str | int") -> np.ndarray:
@@ -176,11 +155,6 @@ def entangler(gamma: float) -> np.ndarray:
     )
 
 
-def entangler_dagger(gamma: float) -> np.ndarray:
-    """J^dagger (+i sin on the anti-diagonal)."""
-    return entangler(gamma).conj().T
-
-
 @dataclass(frozen=True)
 class StrategyU:
     """Continuous strategy U(theta, phi); the one-parameter variant is phi=0."""
@@ -233,12 +207,20 @@ class QuantumGameConfig:
             )
 
 
+def final_states(psi0: np.ndarray, gamma: float, moves) -> list[np.ndarray]:
+    """psi_f = J^dagger (U_A kron U_B) J psi_0 for each (U_A, U_B) in moves,
+    with J psi_0 computed once. Keep the association J^dagger (M (J psi_0)):
+    reordering the products moves the last bits of every output."""
+    j = entangler(gamma)
+    jd = j.conj().T
+    pre = j @ psi0
+    return [jd @ (clinalg.kron(ua, ub) @ pre) for ua, ub in moves]
+
+
 def final_state(config: QuantumGameConfig) -> np.ndarray:
-    """psi_f = J^dagger (U_A kron U_B) J psi_0."""
-    j = entangler(config.gamma)
-    jd = entangler_dagger(config.gamma)
-    move = clinalg.kron(_strategy_matrix(config.strategy_a), _strategy_matrix(config.strategy_b))
-    return clinalg.apply(jd, clinalg.apply(move, clinalg.apply(j, config.initial)))
+    """psi_f for one configuration."""
+    move = (_strategy_matrix(config.strategy_a), _strategy_matrix(config.strategy_b))
+    return final_states(config.initial, config.gamma, [move])[0]
 
 
 def outcome_probabilities(psi: np.ndarray, tol: float = 1e-9) -> OutcomeDistribution:
@@ -254,13 +236,7 @@ def outcome_probabilities(psi: np.ndarray, tol: float = 1e-9) -> OutcomeDistribu
 
 def play(game: TwoPlayerGame, initial, gamma, strategy_a, strategy_b) -> OutcomeDistribution:
     """Convenience wrapper: build a config, run the circuit, measure."""
-    cfg = QuantumGameConfig(
-        game=game,
-        initial=np.asarray(initial, dtype=np.complex128),
-        gamma=gamma,
-        strategy_a=strategy_a,
-        strategy_b=strategy_b,
-    )
+    cfg = QuantumGameConfig(game, initial, gamma, strategy_a, strategy_b)
     return outcome_probabilities(final_state(cfg))
 
 
@@ -346,30 +322,15 @@ def sweep_u1(
     gammas = np.linspace(0.0, GAMMA_MAX, gamma_points)
     thetas = np.linspace(0.0, THETA_MAX, theta_points)
 
+    angles = [(float(t), float(t) if mode == "equal_thetas" else 0.0) for t in thetas]
+    moves = [(strategy_unitary(ta), strategy_unitary(tb)) for ta, tb in angles]
+
     rows = []
     for g in gammas:
-        j = entangler(float(g))
-        jd = entangler_dagger(float(g))
-        pre = j @ psi0
-        for t in thetas:
-            ta = float(t)
-            tb = ta if mode == "equal_thetas" else 0.0
-            move = clinalg.kron(strategy_unitary(ta), strategy_unitary(tb))
-            psi = jd @ (move @ pre)
+        for (ta, tb), psi in zip(angles, final_states(psi0, float(g), moves)):
             dist = outcome_probabilities(psi)
-            rows.append(
-                SweepRow(
-                    gamma=float(g),
-                    theta_a=ta,
-                    theta_b=tb,
-                    p00=dist.p00,
-                    p01=dist.p01,
-                    p10=dist.p10,
-                    p11=dist.p11,
-                    eu_a=expected_payoff(dist, game, "a"),
-                    eu_b=expected_payoff(dist, game, "b"),
-                )
-            )
+            eu = (expected_payoff(dist, game, "a"), expected_payoff(dist, game, "b"))
+            rows.append(SweepRow(float(g), ta, tb, *dist.as_tuple(), *eu))
 
     vmax = max(r.eu_a for r in rows)
     vmin = min(r.eu_a for r in rows)
@@ -402,20 +363,15 @@ def sweep_g4(
     analysis starts from the classical (A=NotMerge/Decelerate, B=first
     action) joint basis state rather than a superposition."""
     psi0 = basis_state("s10") if initial is None else clinalg.state_vector(initial)
-    j = entangler(float(gamma))
-    jd = entangler_dagger(float(gamma))
-    pre = j @ psi0
-    ea, eb = [], []
-    for ga in GATE_ORDER:
-        row_a, row_b = [], []
-        for gb in GATE_ORDER:
-            move = clinalg.kron(_GATE_MATRICES[ga], _GATE_MATRICES[gb])
-            dist = outcome_probabilities(jd @ (move @ pre))
-            row_a.append(expected_payoff(dist, game, "a"))
-            row_b.append(expected_payoff(dist, game, "b"))
-        ea.append(tuple(row_a))
-        eb.append(tuple(row_b))
-    return GateTable(gamma=float(gamma), eu_a=tuple(ea), eu_b=tuple(eb))
+    moves = [(_GATE_MATRICES[ga], _GATE_MATRICES[gb]) for ga in GATE_ORDER for gb in GATE_ORDER]
+    dists = [outcome_probabilities(psi) for psi in final_states(psi0, float(gamma), moves)]
+    n = len(GATE_ORDER)
+
+    def table(player):
+        eu = [expected_payoff(d, game, player) for d in dists]
+        return tuple(tuple(eu[i:i + n]) for i in range(0, n * n, n))
+
+    return GateTable(gamma=float(gamma), eu_a=table("a"), eu_b=table("b"))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +382,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_sweep_csv(result: "SweepResult | tuple[SweepRow, ...]", path) -> None:
-    rows = result.rows if isinstance(result, SweepResult) else tuple(result)
+def write_sweep_csv(result: SweepResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("gamma,theta_a,theta_b,p00,p01,p10,p11,eu_a,eu_b\n")
-        for r in rows:
+        for r in result.rows:
             fh.write(
                 ",".join(
                     _fmt(v)

@@ -79,7 +79,6 @@ class ScenarioConfig:
     merge_point: float = 0.0       # lane change becomes available / yield line
     section_end: float = 0.0       # last own-path position allowing the change
     lane_offset: float = 0.0       # own-path -> common-path additive offset
-    conflict_zone_length: float = 0.0
     pass_clearance: float = 10.0   # IV must be this far past the EV to release a yield
     # re-take the joint decision every pre-maneuver step instead of holding
     # the episode-start decision; run_monte_carlo is its only reader
@@ -117,7 +116,6 @@ def merging_scenario(**overrides) -> ScenarioConfig:
         merge_point=125.0,
         section_end=255.0,
         lane_offset=20.0,
-        conflict_zone_length=130.0,
         idm=IdmParams(v0=25.0),
     )
     base.update(overrides)
@@ -141,7 +139,6 @@ def roundabout_scenario(**overrides) -> ScenarioConfig:
         merge_point=140.0,
         section_end=140.0,
         lane_offset=-90.0,
-        conflict_zone_length=15.0,
         idm=IdmParams(v0=10.0),
     )
     base.update(overrides)

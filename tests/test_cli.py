@@ -100,6 +100,11 @@ class TestEquilibria:
         code, _, err = run(capsys, "equilibria", "--game-file", str(tmp_path / "no.game"))
         assert code == 2
 
+    def test_directory_as_game_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "equilibria", "--game-file", str(tmp_path))
+        assert code == 2
+        assert f"{tmp_path}: cannot read" in err
+
 
 class TestSolve:
     def test_gate_game_point(self, capsys):
@@ -261,6 +266,14 @@ class TestSimulate:
         assert code == 2
         assert "merging-only" in err
 
+    def test_repeated_policy_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--scenario", "merging",
+            "--policies", "qg-g4,QG_G4", "--episodes", "10",
+        )
+        assert code == 2
+        assert "QG_G4[Z]" in err
+
     def test_unknown_policy(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--scenario", "merging",
@@ -341,6 +354,11 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "no.conf"))
         assert code == 2
         assert err
+
+    def test_directory_as_config_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--config", str(tmp_path))
+        assert code == 2
+        assert f"{tmp_path}: cannot read" in err
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run(

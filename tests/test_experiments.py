@@ -191,6 +191,14 @@ class TestRuns:
         with pytest.raises(ValueError):
             ex.run_comparison([], merging_config())
 
+    def test_comparison_rejects_repeated_policy_before_running(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a policy ran")
+
+        monkeypatch.setattr(ex, "run_monte_carlo", no_run)
+        with pytest.raises(ValueError, match=r"CG_EPD"):
+            ex.run_comparison(["cg-epd", "qg-g4", "CG_EPD"], merging_config())
+
     def test_scenario_policy_compatibility(self):
         round_cfg = ex.MonteCarloConfig(
             builtin_scenario("roundabout"), builtin_game("roundabout"), 10, 0
