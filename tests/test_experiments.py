@@ -187,6 +187,26 @@ class TestRuns:
         assert both[0] == ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), cfg)
         assert both[1].method == "QG_G4[Z]"
 
+    @pytest.mark.parametrize("kind,replay", [
+        ("merging", False), ("roundabout", False), ("roundabout", True),
+    ], ids=["merging", "roundabout", "roundabout-replay"])
+    @pytest.mark.parametrize("uniform_g4_at", ["first", "last"])
+    def test_row_does_not_depend_on_the_other_policies(self, kind, replay, uniform_g4_at):
+        # the uniform QG_G4 takes one more draw (its gate) than any other
+        # policy, so placing it first and then last pins the shared-draw order
+        cfg = ex.MonteCarloConfig(
+            builtin_scenario(kind, decision_replay=replay), builtin_game(kind), 60, 7
+        )
+        controller = "mobil" if kind == "merging" else "idm"
+        others = [ex.PolicySpec(p) for p in ("cg-epd", "cg-ms", "qg-u1-1", controller, "qg-g4")]
+        uniform_g4 = ex.PolicySpec("qg-g4", "uniform")
+        if uniform_g4_at == "first":
+            specs = [uniform_g4, *others]
+        else:
+            specs = [*reversed(others), uniform_g4]
+        got = ex.run_comparison(specs, cfg)
+        assert got == tuple(ex.run_monte_carlo(spec, cfg) for spec in specs)
+
     def test_comparison_rejects_empty(self):
         with pytest.raises(ValueError):
             ex.run_comparison([], merging_config())
