@@ -223,18 +223,26 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+# qg-u1 grid flags and their defaults; argparse leaves them None so that
+# qg-g4 can reject them
+_U1_GRID_DEFAULTS = {"mode": "theta_b_zero", "gamma_points": 101, "theta_points": 101}
+
+
 def cmd_sweep(args) -> int:
+    grid = {name: getattr(args, name) for name in _U1_GRID_DEFAULTS}
+    if args.model == "qg-u1" and args.gamma is not None:
+        raise CliError("--gamma applies to the qg-g4 model only; qg-u1 sweeps gamma")
+    if args.model == "qg-g4":
+        given = ["--" + name.replace("_", "-") for name, value in grid.items() if value is not None]
+        if given:
+            raise CliError(f"{', '.join(given)} apply to the qg-u1 model only")
     game = resolve_game(args)
     initial = parse_initial_flag(args.initial) if args.initial else None
     if args.model == "qg-u1":
-        result = quantum_game.sweep_u1(
-            game,
-            mode=args.mode,
-            initial=initial,
-            gamma_points=args.gamma_points,
-            theta_points=args.theta_points,
-        )
-        path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{args.mode}.csv")
+        grid = {name: default if grid[name] is None else grid[name]
+                for name, default in _U1_GRID_DEFAULTS.items()}
+        result = quantum_game.sweep_u1(game, initial=initial, **grid)
+        path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{grid['mode']}.csv")
         quantum_game.write_sweep_csv(result, path)
         print(f"wrote {path} ({len(result.rows)} rows)")
         mx, mn = result.argmax, result.argmin
@@ -345,11 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = add_verb("sweep", "parameter grid to CSV")
     add_game_flags(p_sweep)
     add_model_flag(p_sweep, ("qg-u1", "qg-g4"))
-    p_sweep.add_argument("--mode", default="theta_b_zero",
-                         choices=quantum_game.SWEEP_MODES,
-                         help="qg-u1 grid variant")
-    p_sweep.add_argument("--gamma-points", type=int, default=101)
-    p_sweep.add_argument("--theta-points", type=int, default=101)
+    p_sweep.add_argument("--mode", choices=quantum_game.SWEEP_MODES,
+                         help="qg-u1 grid variant (default theta_b_zero)")
+    p_sweep.add_argument("--gamma-points", type=int, help="qg-u1 gamma grid size (default 101)")
+    p_sweep.add_argument("--theta-points", type=int, help="qg-u1 theta grid size (default 101)")
     p_sweep.add_argument("--gamma", help="fixed entanglement angle for qg-g4")
     p_sweep.add_argument("--initial", help="equal, s00..s11, or 8 re/im components")
     p_sweep.add_argument("--out", help="output CSV path")

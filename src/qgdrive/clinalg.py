@@ -22,8 +22,19 @@ def mat(*rows) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the A-high-bit ordering: index 2i+k, 2j+l."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product with the A-high-bit ordering: index 2i+k, 2j+l.
+
+    a and b are vectors or matrices of the same rank; each entry is the one
+    product a[i, j] * b[k, l], as in np.kron, without its general-rank setup.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != b.ndim or a.ndim not in (1, 2):
+        raise ValueError(f"kron needs two vectors or two matrices, got ranks {a.ndim} and {b.ndim}")
+    outer = np.multiply.outer(a, b)
+    if a.ndim == 2:
+        outer = outer.transpose(0, 2, 1, 3)
+    return outer.reshape([m * n for m, n in zip(a.shape, b.shape)])
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

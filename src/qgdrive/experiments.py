@@ -1,11 +1,18 @@
 """Seeded Monte Carlo comparison of decision policies on the two scenarios.
 
 Episode i draws its randomness from a generator derived from (master_seed, i)
-alone, so any episode is reproducible in isolation and every policy in a
-comparison replays identical initial conditions and decision draws (common
-random numbers). Each episode consumes draws in a fixed order: initial
-states, the EV decision uniform, the IV decision uniform, then any
-policy-internal draws.
+alone, so any episode is reproducible in isolation. Each episode consumes
+draws in a fixed order: initial states, the EV decision uniform, the IV
+decision uniform, then any policy-internal draws (a uniform QG_G4's opponent
+gate, then the replay draws).
+
+The loop is episode-major: a comparison derives episode i's stream and
+draws its initial states and both decision uniforms once, and every policy
+decides and integrates from those same values (common random numbers). A
+policy's row therefore does not depend on which other policies run beside
+it, or in what order; run_monte_carlo is the one-policy view of the same
+loop. Under decision replay each policy continues its own copy of the
+episode's stream from the point after the two shared uniforms.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import get_type_hints
 
@@ -167,16 +175,15 @@ def _sample_joint(dist: OutcomeDistribution, u_ev: float, u_iv: float) -> tuple[
     return a_ev, a_iv
 
 
-def episode_decision(policy, scenario, dists, rng, ev, iv):
+def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
     """Episode-start (EV action, IV action) and the episode's replay callback
     `(ev, iv) -> (EV action, IV action)`, for `dists` from policy_distributions.
 
-    The start draws the EV uniform, the IV uniform, then a uniform QG_G4's
-    opponent gate. Each callback call draws two uniforms for a game policy
-    (keeping the gate) or one, the IV's, for IDM/MOBIL.
+    The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
+    then draws its opponent gate from `rng`. Each callback call draws two
+    uniforms from `rng` for a game policy (keeping the gate) or one, the
+    IV's, for IDM/MOBIL.
     """
-    u_ev = float(rng.random())
-    u_iv = float(rng.random())
     if dists is None:
         if scenario is None or ev is None or iv is None:
             raise ValueError(f"{policy.name} decisions need scenario and initial states")
@@ -201,7 +208,8 @@ def decide_joint(
     iv=None,
     dists=None,
 ) -> tuple[int, int]:
-    """The episode-start decision of episode_decision.
+    """The episode-start decision of episode_decision, with the EV and IV
+    uniforms drawn from `rng` first.
 
     Game policies sample their outcome distribution; IDM/MOBIL need the
     scenario and sampled initial states and keep the IV on a uniform draw.
@@ -209,39 +217,59 @@ def decide_joint(
     """
     if dists is None:
         dists = policy_distributions(policy, game)
-    return episode_decision(policy, scenario, dists, rng, ev, iv)[0]
+    u_ev = float(rng.random())
+    u_iv = float(rng.random())
+    return episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv)[0]
 
 
-def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
-    """Seeded episode loop for one policy; see the module docstring for the
-    randomness contract. IDM or MOBIL on the wrong scenario raises ValueError
-    from its decision rule in the first episode."""
+def _run_policies(specs, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
+    """The episode-major loop behind run_monte_carlo and run_comparison; see
+    the module docstring for what is drawn once and what per policy."""
     scenario = config.scenario
-    dists = policy_distributions(policy, config.game)
-    collisions = 0
-    successes = 0
-    headway_total = 0.0
+    replay = scenario.decision_replay
+    dists = [policy_distributions(spec, config.game) for spec in specs]
+    streams = [np.random.default_rng(0) for _ in specs] if replay else None
+    outcomes = [Counter() for _ in specs]
+    headway_totals = [0.0] * len(specs)
     for i in range(config.episodes):
         rng = episode_rng(config.master_seed, i)
         ev0, iv0 = sample_initial(scenario, rng)
-        (a_ev, a_iv), decide = episode_decision(policy, scenario, dists, rng, ev0, iv0)
-        result = run_episode(scenario, ev0, iv0, a_ev, a_iv,
-                             decide=decide if scenario.decision_replay else None)
-        if result.outcome == "collision":
-            collisions += 1
-        elif result.outcome == "success":
-            successes += 1
-        headway_total += result.mean_headway
+        u_ev = float(rng.random())
+        u_iv = float(rng.random())
+        if replay:
+            state = rng.bit_generator.state
+        for j, spec in enumerate(specs):
+            stream = rng
+            if replay:
+                stream = streams[j]
+                stream.bit_generator.state = state
+            (a_ev, a_iv), decide = episode_decision(
+                spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv)
+            result = run_episode(scenario, ev0, iv0, a_ev, a_iv,
+                                 decide=decide if replay else None)
+            outcomes[j][result.outcome] += 1
+            headway_totals[j] += result.mean_headway
     n = config.episodes
-    return MetricsSummary(
-        scenario=scenario.kind,
-        method=policy.label(),
-        episodes=n,
-        cr=collisions / n,
-        sr=successes / n,
-        mean_headway_m=headway_total / n,
-        cr_ci95=wilson_halfwidth(collisions, n),
+    return tuple(
+        MetricsSummary(
+            scenario=scenario.kind,
+            method=spec.label(),
+            episodes=n,
+            cr=counts["collision"] / n,
+            sr=counts["success"] / n,
+            mean_headway_m=headway_total / n,
+            cr_ci95=wilson_halfwidth(counts["collision"], n),
+        )
+        for spec, counts, headway_total in zip(specs, outcomes, headway_totals)
     )
+
+
+def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
+    """Seeded episode loop for one policy: the loop behind run_comparison,
+    run on one policy; see the module docstring for the randomness contract.
+    IDM or MOBIL on the wrong scenario raises ValueError from its decision
+    rule in the first episode."""
+    return _run_policies([policy], config)[0]
 
 
 def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
@@ -255,7 +283,7 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         _check_compatible(spec, config.scenario)
         if labels[i] in labels[:i]:
             raise ValueError(f"policy {labels[i]} is given more than once")
-    return tuple(run_monte_carlo(spec, config) for spec in specs)
+    return _run_policies(specs, config)
 
 
 # ---------------------------------------------------------------------------

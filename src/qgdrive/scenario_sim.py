@@ -81,7 +81,8 @@ class ScenarioConfig:
     lane_offset: float = 0.0       # own-path -> common-path additive offset
     pass_clearance: float = 10.0   # IV must be this far past the EV to release a yield
     # re-take the joint decision every pre-maneuver step instead of holding
-    # the episode-start decision; run_monte_carlo is its only reader
+    # the episode-start decision; the experiments Monte Carlo loop is its
+    # only reader
     decision_replay: bool = False
     idm: IdmParams = IdmParams()
     mobil: MobilParams = MobilParams()
@@ -339,24 +340,27 @@ def run_episode(
     """
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
-    kind = config.kind
+    # everything fixed per episode is bound once, outside the step loop
+    merging = config.kind == "merging"
     dt = config.dt
     a_nom = config.a_nominal
     idm = config.idm
     offset = config.lane_offset
+    merge_point = config.merge_point
+    section_end = config.section_end
+    clearance = config.pass_clearance
     half = 0.5 * (ev0.length + iv0.length)
-    entry_lane = EV_LANE_START[kind]
-    target_lane = EV_LANE_TARGET[kind]
+    iv_lane = IV_LANE[config.kind]
+    target_lane = EV_LANE_TARGET[config.kind]
+    go_a = 0.0 if merging else a_nom    # EV acceleration while going
+    iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
 
     ev_s, ev_v, ev_lane = ev0.s, ev0.v, ev0.lane
+    on_entry = ev_lane == EV_LANE_START[config.kind]
+    on_target = ev_lane == target_lane
     iv_s, iv_v = iv0.s, iv0.v
 
-    def _iv_accel(action):
-        if kind == "merging":
-            return a_nom if action == 0 else -a_nom
-        return a_nom if action == 0 else 0.0
-
-    iv_a = _iv_accel(iv_action)
+    iv_a = a_nom if iv_action == 0 else iv_a1
     phase = _GO if ev_action == 0 else _YIELD
     collided = False
     violation = False
@@ -366,29 +370,27 @@ def run_episode(
     steps = 0
     trace: list[TracePoint] = []
     t = 0.0
+    ev_common = ev_s + offset if on_entry else ev_s
 
     for _ in range(config.horizon):
         if decide is not None and steps and phase in (_GO, _YIELD):
             ev_action, iv_action = decide(
                 VehicleState(ev_lane, ev_s, ev_v, ev0.length),
-                VehicleState(IV_LANE[kind], iv_s, iv_v, iv0.length),
+                VehicleState(iv_lane, iv_s, iv_v, iv0.length),
             )
-            iv_a = _iv_accel(iv_action)
+            iv_a = a_nom if iv_action == 0 else iv_a1
             phase = _GO if ev_action == 0 else _YIELD
-
-        ev_common = ev_s + offset if ev_lane == entry_lane else ev_s
 
         # phase transitions on the current state
         if phase == _YIELD:
-            if kind == "roundabout" and ev_s >= config.merge_point:
+            if not merging and ev_s >= merge_point:
                 violation = True
-            if iv_s >= ev_common + config.pass_clearance:
+            if iv_s >= ev_common + clearance:
                 phase = _RESUME
-        if phase in (_GO, _RESUME) and ev_lane == entry_lane:
-            reached = ev_s >= config.merge_point
-            within = ev_s <= config.section_end if kind == "merging" else True
-            if reached and within:
+        if on_entry and phase in (_GO, _RESUME):
+            if ev_s >= merge_point and (ev_s <= section_end or not merging):
                 ev_lane = target_lane
+                on_entry, on_target = False, True
                 ev_s = ev_s + offset
                 ev_common = ev_s
                 completed_at = t
@@ -396,13 +398,13 @@ def run_episode(
 
         # EV acceleration for this step
         if phase == _GO:
-            ev_a = 0.0 if kind == "merging" else a_nom
+            ev_a = go_a
         elif phase == _YIELD:
             ev_a = -a_nom
         else:  # _RESUME or _DONE: IDM, IV as leader when it is ahead on the shared path
             if iv_s > ev_common:
                 gap = iv_s - ev_common - half
-                ev_a = idm_accel(ev_v, max(gap, 0.1), iv_v, idm)
+                ev_a = idm_accel(ev_v, gap if gap >= 0.1 else 0.1, iv_v, idm)
             else:
                 ev_a = idm_accel(ev_v, None, 0.0, idm)
 
@@ -425,16 +427,16 @@ def run_episode(
 
         t += dt
         steps += 1
-        ev_common = ev_s + offset if ev_lane == entry_lane else ev_s
+        ev_common = ev_s + offset if on_entry else ev_s
         headway = abs(iv_s - ev_common)
 
         if record_trace:
             trace.append(TracePoint(
                 t=t, ev_lane=ev_lane, ev_s=ev_s, ev_v=ev_v,
-                iv_lane=IV_LANE[kind], iv_s=iv_s, iv_v=iv_v, headway=headway,
+                iv_lane=iv_lane, iv_s=iv_s, iv_v=iv_v, headway=headway,
             ))
 
-        if ev_lane == target_lane and headway < half:
+        if on_target and headway < half:
             collided = True
             break
 

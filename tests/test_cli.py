@@ -229,12 +229,23 @@ class TestSweep:
         game = tmp_path / "g.txt"
         game.write_text(GAME_FILE + "name = my/game\n")
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
-        code, _, _ = run(
-            capsys, "sweep", "--game-file", str(game), "--model", model,
-            "--gamma-points", "3", "--theta-points", "3",
-        )
+        grid = ["--gamma-points", "3", "--theta-points", "3"] if model == "qg-u1" else []
+        code, _, _ = run(capsys, "sweep", "--game-file", str(game), "--model", model, *grid)
         assert code == 0
         assert (tmp_path / written).exists()
+
+    @pytest.mark.parametrize("model,flag", [
+        ("qg-u1", ["--gamma", "0.5"]),
+        ("qg-g4", ["--mode", "equal_thetas"]),
+        ("qg-g4", ["--gamma-points", "7"]),
+        ("qg-g4", ["--theta-points", "7"]),
+    ], ids=["u1-gamma", "g4-mode", "g4-gamma-points", "g4-theta-points"])
+    def test_other_models_flag_is_usage_error(self, capsys, tmp_path, model, flag):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, "sweep", "--model", model, *flag, "--out", str(out_path))
+        assert code == 2
+        assert flag[0] in err
+        assert not out_path.exists()
 
 
 class TestSimulate:

@@ -50,6 +50,21 @@ class TestAlgebra:
         assert np.array_equal(k[:2, :2], 1 * b)
         assert np.array_equal(k[:2, 2:], 2 * b)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_kron_is_bit_identical_to_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        for shape in ((2, 2), (2,)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            k = clinalg.kron(a, b)
+            want = np.kron(a, b)
+            assert k.shape == want.shape
+            assert k.tobytes() == want.tobytes()
+
+    def test_kron_rejects_mixed_ranks(self):
+        with pytest.raises(ValueError, match="ranks 2 and 1"):
+            clinalg.kron(clinalg.I2, np.ones(2))
+
     def test_dagger_is_conjugate_transpose(self):
         m = clinalg.mat((1j, 2), (3, 4j))
         d = clinalg.dagger(m)

@@ -215,7 +215,8 @@ class TestRuns:
         def no_run(*args):
             raise AssertionError("a policy ran")
 
-        monkeypatch.setattr(ex, "run_monte_carlo", no_run)
+        for name in ("run_monte_carlo", "run_episode", "episode_rng"):
+            monkeypatch.setattr(ex, name, no_run)
         with pytest.raises(ValueError, match=r"CG_EPD"):
             ex.run_comparison(["cg-epd", "qg-g4", "CG_EPD"], merging_config())
 

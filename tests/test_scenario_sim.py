@@ -341,7 +341,7 @@ class TestEpisodes:
 class TestDecisionReplay:
     def test_without_callback_the_start_decision_holds(self):
         # run_episode replays only when given a callback; the scenario flag
-        # is read by run_monte_carlo
+        # is read by the experiments Monte Carlo loop
         cfg = sim.builtin_scenario("merging", decision_replay=True)
         ev, iv = mid_merging()
         r = sim.run_episode(cfg, ev, iv, 0, 0)
