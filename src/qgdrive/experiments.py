@@ -239,6 +239,8 @@ def _run_policies(specs, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]
         if replay:
             state = rng.bit_generator.state
         for j, spec in enumerate(specs):
+            # without replay only a uniform QG_G4 draws further (its gate),
+            # and a label appears once, so the policies can share `rng`
             stream = rng
             if replay:
                 stream = streams[j]
