@@ -11,8 +11,12 @@ draws its initial states and both decision uniforms once, and every policy
 decides and integrates from those same values (common random numbers). A
 policy's row therefore does not depend on which other policies run beside
 it, or in what order; run_monte_carlo is the one-policy view of the same
-loop. Under decision replay each policy continues its own copy of the
-episode's stream from the point after the two shared uniforms.
+loop. Without replay an episode integrates each distinct joint action once
+(at most four per episode, however many policies run), and the policies
+that draw the same joint action share that result. Under decision replay
+each policy continues its own copy of the episode's stream from the point
+after the two shared uniforms, and nothing is shared: its path depends on
+its own replay draws.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -238,6 +242,9 @@ def _run_policies(specs, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]
         u_iv = float(rng.random())
         if replay:
             state = rng.bit_generator.state
+        # a held joint action is integrated once per episode; the policies
+        # that draw it share the result
+        shared = None if replay else {}
         for j, spec in enumerate(specs):
             # without replay only a uniform QG_G4 draws further (its gate),
             # and a label appears once, so the policies can share `rng`
@@ -248,7 +255,7 @@ def _run_policies(specs, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]
             (a_ev, a_iv), decide = episode_decision(
                 spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv)
             result = run_episode(scenario, ev0, iv0, a_ev, a_iv,
-                                 decide=decide if replay else None)
+                                 decide=decide if replay else None, shared=shared)
             outcomes[j][result.outcome] += 1
             headway_totals[j] += result.mean_headway
     n = config.episodes

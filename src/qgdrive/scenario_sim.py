@@ -42,6 +42,22 @@ class VehicleState:
     length: float = 5.0
 
 
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+def _non_negative(value) -> bool:
+    return math.isfinite(value) and value >= 0
+
+
+def _require(obj, names, ok, what: str) -> None:
+    """Raise ValueError naming the first of obj's fields `names` that fails ok."""
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IdmParams:
     """Intelligent Driver Model constants (standard highway values)."""
@@ -53,6 +69,11 @@ class IdmParams:
     b: float = 2.0          # comfortable deceleration, m/s^2
     delta: float = 4.0      # speed exponent
 
+    def __post_init__(self):
+        # v0 and b divide, sqrt(a*b) needs a*b > 0
+        _require(self, ("v0", "a", "b", "delta"), _positive, "finite and positive")
+        _require(self, ("s0", "T"), _non_negative, "finite and non-negative")
+
 
 @dataclass(frozen=True)
 class MobilParams:
@@ -61,6 +82,10 @@ class MobilParams:
     politeness: float = 0.3
     a_threshold: float = 0.1    # minimum incentive gain, m/s^2
     b_safe: float = 4.0         # maximum braking imposed on the new follower
+
+    def __post_init__(self):
+        _require(self, ("politeness", "a_threshold"), math.isfinite, "finite")
+        _require(self, ("b_safe",), _non_negative, "finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,10 +115,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in EV_LANE_START:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        for name in ("dt", "horizon", "a_nominal"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        horizon = self.horizon
+        if not (isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1):
+            raise ValueError(f"horizon must be an integer of at least 1, got {horizon!r}")
+        _require(self, ("dt", "a_nominal", "vehicle_length"), _positive, "finite and positive")
+        _require(self, ("merge_point", "section_end", "lane_offset", "pass_clearance"),
+                 math.isfinite, "finite")
         for name in ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -208,7 +235,7 @@ def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
 def idm_accel(v: float, gap: "float | None", v_lead: float, p: IdmParams) -> float:
     """IDM acceleration. gap is the net (bumper) distance to the leader;
     None means free road."""
-    free = 1.0 - (v / p.v0) ** p.delta if p.v0 > 0 else 0.0
+    free = 1.0 - (v / p.v0) ** p.delta
     if gap is None:
         return p.a * free
     if gap <= 0.1:
@@ -328,6 +355,7 @@ def run_episode(
     iv_action: int,
     record_trace: bool = False,
     decide=None,
+    shared: "dict | None" = None,
 ) -> EpisodeResult:
     """Integrate one episode under a joint decision.
 
@@ -337,9 +365,26 @@ def run_episode(
     `(ev_state, iv_state) -> (ev_action, iv_action)`, the joint decision is
     re-taken at every step until the EV's maneuver is underway; the result
     then records the last commanded pair.
+
+    `shared` is a dict the caller owns for one (config, ev0, iv0) triple,
+    keyed by the joint action: a held decision that was integrated already
+    returns the stored (frozen) result without integrating, and a new one is
+    integrated and stored. It cannot be combined with `decide` (a replayed
+    path depends on the callback's own draws) or with `record_trace` (a
+    stored result carries no trace). The lookup lives here rather than in
+    the Monte Carlo loop only so that every (policy, episode) pair still
+    makes one run_episode call, as bench/selftest.py pins; once that pin
+    counts outcomes instead, the lookup belongs in the loop and this
+    parameter can go.
     """
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
+    if shared is not None:
+        if decide is not None or record_trace:
+            raise ValueError("shared results take neither a decide callback nor a trace")
+        hit = shared.get((ev_action, iv_action))
+        if hit is not None:
+            return hit
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
     dt = config.dt
@@ -446,7 +491,7 @@ def run_episode(
 
     completed = completed_at is not None
     outcome = classify_outcome(collided, completed, violation)
-    return EpisodeResult(
+    result = EpisodeResult(
         ev_action=ev_action,
         iv_action=iv_action,
         outcome=outcome,
@@ -458,6 +503,9 @@ def run_episode(
         mean_headway=headway_sum / headway_steps if headway_steps else 0.0,
         trace=tuple(trace),
     )
+    if shared is not None:
+        shared[ev_action, iv_action] = result
+    return result
 
 
 def write_trace_csv(result: EpisodeResult, path) -> None:

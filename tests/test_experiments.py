@@ -207,6 +207,37 @@ class TestRuns:
         got = ex.run_comparison(specs, cfg)
         assert got == tuple(ex.run_monte_carlo(spec, cfg) for spec in specs)
 
+    @pytest.mark.parametrize("kind,replay", [("merging", False), ("roundabout", True)],
+                             ids=["merging", "roundabout-replay"])
+    def test_held_decisions_share_integrations(self, kind, replay, monkeypatch):
+        # group each run_episode result by episode (the ev0 object it ran from)
+        episodes = []
+        real = ex.run_episode
+
+        def recording(config, ev0, iv0, a_ev, a_iv, **kwargs):
+            result = real(config, ev0, iv0, a_ev, a_iv, **kwargs)
+            if not episodes or episodes[-1][0] is not ev0:
+                episodes.append((ev0, []))
+            episodes[-1][1].append(((a_ev, a_iv), result))
+            return result
+
+        monkeypatch.setattr(ex, "run_episode", recording)
+        controller = "mobil" if kind == "merging" else "idm"
+        policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", controller]
+        cfg = ex.MonteCarloConfig(
+            builtin_scenario(kind, decision_replay=replay), builtin_game(kind), 40, 7
+        )
+        ex.run_comparison(policies, cfg)
+        assert len(episodes) == 40
+        for _, calls in episodes:
+            assert len(calls) == len(policies)
+            objects = {id(result) for _, result in calls}
+            if replay:
+                assert len(objects) == len(calls)
+            else:
+                joints = {joint for joint, _ in calls}
+                assert len(objects) == len(joints) <= 4
+
     def test_comparison_rejects_empty(self):
         with pytest.raises(ValueError):
             ex.run_comparison([], merging_config())

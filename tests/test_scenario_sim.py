@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,18 @@ class TestConfig:
         value = bad[0] if field.endswith("_range") else bad[1]
         with pytest.raises(ValueError, match=field):
             sim.merging_scenario(**{field: value})
+
+    # horizon=10.5 used to fail inside range() mid-run; a NaN or negative
+    # vehicle length read cr = 0, a NaN lane offset a NaN mean headway
+    @pytest.mark.parametrize("field,bad", [
+        ("horizon", 10.5), ("horizon", True), ("horizon", -3),
+        ("vehicle_length", math.nan), ("vehicle_length", -5.0), ("vehicle_length", 0.0),
+        ("merge_point", math.nan), ("section_end", math.inf),
+        ("lane_offset", math.nan), ("pass_clearance", -math.inf),
+    ])
+    def test_horizon_and_geometry_validated(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            sim.merging_scenario(**{field: bad})
 
     def test_action_semantics_structure(self):
         for kind in ("merging", "roundabout"):
@@ -187,6 +200,28 @@ class TestDriverModels:
     def test_idm_emergency_floor(self):
         p = sim.IdmParams()
         assert sim.idm_accel(20.0, 0.05, 0.0, p) == -4.0 * p.b
+
+    # b = 0 divided by zero and a < 0 took sqrt of a negative, both deep
+    # inside run_episode
+    @pytest.mark.parametrize("field,bad", [
+        ("v0", 0.0), ("a", -1.0), ("b", 0.0), ("delta", math.nan),
+        ("s0", -1.0), ("T", math.inf),
+    ])
+    def test_idm_params_validated(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            sim.IdmParams(**{field: bad})
+
+    def test_idm_zero_jam_distance_and_headway_allowed(self):
+        p = sim.IdmParams(s0=0.0, T=0.0)
+        assert sim.idm_accel(20.0, 20.0, 20.0, p) == pytest.approx(p.a * (1.0 - 0.8 ** 4))
+
+    @pytest.mark.parametrize("field,bad", [
+        ("politeness", math.nan), ("a_threshold", math.inf),
+        ("b_safe", -0.1), ("b_safe", math.nan),
+    ])
+    def test_mobil_params_validated(self, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            sim.MobilParams(**{field: bad})
 
     def test_mobil_rejects_unsafe_cut_in(self):
         p = sim.MobilParams()
@@ -336,6 +371,63 @@ class TestEpisodes:
         ev, iv = mid_merging()
         with pytest.raises(ValueError):
             sim.run_episode(cfg, ev, iv, 2, 0)
+
+
+class TestSharedResults:
+    def count_idm(self, monkeypatch):
+        calls = []
+        real = sim.idm_accel
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "idm_accel", counting)
+        return calls
+
+    def test_repeated_joint_action_returns_the_stored_result(self, monkeypatch):
+        cfg = sim.builtin_scenario("merging")
+        ev, iv = mid_merging()
+        shared = {}
+        first = sim.run_episode(cfg, ev, iv, 0, 1, shared=shared)
+        calls = self.count_idm(monkeypatch)
+        assert sim.run_episode(cfg, ev, iv, 0, 1, shared=shared) is first
+        assert not calls
+
+    @pytest.mark.parametrize("kind", ["merging", "roundabout"])
+    def test_stored_result_equals_a_fresh_run(self, kind):
+        cfg = sim.builtin_scenario(kind)
+        ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
+        shared = {}
+        joints = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for joint in joints:
+            sim.run_episode(cfg, ev, iv, *joint, shared=shared)
+        assert list(shared) == joints
+        for joint, stored in shared.items():
+            fresh = sim.run_episode(cfg, ev, iv, *joint)
+            for f in dataclasses.fields(sim.EpisodeResult):
+                assert getattr(stored, f.name) == getattr(fresh, f.name), f.name
+
+    def test_a_different_joint_action_integrates_fresh(self, monkeypatch):
+        cfg = sim.builtin_scenario("merging")
+        ev, iv = mid_merging()
+        shared = {}
+        first = sim.run_episode(cfg, ev, iv, 1, 0, shared=shared)
+        calls = self.count_idm(monkeypatch)
+        other = sim.run_episode(cfg, ev, iv, 0, 1, shared=shared)
+        assert calls
+        assert other is not first
+        assert (other.ev_action, other.iv_action) == (0, 1)
+        assert shared == {(1, 0): first, (0, 1): other}
+
+    @pytest.mark.parametrize("extra", [
+        {"decide": lambda e, i: (1, 1)}, {"record_trace": True},
+    ], ids=["decide", "record_trace"])
+    def test_shared_refuses_replay_and_trace(self, extra):
+        cfg = sim.builtin_scenario("merging")
+        ev, iv = mid_merging()
+        with pytest.raises(ValueError, match="shared"):
+            sim.run_episode(cfg, ev, iv, 0, 1, shared={}, **extra)
 
 
 class TestDecisionReplay:
