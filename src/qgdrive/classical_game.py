@@ -172,8 +172,8 @@ def cg_ms_distribution(game: TwoPlayerGame) -> OutcomeDistribution:
 
 def expected_payoff(dist: OutcomeDistribution, game: TwoPlayerGame, player: str) -> float:
     """Probability-weighted utility for player 'a' or 'b' under dist."""
-    table = {"a": game.u_a, "b": game.u_b}[player]
-    return sum(dist.prob(j, k) * table(j, k) for j in (0, 1) for k in (0, 1))
+    (u00, u01), (u10, u11) = {"a": game.payoff_a, "b": game.payoff_b}[player]
+    return dist.p00 * u00 + dist.p01 * u01 + dist.p10 * u10 + dist.p11 * u11
 
 
 def read_key_values(path, required: dict, optional: dict) -> dict:
@@ -214,6 +214,19 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
     return out
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of comma-separated cells.
+
+    UTF-8 with LF line ends; each cell is written as its str(), which for a
+    float is its shortest round-trip repr. Rows are written as they are
+    drawn from `rows`, which may be any iterable.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _payoff_table(text: str) -> tuple[tuple[float, float], tuple[float, float]]:

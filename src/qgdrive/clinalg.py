@@ -53,12 +53,12 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(dagger(m) @ m - eye)) <= tol)
 
 
-def state_vector(amplitudes, tol: float = 1e-9, normalize: bool = False) -> np.ndarray:
+def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
     """Validate (or normalize) a length-4 amplitude vector.
 
     The amplitudes and their norm must be finite. With normalize=False the
-    norm must already be 1 within tol; with normalize=True any nonzero vector
-    is rescaled to unit norm.
+    norm must already be 1 within 1e-9; with normalize=True any nonzero
+    vector is rescaled to unit norm.
     """
     v = np.asarray(amplitudes, dtype=np.complex128)
     if v.shape != (4,):
@@ -71,6 +71,6 @@ def state_vector(amplitudes, tol: float = 1e-9, normalize: bool = False) -> np.n
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return v / n
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state vector norm {n!r} deviates from 1 by more than {tol}")
+    if abs(n - 1.0) > 1e-9:
+        raise ValueError(f"state vector norm {n!r} deviates from 1 by more than 1e-9")
     return v

@@ -123,10 +123,11 @@ def episode_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def wilson_halfwidth(successes: int, n: int, z: float = 1.959963984540054) -> float:
+def wilson_halfwidth(successes: int, n: int) -> float:
     """Halfwidth of the 95% Wilson score interval for a binomial fraction."""
     if n <= 0:
         return 0.0
+    z = 1.959963984540054  # two-sided 95% normal quantile
     phat = successes / n
     denom = n + z * z
     return z * math.sqrt(phat * (1.0 - phat) * n + z * z / 4.0) / denom
@@ -189,8 +190,6 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
     IV's, for IDM/MOBIL.
     """
     if dists is None:
-        if scenario is None or ev is None or iv is None:
-            raise ValueError(f"{policy.name} decisions need scenario and initial states")
         pick = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
 
         def rule(ev, iv, u_iv):
@@ -203,32 +202,42 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
     )
 
 
-def decide_joint(
-    policy: PolicySpec,
-    game: TwoPlayerGame,
-    rng: np.random.Generator,
-    scenario: "ScenarioConfig | None" = None,
-    ev=None,
-    iv=None,
-    dists=None,
-) -> tuple[int, int]:
-    """The episode-start decision of episode_decision, with the EV and IV
-    uniforms drawn from `rng` first.
-
-    Game policies sample their outcome distribution; IDM/MOBIL need the
-    scenario and sampled initial states and keep the IV on a uniform draw.
-    `dists` may carry precomputed policy_distributions output.
+def decide_joint(policy: PolicySpec, game: TwoPlayerGame, rng: np.random.Generator,
+                 dists=None) -> tuple[int, int]:
+    """A game policy's episode-start decision (episode_decision's), with the
+    EV and IV uniforms drawn from `rng` first. `dists` may carry precomputed
+    policy_distributions output. IDM and MOBIL decide from the scenario and
+    initial states, which this does not take: they raise ValueError.
     """
     if dists is None:
         dists = policy_distributions(policy, game)
+    if dists is None:
+        raise ValueError(f"{policy.name} decisions need the scenario and initial states")
     u_ev = float(rng.random())
     u_iv = float(rng.random())
-    return episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv)[0]
+    return episode_decision(policy, None, dists, rng, None, None, u_ev, u_iv)[0]
 
 
-def _run_policies(specs, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
-    """The episode-major loop behind run_monte_carlo and run_comparison; see
-    the module docstring for what is drawn once and what per policy."""
+def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
+    """Seeded episode loop for one policy: run_comparison on that policy
+    alone, so IDM or MOBIL on the wrong scenario raises ValueError before
+    any episode runs."""
+    return run_comparison([policy], config)[0]
+
+
+def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
+    """Run every policy over the same episode set (same master seed), episode
+    by episode; see the module docstring for what is drawn once and what per
+    policy. Each report label may appear once; a repeat, like a policy on
+    the wrong scenario, is rejected before anything runs."""
+    specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
+    if not specs:
+        raise ValueError("no policies given")
+    labels = [spec.label() for spec in specs]
+    for i, spec in enumerate(specs):
+        _check_compatible(spec, config.scenario)
+        if labels[i] in labels[:i]:
+            raise ValueError(f"policy {labels[i]} is given more than once")
     scenario = config.scenario
     replay = scenario.decision_replay
     dists = [policy_distributions(spec, config.game) for spec in specs]
@@ -271,28 +280,6 @@ def _run_policies(specs, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]
         )
         for spec, counts, headway_total in zip(specs, outcomes, headway_totals)
     )
-
-
-def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
-    """Seeded episode loop for one policy: the loop behind run_comparison,
-    run on one policy; see the module docstring for the randomness contract.
-    IDM or MOBIL on the wrong scenario raises ValueError from its decision
-    rule in the first episode."""
-    return _run_policies([policy], config)[0]
-
-
-def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
-    """Run every policy over the same episode set (same master seed). Each
-    report label may appear once; a repeat is rejected before anything runs."""
-    specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
-    if not specs:
-        raise ValueError("no policies given")
-    labels = [spec.label() for spec in specs]
-    for i, spec in enumerate(specs):
-        _check_compatible(spec, config.scenario)
-        if labels[i] in labels[:i]:
-            raise ValueError(f"policy {labels[i]} is given more than once")
-    return _run_policies(specs, config)
 
 
 # ---------------------------------------------------------------------------

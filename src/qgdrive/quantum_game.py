@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,33 +27,8 @@ from .classical_game import (
     OutcomeDistribution,
     TwoPlayerGame,
     expected_payoff,
+    write_csv,
 )
-
-__all__ = [
-    "GAMMA_MAX",
-    "QuantumGate",
-    "StrategyU",
-    "QuantumGameConfig",
-    "Preset",
-    "SweepRow",
-    "SweepResult",
-    "GateTable",
-    "basis_state",
-    "equal_superposition",
-    "parse_initial_state",
-    "gate_matrix",
-    "entangler",
-    "strategy_unitary",
-    "final_states",
-    "final_state",
-    "outcome_probabilities",
-    "expected_payoff",
-    "preset",
-    "sweep_u1",
-    "sweep_g4",
-    "write_sweep_csv",
-    "write_gate_table_csv",
-]
 
 GAMMA_MAX = math.pi / 2
 THETA_MAX = math.pi
@@ -223,14 +199,13 @@ def final_state(config: QuantumGameConfig) -> np.ndarray:
     return final_states(config.initial, config.gamma, [move])[0]
 
 
-def outcome_probabilities(psi: np.ndarray, tol: float = 1e-9) -> OutcomeDistribution:
-    """Measurement distribution |amp|^2 over (s00, s01, s10, s11)."""
+def outcome_probabilities(psi: np.ndarray) -> OutcomeDistribution:
+    """Measurement distribution |amp|^2 over (s00, s01, s10, s11); an
+    unnormalized state fails OutcomeDistribution's check."""
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if v.shape != (4,):
         raise ValueError(f"final state needs 4 amplitudes, got {v.shape[0]}")
     p = np.abs(v) ** 2
-    if abs(float(p.sum()) - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {p.sum()!r}; state is not normalized")
     return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
@@ -303,13 +278,12 @@ def sweep_u1(
     initial: "np.ndarray | None" = None,
     gamma_points: int = 101,
     theta_points: int = 101,
-    tie_tol: float = 1e-9,
 ) -> SweepResult:
     """Grid sweep of the one-parameter model's expected payoff for A.
 
     mode 'equal_thetas' sets theta_B = theta_A; 'theta_b_zero' pins B to
     theta_B = 0. Rows run gamma-major then theta. The reported argmax breaks
-    payoff ties (within tie_tol) toward the smallest (gamma, theta_a); the
+    payoff ties (within 1e-9) toward the smallest (gamma, theta_a); the
     argmin breaks them toward the largest gamma, then the smallest theta_a,
     so the flat-payoff boundary resolves to the maximally entangled,
     unrotated corner.
@@ -334,8 +308,8 @@ def sweep_u1(
 
     vmax = max(r.eu_a for r in rows)
     vmin = min(r.eu_a for r in rows)
-    max_ties = [r for r in rows if r.eu_a >= vmax - tie_tol]
-    min_ties = [r for r in rows if r.eu_a <= vmin + tie_tol]
+    max_ties = [r for r in rows if r.eu_a >= vmax - 1e-9]
+    min_ties = [r for r in rows if r.eu_a <= vmin + 1e-9]
     argmax = min(max_ties, key=lambda r: (r.gamma, r.theta_a))
     argmin = min(min_ties, key=lambda r: (-r.gamma, r.theta_a))
     return SweepResult(mode=mode, rows=tuple(rows), argmax=argmax, argmin=argmin)
@@ -377,34 +351,16 @@ def sweep_g4(
 # ---------------------------------------------------------------------------
 # CSV export
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
-    return repr(float(x))
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("gamma,theta_a,theta_b,p00,p01,p10,p11,eu_a,eu_b\n")
-        for r in result.rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.gamma, r.theta_a, r.theta_b,
-                        r.p00, r.p01, r.p10, r.p11,
-                        r.eu_a, r.eu_b,
-                    )
-                )
-                + "\n"
-            )
+    """One line per SweepRow, one column per field."""
+    header = [f.name for f in fields(SweepRow)]
+    write_csv(path, header, map(attrgetter(*header), result.rows))
 
 
 def write_gate_table_csv(table: GateTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("gamma,gate_a,gate_b,eu_a,eu_b\n")
-        for i, ga in enumerate(GATE_ORDER):
-            for k, gb in enumerate(GATE_ORDER):
-                fh.write(
-                    f"{_fmt(table.gamma)},{ga.value},{gb.value},"
-                    f"{_fmt(table.eu_a[i][k])},{_fmt(table.eu_b[i][k])}\n"
-                )
+    """One line per (A gate, B gate) pair, both in GATE_ORDER."""
+    write_csv(path, ("gamma", "gate_a", "gate_b", "eu_a", "eu_b"), (
+        (table.gamma, ga.value, gb.value, table.eu_a[i][k], table.eu_b[i][k])
+        for i, ga in enumerate(GATE_ORDER)
+        for k, gb in enumerate(GATE_ORDER)
+    ))

@@ -25,9 +25,12 @@ collision and every other joint action never does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
+
+from .classical_game import write_csv
 
 EV_LANE_START = {"merging": "ramp", "roundabout": "approach"}
 EV_LANE_TARGET = {"merging": "main", "roundabout": "inside"}
@@ -39,7 +42,6 @@ class VehicleState:
     lane: str
     s: float        # longitudinal position along own path, m
     v: float        # speed, m/s
-    length: float = 5.0
 
 
 def _positive(value) -> bool:
@@ -208,9 +210,8 @@ def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> tuple[Ve
     ev_v = float(rng.uniform(*config.ev_v_range))
     iv_s = float(rng.uniform(*config.iv_s_range))
     iv_v = float(rng.uniform(*config.iv_v_range))
-    ev = VehicleState(lane=EV_LANE_START[config.kind], s=ev_s, v=ev_v, length=config.vehicle_length)
-    iv = VehicleState(lane=IV_LANE[config.kind], s=iv_s, v=iv_v, length=config.vehicle_length)
-    return ev, iv
+    return (VehicleState(EV_LANE_START[config.kind], ev_s, ev_v),
+            VehicleState(IV_LANE[config.kind], iv_s, iv_v))
 
 
 def common_position(config: ScenarioConfig, state: VehicleState) -> float:
@@ -269,35 +270,34 @@ def mobil_merge_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleSt
     if config.kind != "merging":
         raise ValueError("MOBIL merge decision applies to the merging scenario only")
     idm = config.idm
-    end_gap = max(config.section_end - ev.s - ev.length, 0.1)
+    length = config.vehicle_length
+    end_gap = max(config.section_end - ev.s - length, 0.1)
     ego_a_old = idm_accel(ev.v, end_gap, 0.0, idm)
 
     ev_c = common_position(config, ev)
     iv_c = common_position(config, iv)
-    half = 0.5 * (ev.length + iv.length)
     if iv_c > ev_c:
         # IV would be the EV's leader after the change
-        gap = iv_c - ev_c - half
+        gap = iv_c - ev_c - length
         ego_a_new = idm_accel(ev.v, max(gap, 0.1), iv.v, idm)
         fol_old = fol_new = idm_accel(iv.v, None, 0.0, idm)
     else:
         ego_a_new = idm_accel(ev.v, None, 0.0, idm)
-        gap = ev_c - iv_c - half
+        gap = ev_c - iv_c - length
         fol_old = idm_accel(iv.v, None, 0.0, idm)
         fol_new = idm_accel(iv.v, max(gap, 0.1), ev.v, idm)
     return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new, config.mobil) else 1
 
 
-def idm_entry_decision(
-    config: ScenarioConfig,
-    ev: VehicleState,
-    iv: VehicleState,
-    t_accept: float = 2.5,
-) -> int:
+# accepted entry gap of the roundabout baseline, s
+T_ACCEPT = 2.5
+
+
+def idm_entry_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> int:
     """Gap-acceptance entry decision for the roundabout baseline.
 
     Enter (action 0) when the circulating vehicle has already passed the
-    conflict point, or arrives at constant speed at least t_accept seconds
+    conflict point, or arrives at constant speed at least T_ACCEPT seconds
     after the EV would clear it when accelerating. Otherwise yield.
     """
     if config.kind != "roundabout":
@@ -309,10 +309,10 @@ def idm_entry_decision(
     tau_iv = iv_dist / max(iv.v, 0.1)
     # time for the EV to pass the conflict point plus one vehicle length;
     # an EV already past the line commits (d = 0)
-    d = max(config.merge_point - ev.s + ev.length, 0.0)
+    d = max(config.merge_point - ev.s + config.vehicle_length, 0.0)
     a = config.a_nominal
     tau_ev = (-ev.v + math.sqrt(ev.v * ev.v + 2.0 * a * d)) / a
-    return 0 if tau_iv - tau_ev >= t_accept else 1
+    return 0 if tau_iv - tau_ev >= T_ACCEPT else 1
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ class EpisodeResult:
     trace: tuple[TracePoint, ...]
 
 
-_GO, _YIELD, _RESUME, _DONE = 0, 1, 2, 3
+_GO, _YIELD, _FOLLOW = 0, 1, 2
 
 
 def run_episode(
@@ -359,12 +359,16 @@ def run_episode(
 ) -> EpisodeResult:
     """Integrate one episode under a joint decision.
 
-    The EV phase machine and the IV's held acceleration are described in the
-    module docstring. The episode stops at the first collision step or after
-    config.horizon steps. Given a decide callback
-    `(ev_state, iv_state) -> (ev_action, iv_action)`, the joint decision is
-    re-taken at every step until the EV's maneuver is underway; the result
-    then records the last commanded pair.
+    The IV holds its commanded acceleration. The EV is in one of three
+    phases: _GO holds its action (constant speed on the ramp, +a_nominal on
+    the approach), _YIELD brakes until the IV has passed, and _FOLLOW
+    follows IDM behind the IV once released from a yield or on the target
+    lane. The module docstring gives each scenario's maneuvers. The episode
+    stops at the first step whose centre distance on the target lane is
+    below config.vehicle_length (a collision) or after config.horizon steps.
+    Given a decide callback `(ev_state, iv_state) -> (ev_action, iv_action)`,
+    the joint decision is re-taken at every step until the EV reaches
+    _FOLLOW; the result then records the last commanded pair.
 
     `shared` is a dict the caller owns for one (config, ev0, iv0) triple,
     keyed by the joint action: a held decision that was integrated already
@@ -394,7 +398,7 @@ def run_episode(
     merge_point = config.merge_point
     section_end = config.section_end
     clearance = config.pass_clearance
-    half = 0.5 * (ev0.length + iv0.length)
+    length = config.vehicle_length
     iv_lane = IV_LANE[config.kind]
     target_lane = EV_LANE_TARGET[config.kind]
     go_a = 0.0 if merging else a_nom    # EV acceleration while going
@@ -418,10 +422,9 @@ def run_episode(
     ev_common = ev_s + offset if on_entry else ev_s
 
     for _ in range(config.horizon):
-        if decide is not None and steps and phase in (_GO, _YIELD):
+        if decide is not None and steps and phase != _FOLLOW:
             ev_action, iv_action = decide(
-                VehicleState(ev_lane, ev_s, ev_v, ev0.length),
-                VehicleState(iv_lane, iv_s, iv_v, iv0.length),
+                VehicleState(ev_lane, ev_s, ev_v), VehicleState(iv_lane, iv_s, iv_v)
             )
             iv_a = a_nom if iv_action == 0 else iv_a1
             phase = _GO if ev_action == 0 else _YIELD
@@ -431,24 +434,24 @@ def run_episode(
             if not merging and ev_s >= merge_point:
                 violation = True
             if iv_s >= ev_common + clearance:
-                phase = _RESUME
-        if on_entry and phase in (_GO, _RESUME):
+                phase = _FOLLOW
+        if on_entry and phase != _YIELD:
             if ev_s >= merge_point and (ev_s <= section_end or not merging):
                 ev_lane = target_lane
                 on_entry, on_target = False, True
                 ev_s = ev_s + offset
                 ev_common = ev_s
                 completed_at = t
-                phase = _DONE
+                phase = _FOLLOW
 
         # EV acceleration for this step
         if phase == _GO:
             ev_a = go_a
         elif phase == _YIELD:
             ev_a = -a_nom
-        else:  # _RESUME or _DONE: IDM, IV as leader when it is ahead on the shared path
+        else:  # _FOLLOW: IDM, IV as leader when it is ahead on the shared path
             if iv_s > ev_common:
-                gap = iv_s - ev_common - half
+                gap = iv_s - ev_common - length
                 ev_a = idm_accel(ev_v, gap if gap >= 0.1 else 0.1, iv_v, idm)
             else:
                 ev_a = idm_accel(ev_v, None, 0.0, idm)
@@ -481,7 +484,7 @@ def run_episode(
                 iv_lane=iv_lane, iv_s=iv_s, iv_v=iv_v, headway=headway,
             ))
 
-        if on_target and headway < half:
+        if on_target and headway < length:
             collided = True
             break
 
@@ -509,13 +512,8 @@ def run_episode(
 
 
 def write_trace_csv(result: EpisodeResult, path) -> None:
-    """Trace rows as t,ev_lane,ev_s,ev_v,iv_lane,iv_s,iv_v,headway."""
+    """One line per TracePoint, one column per field."""
     if not result.trace:
         raise ValueError("episode was run without record_trace=True; no trace to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,ev_lane,ev_s,ev_v,iv_lane,iv_s,iv_v,headway\n")
-        for p in result.trace:
-            fh.write(
-                f"{p.t!r},{p.ev_lane},{p.ev_s!r},{p.ev_v!r},"
-                f"{p.iv_lane},{p.iv_s!r},{p.iv_v!r},{p.headway!r}\n"
-            )
+    header = [f.name for f in fields(TracePoint)]
+    write_csv(path, header, map(attrgetter(*header), result.trace))

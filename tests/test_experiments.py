@@ -251,6 +251,17 @@ class TestRuns:
         with pytest.raises(ValueError, match=r"CG_EPD"):
             ex.run_comparison(["cg-epd", "qg-g4", "CG_EPD"], merging_config())
 
+    def test_single_policy_on_wrong_scenario_rejected_before_running(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(ex, "episode_rng", no_run)
+        round_cfg = ex.MonteCarloConfig(
+            builtin_scenario("roundabout"), builtin_game("roundabout"), 10, 0
+        )
+        with pytest.raises(ValueError, match="MOBIL"):
+            ex.run_monte_carlo(ex.PolicySpec("MOBIL"), round_cfg)
+
     def test_scenario_policy_compatibility(self):
         round_cfg = ex.MonteCarloConfig(
             builtin_scenario("roundabout"), builtin_game("roundabout"), 10, 0

@@ -180,6 +180,14 @@ class TestGeometry:
         assert not ramp.collided
         assert {p.headway for p in ramp.trace} == {0.0}
 
+    @pytest.mark.parametrize("length,collides", [(7.0, True), (5.0, False)])
+    def test_collision_gap_is_the_configured_vehicle_length(self, length, collides):
+        # stationary vehicles 6 m apart on the main lane: they overlap only
+        # when the scenario's vehicles are longer than 6 m
+        cfg = sim.builtin_scenario("merging", vehicle_length=length)
+        ev, iv = sim.VehicleState("main", 106.0, 0.0), sim.VehicleState("main", 100.0, 0.0)
+        assert sim.run_episode(cfg, ev, iv, 0, 1).collided is collides
+
     def test_classification_precedence(self):
         assert sim.classify_outcome(True, True, False) == "collision"
         assert sim.classify_outcome(False, True, False) == "success"
