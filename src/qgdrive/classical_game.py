@@ -63,17 +63,6 @@ class OutcomeDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)
 
-    def prob(self, j: int, k: int) -> float:
-        return self.as_tuple()[2 * j + k]
-
-    def marginal_a(self) -> float:
-        """Probability that A plays action 0."""
-        return self.p00 + self.p01
-
-    def marginal_b(self) -> float:
-        """Probability that B plays action 0."""
-        return self.p00 + self.p10
-
 
 @dataclass(frozen=True)
 class MixedStrategy:

@@ -297,7 +297,7 @@ def cmd_simulate(args) -> int:
     path = output_path(args.out, f"report_{config.scenario.kind}.{ext}")
     experiments.emit_report(summaries, path, fmt=args.format)
     print(f"wrote {path}")
-    header = experiments.REPORT_HEADER.split(",")
+    header = experiments.REPORT_FIELDS
     # text columns fit the labels; the others fit their name, at least 9 wide
     widths = [{"scenario": 12, "method": 16}.get(h, max(len(h) + 1, 9)) for h in header]
     print("".join(f"{h:<{w}}" for h, w in zip(header, widths)))

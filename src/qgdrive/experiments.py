@@ -35,8 +35,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import get_type_hints
-
 import numpy as np
 
 from .classical_game import (
@@ -46,6 +44,7 @@ from .classical_game import (
     cg_epd_distribution,
     cg_ms_distribution,
     read_key_values,
+    write_csv,
 )
 from .quantum_game import (
     GATE_ORDER,
@@ -202,22 +201,6 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
     )
 
 
-def decide_joint(policy: PolicySpec, game: TwoPlayerGame, rng: np.random.Generator,
-                 dists=None) -> tuple[int, int]:
-    """A game policy's episode-start decision (episode_decision's), with the
-    EV and IV uniforms drawn from `rng` first. `dists` may carry precomputed
-    policy_distributions output. IDM and MOBIL decide from the scenario and
-    initial states, which this does not take: they raise ValueError.
-    """
-    if dists is None:
-        dists = policy_distributions(policy, game)
-    if dists is None:
-        raise ValueError(f"{policy.name} decisions need the scenario and initial states")
-    u_ev = float(rng.random())
-    u_iv = float(rng.random())
-    return episode_decision(policy, None, dists, rng, None, None, u_ev, u_iv)[0]
-
-
 def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
     """Seeded episode loop for one policy: run_comparison on that policy
     alone, so IDM or MOBIL on the wrong scenario raises ValueError before
@@ -285,36 +268,22 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
 # ---------------------------------------------------------------------------
 # Reports
 
-REPORT_HEADER = ",".join(f.name for f in fields(MetricsSummary))
-
-
-def render_report(summaries, fmt: str = "csv") -> str:
-    """Report text, one csv column or json key per MetricsSummary field (str of
-    a float is its shortest round-trip repr); rates are fractions, not percent."""
-    rows = list(summaries)
-    if fmt == "csv":
-        lines = [REPORT_HEADER] + [",".join(map(str, astuple(s))) for s in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps([asdict(s) for s in rows], indent=2) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
+REPORT_FIELDS = tuple(f.name for f in fields(MetricsSummary))
 
 
 def emit_report(summaries, path, fmt: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_report(summaries, fmt))
-
-
-def parse_report_csv(text: str) -> list[MetricsSummary]:
-    """Inverse of the csv report, for tests and tooling."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValueError("not a report csv: bad header")
-    types = get_type_hints(MetricsSummary)
-    return [
-        MetricsSummary(**{k: types[k](v) for k, v in zip(types, ln.split(","), strict=True)})
-        for ln in lines[1:]
-    ]
+    """Write the report file, one csv column or json key per MetricsSummary
+    field (str of a float is its shortest round-trip repr); rates are
+    fractions, not percent. An unknown fmt raises ValueError before the file
+    is opened."""
+    if fmt == "csv":
+        write_csv(path, REPORT_FIELDS, map(astuple, summaries))
+    elif fmt == "json":
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            json.dump([asdict(s) for s in summaries], fh, indent=2)
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
 
 
 # ---------------------------------------------------------------------------

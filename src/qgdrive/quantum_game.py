@@ -51,11 +51,13 @@ class QuantumGate(enum.Enum):
 
 
 _GATE_MATRICES = {
-    QuantumGate.HADAMARD: clinalg.mat((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2)),
-    QuantumGate.PAULI_X: clinalg.mat((0, 1), (1, 0)),
-    QuantumGate.PAULI_Y: clinalg.mat((0, -1j), (1j, 0)),
-    QuantumGate.PAULI_Z: clinalg.mat((1, 0), (0, -1)),
-    QuantumGate.IDENTITY: clinalg.mat((1, 0), (0, 1)),
+    gate: np.array(rows, dtype=np.complex128) for gate, rows in (
+        (QuantumGate.HADAMARD, ((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2))),
+        (QuantumGate.PAULI_X, ((0, 1), (1, 0))),
+        (QuantumGate.PAULI_Y, ((0, -1j), (1j, 0))),
+        (QuantumGate.PAULI_Z, ((1, 0), (0, -1))),
+        (QuantumGate.IDENTITY, ((1, 0), (0, 1))),
+    )
 }
 
 # Row/column order for the 5x5 gate table and its CSV form: H, X, Y, Z, I.
@@ -95,6 +97,29 @@ def equal_superposition() -> np.ndarray:
     return np.full(4, 0.5, dtype=np.complex128)
 
 
+def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
+    """Validate (or normalize) a length-4 amplitude vector.
+
+    The amplitudes and their norm must be finite. With normalize=False the
+    norm must already be 1 within 1e-9; with normalize=True any nonzero
+    vector is rescaled to unit norm.
+    """
+    v = np.asarray(amplitudes, dtype=np.complex128)
+    if v.shape != (4,):
+        raise ValueError(f"state vector must have 4 amplitudes, got shape {v.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        n = np.linalg.norm(v)
+    if not np.isfinite(n):
+        raise ValueError(f"state vector amplitudes and norm must be finite, got norm {float(n)}")
+    if normalize:
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        return v / n
+    if abs(n - 1.0) > 1e-9:
+        raise ValueError(f"state vector norm {n!r} deviates from 1 by more than 1e-9")
+    return v
+
+
 def parse_initial_state(spec) -> np.ndarray:
     """Initial-state from 'equal', a basis label, or 4 complex amplitudes.
 
@@ -105,10 +130,7 @@ def parse_initial_state(spec) -> np.ndarray:
         if spec.lower() == "equal":
             return equal_superposition()
         return basis_state(spec)
-    v = np.asarray(spec, dtype=np.complex128).reshape(-1)
-    if v.shape != (4,):
-        raise ValueError(f"initial state needs 4 amplitudes, got {v.shape[0]}")
-    return clinalg.state_vector(v, normalize=True)
+    return state_vector(np.asarray(spec, dtype=np.complex128).reshape(-1), normalize=True)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -123,12 +145,12 @@ def entangler(gamma: float) -> np.ndarray:
     g = _check_gamma(gamma)
     c = math.cos(g / 2.0)
     s = math.sin(g / 2.0)
-    return clinalg.mat(
+    return np.array((
         (c, 0, 0, -1j * s),
         (0, c, -1j * s, 0),
         (0, -1j * s, c, 0),
         (-1j * s, 0, 0, c),
-    )
+    ), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -151,7 +173,7 @@ def strategy_unitary(theta: float, phi: float = 0.0) -> np.ndarray:
     s = StrategyU(float(theta), float(phi))
     c, sn = math.cos(s.theta / 2.0), math.sin(s.theta / 2.0)
     ph = complex(math.cos(s.phi), math.sin(s.phi))
-    return clinalg.mat((ph * c, sn), (-sn, ph.conjugate() * c))
+    return np.array(((ph * c, sn), (-sn, ph.conjugate() * c)), dtype=np.complex128)
 
 
 def _strategy_matrix(strategy) -> np.ndarray:
@@ -172,7 +194,7 @@ class QuantumGameConfig:
     strategy_b: "StrategyU | QuantumGate"
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", clinalg.state_vector(self.initial))
+        object.__setattr__(self, "initial", state_vector(self.initial))
         _check_gamma(self.gamma)
         a_cont = isinstance(self.strategy_a, StrategyU)
         b_cont = isinstance(self.strategy_b, StrategyU)
@@ -292,7 +314,7 @@ def sweep_u1(
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
     if gamma_points < 2 or theta_points < 2:
         raise ValueError("gamma_points and theta_points must be at least 2")
-    psi0 = equal_superposition() if initial is None else clinalg.state_vector(initial)
+    psi0 = equal_superposition() if initial is None else state_vector(initial)
     gammas = np.linspace(0.0, GAMMA_MAX, gamma_points)
     thetas = np.linspace(0.0, THETA_MAX, theta_points)
 
@@ -336,7 +358,7 @@ def sweep_g4(
     """Evaluate every gate pair. Default initial state is e_s10: the gate
     analysis starts from the classical (A=NotMerge/Decelerate, B=first
     action) joint basis state rather than a superposition."""
-    psi0 = basis_state("s10") if initial is None else clinalg.state_vector(initial)
+    psi0 = basis_state("s10") if initial is None else state_vector(initial)
     moves = [(_GATE_MATRICES[ga], _GATE_MATRICES[gb]) for ga in GATE_ORDER for gb in GATE_ORDER]
     dists = [outcome_probabilities(psi) for psi in final_states(psi0, float(gamma), moves)]
     n = len(GATE_ORDER)

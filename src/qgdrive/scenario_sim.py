@@ -214,6 +214,19 @@ def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> tuple[Ve
             VehicleState(IV_LANE[config.kind], iv_s, iv_v))
 
 
+def check_lanes(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> bool:
+    """Raise ValueError unless the EV is on the scenario's entry or target
+    lane and the IV on its IV lane; return whether the EV is on the entry
+    lane."""
+    kind = config.kind
+    if ev.lane not in (EV_LANE_START[kind], EV_LANE_TARGET[kind]):
+        raise ValueError(f"EV lane {ev.lane!r} is not a {kind} EV lane; expected "
+                         f"{EV_LANE_START[kind]!r} or {EV_LANE_TARGET[kind]!r}")
+    if iv.lane != IV_LANE[kind]:
+        raise ValueError(f"IV lane {iv.lane!r} is not the {kind} IV lane {IV_LANE[kind]!r}")
+    return ev.lane == EV_LANE_START[kind]
+
+
 def common_position(config: ScenarioConfig, state: VehicleState) -> float:
     """Project an own-path position onto the shared exit path."""
     if state.lane == EV_LANE_START[config.kind]:
@@ -235,7 +248,8 @@ def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
 
 def idm_accel(v: float, gap: "float | None", v_lead: float, p: IdmParams) -> float:
     """IDM acceleration. gap is the net (bumper) distance to the leader;
-    None means free road."""
+    None means free road. A gap of 0.1 m or less, overlap included, is an
+    emergency: brake at 4b."""
     free = 1.0 - (v / p.v0) ** p.delta
     if gap is None:
         return p.a * free
@@ -269,23 +283,23 @@ def mobil_merge_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleSt
     """
     if config.kind != "merging":
         raise ValueError("MOBIL merge decision applies to the merging scenario only")
+    check_lanes(config, ev, iv)
     idm = config.idm
     length = config.vehicle_length
-    end_gap = max(config.section_end - ev.s - length, 0.1)
-    ego_a_old = idm_accel(ev.v, end_gap, 0.0, idm)
+    ego_a_old = idm_accel(ev.v, config.section_end - ev.s - length, 0.0, idm)
 
     ev_c = common_position(config, ev)
     iv_c = common_position(config, iv)
     if iv_c > ev_c:
         # IV would be the EV's leader after the change
         gap = iv_c - ev_c - length
-        ego_a_new = idm_accel(ev.v, max(gap, 0.1), iv.v, idm)
+        ego_a_new = idm_accel(ev.v, gap, iv.v, idm)
         fol_old = fol_new = idm_accel(iv.v, None, 0.0, idm)
     else:
         ego_a_new = idm_accel(ev.v, None, 0.0, idm)
         gap = ev_c - iv_c - length
         fol_old = idm_accel(iv.v, None, 0.0, idm)
-        fol_new = idm_accel(iv.v, max(gap, 0.1), ev.v, idm)
+        fol_new = idm_accel(iv.v, gap, ev.v, idm)
     return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new, config.mobil) else 1
 
 
@@ -302,6 +316,7 @@ def idm_entry_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleStat
     """
     if config.kind != "roundabout":
         raise ValueError("IDM entry decision applies to the roundabout scenario only")
+    check_lanes(config, ev, iv)
     conflict = config.merge_point + config.lane_offset
     iv_dist = conflict - iv.s
     if iv_dist <= 0.0:
@@ -366,6 +381,7 @@ def run_episode(
     lane. The module docstring gives each scenario's maneuvers. The episode
     stops at the first step whose centre distance on the target lane is
     below config.vehicle_length (a collision) or after config.horizon steps.
+    Vehicles off the scenario's lanes are rejected (check_lanes).
     Given a decide callback `(ev_state, iv_state) -> (ev_action, iv_action)`,
     the joint decision is re-taken at every step until the EV reaches
     _FOLLOW; the result then records the last commanded pair.
@@ -383,6 +399,7 @@ def run_episode(
     """
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
+    on_entry = check_lanes(config, ev0, iv0)
     if shared is not None:
         if decide is not None or record_trace:
             raise ValueError("shared results take neither a decide callback nor a trace")
@@ -405,8 +422,7 @@ def run_episode(
     iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
 
     ev_s, ev_v, ev_lane = ev0.s, ev0.v, ev0.lane
-    on_entry = ev_lane == EV_LANE_START[config.kind]
-    on_target = ev_lane == target_lane
+    on_target = not on_entry
     iv_s, iv_v = iv0.s, iv0.v
 
     iv_a = a_nom if iv_action == 0 else iv_a1
@@ -451,8 +467,7 @@ def run_episode(
             ev_a = -a_nom
         else:  # _FOLLOW: IDM, IV as leader when it is ahead on the shared path
             if iv_s > ev_common:
-                gap = iv_s - ev_common - length
-                ev_a = idm_accel(ev_v, gap if gap >= 0.1 else 0.1, iv_v, idm)
+                ev_a = idm_accel(ev_v, iv_s - ev_common - length, iv_v, idm)
             else:
                 ev_a = idm_accel(ev_v, None, 0.0, idm)
 

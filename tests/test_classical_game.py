@@ -45,12 +45,7 @@ class TestDistribution:
     def test_tuple_order_and_prob(self):
         d = cg.OutcomeDistribution(0.1, 0.2, 0.3, 0.4)
         assert d.as_tuple() == (0.1, 0.2, 0.3, 0.4)
-        assert d.prob(1, 0) == 0.3
-
-    def test_marginals(self):
-        d = cg.OutcomeDistribution(0.1, 0.2, 0.3, 0.4)
-        assert abs(d.marginal_a() - 0.3) < 1e-15
-        assert abs(d.marginal_b() - 0.4) < 1e-15
+        assert d.p10 == 0.3
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):

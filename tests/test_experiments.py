@@ -1,11 +1,12 @@
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from qgdrive import experiments as ex
 from qgdrive.classical_game import OutcomeDistribution, builtin_game
-from qgdrive.scenario_sim import builtin_scenario
+from qgdrive.scenario_sim import VehicleState, builtin_scenario
 
 
 def merging_config(episodes=200, seed=5):
@@ -136,19 +137,25 @@ class TestJointSampling:
         game = builtin_game("merging")
         spec = ex.PolicySpec("QG_G4", "uniform")
         rows = ex.policy_distributions(spec, game)
+        scenario = builtin_scenario("merging")
         for i in range(40):
             rng = ex.episode_rng(3, i)
-            got = ex.decide_joint(spec, game, rng, dists=rows)
+            u_ev, u_iv = float(rng.random()), float(rng.random())
+            got, _ = ex.episode_decision(spec, scenario, rows, rng, None, None, u_ev, u_iv)
             twin = ex.episode_rng(3, i)
             u_ev, u_iv = float(twin.random()), float(twin.random())
             gate = int(twin.integers(5))
             assert got == ex._sample_joint(rows[gate], u_ev, u_iv)
 
     def test_controller_requires_states(self):
-        with pytest.raises(ValueError):
-            ex.decide_joint(
-                ex.PolicySpec("MOBIL"), builtin_game("merging"), ex.episode_rng(0, 0)
-            )
+        # a controller decides from the initial states, which must be on the
+        # scenario's lanes
+        scenario = builtin_scenario("merging")
+        ev = VehicleState("ramp", 110.0, 20.0)
+        iv = VehicleState("ramp", 105.0, 20.0)
+        with pytest.raises(ValueError, match="IV lane"):
+            ex.episode_decision(ex.PolicySpec("MOBIL"), scenario, None,
+                                ex.episode_rng(0, 0), ev, iv, 0.5, 0.5)
 
 
 class TestRuns:
@@ -332,28 +339,41 @@ class TestReports:
     def _summaries(self):
         return ex.run_comparison(["cg-epd", "cg-ms"], merging_config(episodes=100))
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         rows = self._summaries()
-        text = ex.render_report(rows, "csv")
-        back = ex.parse_report_csv(text)
+        path = tmp_path / "report.csv"
+        ex.emit_report(rows, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        types = get_type_hints(ex.MetricsSummary)
+        assert lines[0].split(",") == list(types)
+        back = [
+            ex.MetricsSummary(**{k: types[k](v) for k, v in zip(types, ln.split(","), strict=True)})
+            for ln in lines[1:]
+        ]
         assert tuple(back) == tuple(rows)
 
-    def test_csv_header(self):
-        text = ex.render_report(self._summaries(), "csv")
-        assert text.splitlines()[0] == "scenario,method,episodes,cr,sr,mean_headway_m,cr_ci95"
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "report.csv"
+        ex.emit_report(self._summaries(), path, fmt="csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.readline() == "scenario,method,episodes,cr,sr,mean_headway_m,cr_ci95\n"
 
-    def test_json_fields(self):
+    def test_json_fields(self, tmp_path):
         import json
 
         rows = self._summaries()
-        payload = json.loads(ex.render_report(rows, "json"))
+        path = tmp_path / "report.json"
+        ex.emit_report(rows, path, fmt="json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert len(payload) == 2
         assert payload[0]["method"] == "CG_EPD"
         assert payload[0]["cr"] == rows[0].cr
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            ex.render_report(self._summaries(), "yaml")
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "report.yaml"
+        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+            ex.emit_report(self._summaries(), path, fmt="yaml")
+        assert not path.exists()
 
     def test_emit_writes_identical_bytes(self, tmp_path):
         rows = self._summaries()
@@ -361,10 +381,6 @@ class TestReports:
         ex.emit_report(rows, p1)
         ex.emit_report(rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_parse_rejects_foreign_text(self):
-        with pytest.raises(ValueError):
-            ex.parse_report_csv("not,a,report\n1,2,3\n")
 
 
 class TestConfigFile:

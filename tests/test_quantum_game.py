@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qgdrive import clinalg, quantum_game as qg
 from qgdrive.classical_game import expected_payoff, merging_game
 
+from oracles import is_unitary
+
 # ---------------------------------------------------------------------------
 # Loop-based oracle: plain-Python products, no shared code with the engine.
 
@@ -84,7 +86,7 @@ class TestGates:
     def test_all_gate_matrices_unitary(self):
         for g in qg.GATE_ORDER:
             m = qg.gate_matrix(g)
-            assert clinalg.is_unitary(clinalg.kron(m, clinalg.I2))
+            assert is_unitary(clinalg.kron(m, np.eye(2)))
 
     def test_pauli_relations(self):
         x, y, z = (qg.gate_matrix(c) for c in "XYZ")
@@ -127,7 +129,7 @@ class TestStates:
 
 class TestEntangler:
     def test_zero_angle_is_exact_identity(self):
-        assert np.array_equal(qg.entangler(0.0), clinalg.I4)
+        assert np.array_equal(qg.entangler(0.0), np.eye(4))
 
     def test_closed_form_matches_series_oracle(self):
         for gamma in np.linspace(0.0, qg.GAMMA_MAX, 7):
@@ -142,7 +144,7 @@ class TestEntangler:
 
     @given(st.floats(min_value=0.0, max_value=qg.GAMMA_MAX, allow_nan=False))
     def test_unitary_over_range(self, gamma):
-        assert clinalg.is_unitary(qg.entangler(gamma))
+        assert is_unitary(qg.entangler(gamma))
 
 
 class TestStrategyU:
@@ -167,8 +169,8 @@ class TestStrategyU:
         st.floats(min_value=0.0, max_value=qg.PHI_MAX, allow_nan=False),
     )
     def test_unitary_over_range(self, theta, phi):
-        assert clinalg.is_unitary(
-            clinalg.kron(qg.strategy_unitary(theta, phi), clinalg.I2)
+        assert is_unitary(
+            clinalg.kron(qg.strategy_unitary(theta, phi), np.eye(2))
         )
 
 

@@ -205,9 +205,12 @@ class TestDriverModels:
         p = sim.IdmParams()
         assert sim.idm_accel(20.0, 5.0, 20.0, p) < -1.0
 
-    def test_idm_emergency_floor(self):
+    # idm_accel is the only home of the 0.1 m floor: callers pass a gap as
+    # it is, negative (overlapping) ones included
+    @pytest.mark.parametrize("gap", [-3.0, 0.05, 0.1])
+    def test_idm_emergency_floor(self, gap):
         p = sim.IdmParams()
-        assert sim.idm_accel(20.0, 0.05, 0.0, p) == -4.0 * p.b
+        assert sim.idm_accel(20.0, gap, 0.0, p) == -4.0 * p.b
 
     # b = 0 divided by zero and a < 0 took sqrt of a negative, both deep
     # inside run_episode
@@ -262,6 +265,51 @@ class TestDriverModels:
         assert sim.idm_entry_decision(cfg, ev, sim.VehicleState("inside", 45.0, 10.0)) == 1
         with pytest.raises(ValueError):
             sim.idm_entry_decision(sim.builtin_scenario("merging"), ev, ev)
+
+
+
+class TestLanes:
+    # an EV on an unknown lane used to run to timeout, and an IV on the ramp
+    # moved MOBIL's decision while the episode ignored its lane
+    @pytest.mark.parametrize("kind,ev_lane,iv_lane", [
+        ("merging", "bogus", "main"),
+        ("merging", "ramp", "ramp"),
+        ("merging", "main", "inside"),
+        ("roundabout", "ramp", "inside"),
+        ("roundabout", "approach", "approach"),
+    ])
+    def test_run_episode_rejects_vehicles_off_the_lanes(self, kind, ev_lane, iv_lane):
+        cfg = sim.builtin_scenario(kind)
+        ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
+        ev = dataclasses.replace(ev, lane=ev_lane)
+        iv = dataclasses.replace(iv, lane=iv_lane)
+        with pytest.raises(ValueError, match="lane"):
+            sim.run_episode(cfg, ev, iv, 0, 1)
+
+    def test_decisions_reject_vehicles_off_the_lanes(self):
+        merging = sim.builtin_scenario("merging")
+        ev = sim.VehicleState("ramp", 110.0, 20.0)
+        with pytest.raises(ValueError, match="IV lane 'ramp'"):
+            sim.mobil_merge_decision(merging, ev, sim.VehicleState("ramp", 105.0, 20.0))
+        with pytest.raises(ValueError, match="EV lane 'bogus'"):
+            sim.mobil_merge_decision(merging, dataclasses.replace(ev, lane="bogus"),
+                                     sim.VehicleState("main", 105.0, 20.0))
+        roundabout = sim.builtin_scenario("roundabout")
+        ev, iv = mid_roundabout()
+        with pytest.raises(ValueError, match="EV lane 'ramp'"):
+            sim.idm_entry_decision(roundabout, dataclasses.replace(ev, lane="ramp"), iv)
+        with pytest.raises(ValueError, match="IV lane 'approach'"):
+            sim.idm_entry_decision(roundabout, ev, dataclasses.replace(iv, lane="approach"))
+
+    def test_ev_on_the_target_lane_is_accepted(self):
+        for kind, make in (("merging", mid_merging), ("roundabout", mid_roundabout)):
+            cfg = sim.builtin_scenario(kind)
+            ev, iv = make()
+            on_target = dataclasses.replace(ev, lane=sim.EV_LANE_TARGET[kind])
+            assert sim.check_lanes(cfg, ev, iv)
+            assert not sim.check_lanes(cfg, on_target, iv)
+            r = sim.run_episode(cfg, on_target, iv, 0, 1)
+            assert r.completed_at is None
 
 
 MERGING_OUTCOMES = {
