@@ -35,6 +35,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
+
 import numpy as np
 
 from .classical_game import (
