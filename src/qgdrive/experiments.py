@@ -11,12 +11,19 @@ draws its initial states and both decision uniforms once, and every policy
 decides and integrates from those same values (common random numbers). A
 policy's row therefore does not depend on which other policies run beside
 it, or in what order; run_monte_carlo is the one-policy view of the same
-loop. Without replay an episode integrates each distinct joint action once
-(at most four per episode, however many policies run), and the policies
-that draw the same joint action share that result. Under decision replay
-each policy continues its own copy of the episode's stream from the point
-after the two shared uniforms, and nothing is shared: its path depends on
-its own replay draws.
+loop.
+
+Without replay every decision is held for the whole episode, so the
+episodes go in chunks of _CHUNK, each in three passes. Pass 1 goes episode
+by episode, draws as above, and lets every policy take its joint action.
+Pass 2 integrates the chunk's distinct (episode, joint action) pairs, at
+most four per episode however many policies run, in one
+scenario_sim.run_episodes call. Pass 3 hands each policy its episode's
+stored result through run_episode's `shared` lookup, in episode-major
+order, and tallies it. Under decision replay each policy continues its own
+copy of the episode's stream from the point after the two shared uniforms,
+and runs run_episode's scalar loop with its own replay callback: its path
+depends on its own replay draws, so nothing is shared or batched.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -56,10 +63,12 @@ from .quantum_game import (
 )
 from .scenario_sim import (
     ScenarioConfig,
+    VehicleState,
     builtin_scenario,
     idm_entry_decision,
     mobil_merge_decision,
     run_episode,
+    run_episodes,
     sample_initial,
 )
 
@@ -182,12 +191,14 @@ def _sample_joint(dist: OutcomeDistribution, u_ev: float, u_iv: float) -> tuple[
 
 def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
     """Episode-start (EV action, IV action) and the episode's replay callback
-    `(ev, iv) -> (EV action, IV action)`, for `dists` from policy_distributions.
+    `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (EV action, IV action)`, for
+    `dists` from policy_distributions.
 
     The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
     then draws its opponent gate from `rng`. Each callback call draws two
     uniforms from `rng` for a game policy (keeping the gate) or one, the
-    IV's, for IDM/MOBIL.
+    IV's, for IDM/MOBIL. Only IDM/MOBIL read the state, so only their
+    callback builds VehicleStates from it.
     """
     if dists is None:
         pick = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
@@ -195,11 +206,17 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
         def rule(ev, iv, u_iv):
             return pick(scenario, ev, iv), (0 if u_iv < 0.5 else 1)
 
-        return rule(ev, iv, u_iv), lambda ev, iv: rule(ev, iv, float(rng.random()))
+        def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
+            return rule(VehicleState(ev_lane, ev_s, ev_v), VehicleState(iv.lane, iv_s, iv_v),
+                        float(rng.random()))
+
+        return rule(ev, iv, u_iv), replay
     dist = dists[int(rng.integers(len(dists)))] if isinstance(dists, tuple) else dists
-    return _sample_joint(dist, u_ev, u_iv), (
-        lambda ev, iv: _sample_joint(dist, float(rng.random()), float(rng.random()))
-    )
+
+    def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
+        return _sample_joint(dist, float(rng.random()), float(rng.random()))
+
+    return _sample_joint(dist, u_ev, u_iv), replay
 
 
 def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
@@ -209,11 +226,36 @@ def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSumm
     return run_comparison([policy], config)[0]
 
 
+# Episodes per kernel call without decision replay. A chunk's lanes are its
+# distinct (episode, joint action) pairs, at most four per episode, so this
+# bounds the kernel's arrays however many episodes a run has.
+_CHUNK = 512
+
+
+def _episode_draws(config: MonteCarloConfig, i: int):
+    """Episode i's stream, initial states and two shared decision uniforms,
+    in the contract's draw order."""
+    rng = episode_rng(config.master_seed, i)
+    ev0, iv0 = sample_initial(config.scenario, rng)
+    return rng, ev0, iv0, float(rng.random()), float(rng.random())
+
+
 def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
     """Run every policy over the same episode set (same master seed), episode
     by episode; see the module docstring for what is drawn once and what per
     policy. Each report label may appear once; a repeat, like a policy on
-    the wrong scenario, is rejected before anything runs."""
+    the wrong scenario, is rejected before anything runs.
+
+    Without decision replay the episodes go in chunks of _CHUNK, each in
+    three passes: (1) episode by episode, draw as the contract says and let
+    every policy take its held joint action; (2) integrate the chunk's
+    distinct (episode, joint action) pairs in one run_episodes call and
+    store each result in its episode's `shared` dict; (3) make one
+    run_episode call per (episode, policy), in that order, which returns
+    the stored result, and tally it. Under decision replay each
+    (episode, policy) pair runs run_episode's scalar loop with its own
+    replay callback.
+    """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:
         raise ValueError("no policies given")
@@ -223,35 +265,47 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         if labels[i] in labels[:i]:
             raise ValueError(f"policy {labels[i]} is given more than once")
     scenario = config.scenario
-    replay = scenario.decision_replay
+    n = config.episodes
     dists = [policy_distributions(spec, config.game) for spec in specs]
-    streams = [np.random.default_rng(0) for _ in specs] if replay else None
     outcomes = [Counter() for _ in specs]
     headway_totals = [0.0] * len(specs)
-    for i in range(config.episodes):
-        rng = episode_rng(config.master_seed, i)
-        ev0, iv0 = sample_initial(scenario, rng)
-        u_ev = float(rng.random())
-        u_iv = float(rng.random())
-        if replay:
+
+    def tally(j, result):
+        outcomes[j][result.outcome] += 1
+        headway_totals[j] += result.mean_headway
+
+    if scenario.decision_replay:
+        streams = [np.random.default_rng(0) for _ in specs]
+        for i in range(n):
+            rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
             state = rng.bit_generator.state
-        # a held joint action is integrated once per episode; the policies
-        # that draw it share the result
-        shared = None if replay else {}
-        for j, spec in enumerate(specs):
-            # without replay only a uniform QG_G4 draws further (its gate),
-            # and a label appears once, so the policies can share `rng`
-            stream = rng
-            if replay:
+            for j, spec in enumerate(specs):
+                # each policy replays from its own copy of the episode stream
                 stream = streams[j]
                 stream.bit_generator.state = state
-            (a_ev, a_iv), decide = episode_decision(
-                spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv)
-            result = run_episode(scenario, ev0, iv0, a_ev, a_iv,
-                                 decide=decide if replay else None, shared=shared)
-            outcomes[j][result.outcome] += 1
-            headway_totals[j] += result.mean_headway
-    n = config.episodes
+                (a_ev, a_iv), decide = episode_decision(
+                    spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv)
+                tally(j, run_episode(scenario, ev0, iv0, a_ev, a_iv, decide=decide))
+    else:
+        for start in range(0, n, _CHUNK):
+            # pass 1: the contract's draws, then every policy's held joint
+            # action; only a uniform QG_G4 draws further (its gate), and a
+            # label appears once, so the policies can share `rng`
+            episodes = []
+            for i in range(start, min(start + _CHUNK, n)):
+                rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
+                episodes.append((ev0, iv0, [
+                    episode_decision(spec, scenario, d, rng, ev0, iv0, u_ev, u_iv)[0]
+                    for spec, d in zip(specs, dists)]))
+            # pass 2: each distinct (episode, joint action), integrated once
+            results = iter(run_episodes(scenario, (
+                (ev0, iv0, *joint) for ev0, iv0, joints in episodes
+                for joint in dict.fromkeys(joints))))
+            # pass 3: every (episode, policy) reads its stored result
+            for ev0, iv0, joints in episodes:
+                shared = {joint: next(results) for joint in dict.fromkeys(joints)}
+                for j, joint in enumerate(joints):
+                    tally(j, run_episode(scenario, ev0, iv0, *joint, shared=shared))
     return tuple(
         MetricsSummary(
             scenario=scenario.kind,

@@ -17,6 +17,9 @@ state machine:
 
 Own-path coordinates differ per lane; `common_position` projects both
 vehicles onto the shared exit path (the entry lane carries a fixed offset).
+run_episode integrates one episode, optionally replaying the decision or
+recording a trace; run_episodes integrates many held-decision episodes at
+once as numpy arrays, with results equal to run_episode's bit for bit.
 Geometry defaults are tuned so that, over the default initial ranges, the
 contested joint action (EV goes + IV accelerates) always produces a
 collision and every other joint action never does.
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -37,7 +42,7 @@ EV_LANE_TARGET = {"merging": "main", "roundabout": "inside"}
 IV_LANE = {"merging": "main", "roundabout": "inside"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     lane: str
     s: float        # longitudinal position along own path, m
@@ -75,6 +80,12 @@ class IdmParams:
         # v0 and b divide, sqrt(a*b) needs a*b > 0
         _require(self, ("v0", "a", "b", "delta"), _positive, "finite and positive")
         _require(self, ("s0", "T"), _non_negative, "finite and non-negative")
+
+    @cached_property
+    def two_sqrt_ab(self) -> float:
+        """2*sqrt(a*b), the denominator of IDM's dynamic term; computed once
+        per parameter set, and read by idm_accel and idm_accel_lanes."""
+        return 2.0 * math.sqrt(self.a * self.b)
 
 
 @dataclass(frozen=True)
@@ -255,8 +266,36 @@ def idm_accel(v: float, gap: "float | None", v_lead: float, p: IdmParams) -> flo
         return p.a * free
     if gap <= 0.1:
         return -p.b * 4.0
-    s_star = p.s0 + max(0.0, v * p.T + v * (v - v_lead) / (2.0 * math.sqrt(p.a * p.b)))
+    s_star = p.s0 + max(0.0, v * p.T + v * (v - v_lead) / p.two_sqrt_ab)
     return p.a * (free - (s_star / gap) ** 2)
+
+
+def _pow_lanes(x: np.ndarray, exponent: float) -> np.ndarray:
+    """x ** exponent per element with Python's float pow (the C library's
+    pow), as idm_accel computes it. np.power is not used: its float64 loop
+    is chosen by the CPU at run time and differs from pow in the last bit
+    for a few percent of inputs, so reports would move between machines."""
+    return np.fromiter(map(pow, x.tolist(), repeat(exponent)), float, x.size)
+
+
+def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
+                    lead: np.ndarray, p: IdmParams) -> np.ndarray:
+    """idm_accel on arrays, bit for bit: lanes where `lead` is False are on
+    free road (their gap and v_lead are not read). Only IEEE-exact array
+    operations are used, in idm_accel's order, and both powers go through
+    _pow_lanes."""
+    free = 1.0 - _pow_lanes(v / p.v0, p.delta)
+    accel = p.a * free
+    near = lead & (gap <= 0.1)
+    inter = (lead & ~near).nonzero()[0]
+    if inter.size:
+        vi = v[inter]
+        dynamic = vi * p.T + vi * (vi - v_lead[inter]) / p.two_sqrt_ab
+        # max(0.0, x) keeps 0.0 unless x > 0.0
+        s_star = p.s0 + np.where(dynamic > 0.0, dynamic, 0.0)
+        accel[inter] = p.a * (free[inter] - _pow_lanes(s_star / gap[inter], 2))
+    accel[near] = -p.b * 4.0
+    return accel
 
 
 def mobil_decide(
@@ -345,7 +384,7 @@ class TracePoint:
     headway: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeResult:
     ev_action: int
     iv_action: int
@@ -382,20 +421,25 @@ def run_episode(
     stops at the first step whose centre distance on the target lane is
     below config.vehicle_length (a collision) or after config.horizon steps.
     Vehicles off the scenario's lanes are rejected (check_lanes).
-    Given a decide callback `(ev_state, iv_state) -> (ev_action, iv_action)`,
-    the joint decision is re-taken at every step until the EV reaches
-    _FOLLOW; the result then records the last commanded pair.
+    Given a decide callback
+    `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (ev_action, iv_action)`, the joint
+    decision is re-taken from the current state at every step until the EV
+    reaches _FOLLOW; the result then records the last commanded pair.
 
     `shared` is a dict the caller owns for one (config, ev0, iv0) triple,
     keyed by the joint action: a held decision that was integrated already
     returns the stored (frozen) result without integrating, and a new one is
     integrated and stored. It cannot be combined with `decide` (a replayed
     path depends on the callback's own draws) or with `record_trace` (a
-    stored result carries no trace). The lookup lives here rather than in
-    the Monte Carlo loop only so that every (policy, episode) pair still
-    makes one run_episode call, as bench/selftest.py pins; once that pin
-    counts outcomes instead, the lookup belongs in the loop and this
-    parameter can go.
+    stored result carries no trace). The Monte Carlo loop fills it from
+    run_episodes, the batched kernel, and then calls run_episode once per
+    (policy, episode) to read it back, because bench/selftest.py pins that
+    call count; once that pin counts outcomes instead, the lookup belongs in
+    the loop and this parameter can go.
+
+    This scalar loop stays for what the kernel does not do: decision
+    replay (one callback per step and lane) and traces. It is also the
+    reference run_episodes is tested against, field for field.
     """
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
@@ -439,9 +483,7 @@ def run_episode(
 
     for _ in range(config.horizon):
         if decide is not None and steps and phase != _FOLLOW:
-            ev_action, iv_action = decide(
-                VehicleState(ev_lane, ev_s, ev_v), VehicleState(iv_lane, iv_s, iv_v)
-            )
+            ev_action, iv_action = decide(ev_lane, ev_s, ev_v, iv_s, iv_v)
             iv_a = a_nom if iv_action == 0 else iv_a1
             phase = _GO if ev_action == 0 else _YIELD
 
@@ -524,6 +566,146 @@ def run_episode(
     if shared is not None:
         shared[ev_action, iv_action] = result
     return result
+
+
+def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
+    """Integrate many held-decision episodes at once: one lane per
+    (ev0, iv0, ev_action, iv_action) in `lanes`, one EpisodeResult per lane,
+    in order. Each result equals run_episode's on the same arguments in
+    every field; the trace is always empty.
+
+    The lanes step together through run_episode's GO/YIELD/FOLLOW phase
+    machine as numpy arrays, with idm_accel_lanes for FOLLOW. The results
+    are bit-identical to run_episode's because the arrays see the same IEEE
+    operations in the same order: `s + (v*dt + 0.5*a*dt*dt)`, one headway
+    sum per lane in step order, and the time as repeated `t += dt`. A lane
+    that collides is masked, not removed: its counts and flags stop there,
+    and the loop ends once every lane has collided.
+    """
+    lanes = list(lanes)
+    if not lanes:
+        return []
+    for _, _, ev_action, iv_action in lanes:
+        if ev_action not in (0, 1) or iv_action not in (0, 1):
+            raise ValueError("actions must be 0 or 1")
+    n = len(lanes)
+    on_entry = np.array([check_lanes(config, ev0, iv0) for ev0, iv0, _, _ in lanes], bool)
+    # both vehicles integrate as one array: EVs in [:n], IVs in [n:]
+    pos = np.array([lane[0].s for lane in lanes] + [lane[1].s for lane in lanes], float)
+    vel = np.array([lane[0].v for lane in lanes] + [lane[1].v for lane in lanes], float)
+    ev_actions = [lane[2] for lane in lanes]
+    iv_actions = [lane[3] for lane in lanes]
+
+    merging = config.kind == "merging"
+    dt = config.dt
+    a_nom = config.a_nominal
+    idm = config.idm
+    offset = config.lane_offset
+    merge_point = config.merge_point
+    section_end = config.section_end
+    clearance = config.pass_clearance
+    length = config.vehicle_length
+    go_a = 0.0 if merging else a_nom
+    iv_a = np.where(np.array(iv_actions) == 0, a_nom, -a_nom if merging else 0.0)
+
+    yielding = np.array(ev_actions) == 1
+    going = on_entry & ~yielding        # GO on the entry lane: may change lane
+    follow = np.zeros(n, bool)
+    alive = np.ones(n, bool)
+    # own-path to shared-path shift: lane_offset on the entry lane, else 0.0
+    # (s + 0.0 loses only the sign of a zero, which no comparison, difference
+    # or abs below can see)
+    shift = np.where(on_entry, offset, 0.0)
+    violation = np.zeros(n, bool)
+    completed = np.zeros(n, bool)
+    completed_at = np.zeros(n)
+    steps_run = np.full(n, config.horizon)
+    headway_sum = np.zeros(n)
+    final_sum = np.zeros(n)         # headway sums of collided lanes
+    t = 0.0
+    any_yielding, any_going = bool(yielding.any()), bool(going.any())
+    # the sets below change only on a release, a lane change or a collision,
+    # so they are rebuilt only then
+    regroup = True
+    ev_common = pos[:n] + shift
+
+    for step in range(1, config.horizon + 1):
+        ev_s, iv_s = pos[:n], pos[n:]
+
+        # phase transitions on the current state
+        if any_yielding:
+            if not merging:
+                violation |= yielding & alive & (ev_s >= merge_point)
+            released = yielding & (iv_s >= ev_common + clearance)
+            if released.any():
+                follow |= released
+                yielding &= ~released
+                going |= released & on_entry
+                any_yielding, any_going = bool(yielding.any()), bool(going.any())
+                regroup = True
+        if any_going:
+            change = going & (ev_s >= merge_point)
+            if merging:
+                change &= ev_s <= section_end
+            if change.any():
+                ev_s[change] += offset
+                shift[change] = 0.0
+                ev_common = ev_s + shift
+                on_entry &= ~change
+                going &= ~change
+                any_going = bool(going.any())
+                follow |= change
+                change &= alive
+                completed |= change
+                completed_at[change] = t
+                regroup = True
+        if regroup:
+            regroup = False
+            f = (follow & alive).nonzero()[0]
+            on_target_alive = alive & ~on_entry
+            # EV acceleration outside FOLLOW, then the IVs' held ones
+            held_accel = np.concatenate((np.where(yielding, -a_nom, go_a), iv_a))
+
+        accel = held_accel.copy()
+        if f.size:
+            lead_s, common = iv_s[f], ev_common[f]
+            accel[f] = idm_accel_lanes(vel[f], lead_s - common - length, vel[n + f],
+                                       lead_s > common, idm)
+
+        # integrate, with run_episode's brake-to-rest clamp
+        vel_next = vel + accel * dt
+        stop = vel_next < 0.0
+        if stop.any():
+            accel = np.where(stop, -vel / dt, accel)
+            vel_next[stop] = 0.0
+        pos = pos + (vel * dt + 0.5 * accel * dt * dt)
+        vel = vel_next
+
+        t += dt
+        ev_common = pos[:n] + shift
+        headway = np.abs(pos[n:] - ev_common)
+        hit = on_target_alive & (headway < length)
+        if hit.any():
+            # the colliding step is excluded from the headway average
+            steps_run[hit] = step
+            final_sum[hit] = headway_sum[hit]
+            alive &= ~hit
+            if not alive.any():
+                break
+            regroup = True
+        headway_sum += headway
+    headway_sum = np.where(alive, headway_sum, final_sum)
+
+    # positional, in EpisodeResult's field order: this runs once per lane
+    return [
+        EpisodeResult(ev_action, iv_action, classify_outcome(collided, done, overrun),
+                      collided, done, overrun, at if done else None, steps,
+                      total / (steps - collided) if steps - collided else 0.0, ())
+        for ev_action, iv_action, collided, done, overrun, at, steps, total in zip(
+            ev_actions, iv_actions, (~alive).tolist(), completed.tolist(),
+            violation.tolist(), completed_at.tolist(), steps_run.tolist(),
+            headway_sum.tolist())
+    ]
 
 
 def write_trace_csv(result: EpisodeResult, path) -> None:

@@ -245,6 +245,27 @@ class TestRuns:
                 joints = {joint for joint, _ in calls}
                 assert len(objects) == len(joints) <= 4
 
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_chunk_size_does_not_move_the_summaries(self, chunk, monkeypatch):
+        # 23 episodes fill no chunk size evenly; 50 holds them all at once
+        policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", ex.PolicySpec("qg-g4", "uniform"),
+                    "mobil"]
+        cfg = merging_config(episodes=23, seed=7)
+        default = ex.run_comparison(policies, cfg)
+        lanes_per_call = []
+        real = ex.run_episodes
+
+        def recording(config, lanes):
+            lanes = list(lanes)
+            lanes_per_call.append(len(lanes))
+            return real(config, lanes)
+
+        monkeypatch.setattr(ex, "_CHUNK", chunk)
+        monkeypatch.setattr(ex, "run_episodes", recording)
+        assert ex.run_comparison(policies, cfg) == default
+        assert len(lanes_per_call) == -(-23 // chunk)
+        assert max(lanes_per_call) <= 4 * chunk
+
     def test_comparison_rejects_empty(self):
         with pytest.raises(ValueError):
             ex.run_comparison([], merging_config())
