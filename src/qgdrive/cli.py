@@ -23,7 +23,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -53,6 +53,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise CliError(f"angle {text!r} divides by zero")
         return sign * num * math.pi / den
     try:
         return float(text)
@@ -148,16 +150,9 @@ def cmd_equilibria(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-def _strategy_flag(theta, phi, default):
-    """StrategyU from a --theta-X/--phi-X pair, or default without --theta-X."""
-    if theta is None:
-        return default
-    return quantum_game.StrategyU(
-        parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
-    )
-
-
-def _solve_config(args):
+def _solve_config(args) -> quantum_game.QuantumGameConfig:
+    """The configuration the flags select: the model's preset (qg-u1 has
+    none) with every given flag replacing its field."""
     model = args.model
     gate_flags = args.gate_a is not None or args.gate_b is not None
     angle_flags = any(
@@ -170,30 +165,35 @@ def _solve_config(args):
             raise CliError("qg-g4 needs --gate-b (H, X, Y, Z or I)")
     elif gate_flags:
         raise CliError("gate flags apply to the qg-g4 model only")
-    if model == "qg-u1":
-        if args.gamma is None or args.theta_a is None or args.theta_b is None:
-            raise CliError("qg-u1 needs --gamma, --theta-a and --theta-b")
-        initial, gamma, sa, sb = quantum_game.equal_superposition(), None, None, None
-    else:
-        p = quantum_game.preset(model)
-        initial, gamma, sa, sb = p.initial, p.gamma, p.strategy_a, p.strategy_b
+    if model == "qg-u1" and None in (args.gamma, args.theta_a, args.theta_b):
+        raise CliError("qg-u1 needs --gamma, --theta-a and --theta-b")
+    given = {}
     if args.gamma is not None:
-        gamma = parse_angle(args.gamma)
+        given["gamma"] = parse_angle(args.gamma)
+    gate_b = None
     if model == "qg-g4":
-        sa = quantum_game.as_gate(args.gate_a) if args.gate_a else sa
-        sb = quantum_game.as_gate(args.gate_b)
+        if args.gate_a:
+            given["strategy_a"] = quantum_game.as_gate(args.gate_a)
+        gate_b = quantum_game.as_gate(args.gate_b)
     else:
-        sa = _strategy_flag(args.theta_a, args.phi_a, sa)
-        sb = _strategy_flag(args.theta_b, args.phi_b, sb)
+        # --phi-X without --theta-X leaves that strategy as it is
+        for side, theta, phi in (("a", args.theta_a, args.phi_a), ("b", args.theta_b, args.phi_b)):
+            if theta is not None:
+                given["strategy_" + side] = quantum_game.StrategyU(
+                    parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
+                )
     if args.initial:
-        initial = parse_initial_flag(args.initial)
-    return initial, gamma, sa, sb
+        given["initial"] = parse_initial_flag(args.initial)
+    if model == "qg-u1":
+        given.setdefault("initial", quantum_game.equal_superposition())
+        return quantum_game.QuantumGameConfig(**given)
+    return replace(quantum_game.preset(model, gate_b), **given)
 
 
 def cmd_solve(args) -> int:
     game = resolve_game(args)
-    initial, gamma, sa, sb = _solve_config(args)
-    dist = quantum_game.play(game, initial, gamma, sa, sb)
+    config = _solve_config(args)
+    dist = quantum_game.play(config)
     eu_a = classical_game.expected_payoff(dist, game, "a")
     eu_b = classical_game.expected_payoff(dist, game, "b")
     probs = dist.as_tuple()
@@ -202,7 +202,7 @@ def cmd_solve(args) -> int:
 
         payload = {
             "game": game.name,
-            "gamma": gamma,
+            "gamma": config.gamma,
             "distribution": dict(zip(quantum_game.BASIS_LABELS, probs)),
             "eu_a": eu_a,
             "eu_b": eu_b,
@@ -212,7 +212,7 @@ def cmd_solve(args) -> int:
         print("p00,p01,p10,p11,eu_a,eu_b")
         print(",".join(repr(float(x)) for x in (*probs, eu_a, eu_b)))
     else:
-        print(f"game: {game.name}   gamma = {gamma!r}")
+        print(f"game: {game.name}   gamma = {config.gamma!r}")
         for label, p in zip(quantum_game.BASIS_LABELS, probs):
             print(f"  P({label}) = {p!r}")
         print(f"E[u_A] = {eu_a!r}")
@@ -223,26 +223,24 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-# qg-u1 grid flags and their defaults; argparse leaves them None so that
-# qg-g4 can reject them
-_U1_GRID_DEFAULTS = {"mode": "theta_b_zero", "gamma_points": 101, "theta_points": 101}
+# qg-u1 grid flags; argparse leaves them None so that qg-g4 can reject them
+# and sweep_u1 keeps its own defaults
+_U1_GRID_FLAGS = ("mode", "gamma_points", "theta_points")
 
 
 def cmd_sweep(args) -> int:
-    grid = {name: getattr(args, name) for name in _U1_GRID_DEFAULTS}
+    grid = {name: getattr(args, name) for name in _U1_GRID_FLAGS
+            if getattr(args, name) is not None}
     if args.model == "qg-u1" and args.gamma is not None:
         raise CliError("--gamma applies to the qg-g4 model only; qg-u1 sweeps gamma")
-    if args.model == "qg-g4":
-        given = ["--" + name.replace("_", "-") for name, value in grid.items() if value is not None]
-        if given:
-            raise CliError(f"{', '.join(given)} apply to the qg-u1 model only")
+    if args.model == "qg-g4" and grid:
+        given = ", ".join("--" + name.replace("_", "-") for name in grid)
+        raise CliError(f"{given} apply to the qg-u1 model only")
     game = resolve_game(args)
     initial = parse_initial_flag(args.initial) if args.initial else None
     if args.model == "qg-u1":
-        grid = {name: default if grid[name] is None else grid[name]
-                for name, default in _U1_GRID_DEFAULTS.items()}
         result = quantum_game.sweep_u1(game, initial=initial, **grid)
-        path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{grid['mode']}.csv")
+        path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{result.mode}.csv")
         quantum_game.write_sweep_csv(result, path)
         print(f"wrote {path} ({len(result.rows)} rows)")
         mx, mn = result.argmax, result.argmin

@@ -56,7 +56,6 @@ from .classical_game import (
 )
 from .quantum_game import (
     GATE_ORDER,
-    QuantumGate,
     as_gate,
     play,
     preset,
@@ -162,15 +161,11 @@ def policy_distributions(policy: PolicySpec, game: TwoPlayerGame):
     if name == "CG_MS":
         return cg_ms_distribution(game)
     if name in ("QG_U1_1", "QG_U1_2"):
-        p = preset(name)
-        return play(game, p.initial, p.gamma, p.strategy_a, p.strategy_b)
+        return play(preset(name))
     if name == "QG_G4":
-        p = preset(name)
         if policy.assumed_gate == "uniform":
-            return tuple(
-                play(game, p.initial, p.gamma, p.strategy_a, g) for g in GATE_ORDER
-            )
-        return play(game, p.initial, p.gamma, p.strategy_a, QuantumGate(policy.assumed_gate))
+            return tuple(play(preset(name, g)) for g in GATE_ORDER)
+        return play(preset(name, policy.assumed_gate))
     return None
 
 

@@ -184,10 +184,10 @@ def _strategy_matrix(strategy) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumGameConfig:
-    """One playable configuration: payoffs, initial state, gamma, and both
-    players' strategies (both continuous, or both gates)."""
+    """One circuit: initial state, gamma, and both players' strategies (both
+    continuous, or both gates). The payoff table is not part of it: it only
+    weights the measured outcomes afterwards."""
 
-    game: TwoPlayerGame
     initial: np.ndarray
     gamma: float
     strategy_a: "StrategyU | QuantumGate"
@@ -231,39 +231,31 @@ def outcome_probabilities(psi: np.ndarray) -> OutcomeDistribution:
     return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
-def play(game: TwoPlayerGame, initial, gamma, strategy_a, strategy_b) -> OutcomeDistribution:
-    """Convenience wrapper: build a config, run the circuit, measure."""
-    cfg = QuantumGameConfig(game, initial, gamma, strategy_a, strategy_b)
-    return outcome_probabilities(final_state(cfg))
+def play(config: QuantumGameConfig) -> OutcomeDistribution:
+    """Run the circuit and measure."""
+    return outcome_probabilities(final_state(config))
 
 
 # ---------------------------------------------------------------------------
 # Presets
 
 
-@dataclass(frozen=True, eq=False)
-class Preset:
-    """Named model configuration. strategy_b=None leaves B's move open
-    (the caller must supply it)."""
-
-    name: str
-    gamma: float
-    strategy_a: "StrategyU | QuantumGate"
-    strategy_b: "StrategyU | QuantumGate | None"
-    initial: np.ndarray
-
-
-def preset(name: str) -> Preset:
+def preset(name: str, gate_b: "QuantumGate | str | None" = None) -> QuantumGameConfig:
     """QG_U1_1 (payoff-maximizing one-parameter point), QG_U1_2 (minimizing),
-    or QG_G4 (gate game, A pinned to the identity, B open)."""
+    or QG_G4 (gate game, A pinned to the identity, B playing gate_b).
+    QG_G4 needs gate_b; the QG_U1 presets fix both strategies and take none."""
     key = name.strip().lower().replace("-", "_")
-    if key == "qg_u1_1":
-        return Preset("QG_U1_1", 0.0, StrategyU(math.pi / 2.0), StrategyU(0.0), equal_superposition())
-    if key == "qg_u1_2":
-        return Preset("QG_U1_2", GAMMA_MAX, StrategyU(0.0), StrategyU(0.0), equal_superposition())
+    if key not in ("qg_u1_1", "qg_u1_2", "qg_g4"):
+        raise ValueError(f"unknown preset {name!r}; expected QG_U1_1, QG_U1_2 or QG_G4")
     if key == "qg_g4":
-        return Preset("QG_G4", GAMMA_MAX, QuantumGate.IDENTITY, None, basis_state("s10"))
-    raise ValueError(f"unknown preset {name!r}; expected QG_U1_1, QG_U1_2 or QG_G4")
+        if gate_b is None:
+            raise ValueError("QG_G4 needs gate_b, B's gate (H, X, Y, Z or I)")
+        return QuantumGameConfig(basis_state("s10"), GAMMA_MAX, QuantumGate.IDENTITY, as_gate(gate_b))
+    if gate_b is not None:
+        raise ValueError(f"{key.upper()} fixes both strategies; it takes no gate_b")
+    if key == "qg_u1_1":
+        return QuantumGameConfig(equal_superposition(), 0.0, StrategyU(math.pi / 2.0), StrategyU(0.0))
+    return QuantumGameConfig(equal_superposition(), GAMMA_MAX, StrategyU(0.0), StrategyU(0.0))
 
 
 # ---------------------------------------------------------------------------

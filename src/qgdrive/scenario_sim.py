@@ -428,10 +428,11 @@ def run_episode(
 
     `shared` is a dict the caller owns for one (config, ev0, iv0) triple,
     keyed by the joint action: a held decision that was integrated already
-    returns the stored (frozen) result without integrating, and a new one is
-    integrated and stored. It cannot be combined with `decide` (a replayed
-    path depends on the callback's own draws) or with `record_trace` (a
-    stored result carries no trace). The Monte Carlo loop fills it from
+    returns the stored (frozen) result without checking or integrating its
+    arguments again, and a new one is checked, integrated and stored. It
+    cannot be combined with `decide` (a replayed path depends on the
+    callback's own draws) or with `record_trace` (a stored result carries no
+    trace). The Monte Carlo loop fills it from
     run_episodes, the batched kernel, and then calls run_episode once per
     (policy, episode) to read it back, because bench/selftest.py pins that
     call count; once that pin counts outcomes instead, the lookup belongs in
@@ -441,15 +442,15 @@ def run_episode(
     replay (one callback per step and lane) and traces. It is also the
     reference run_episodes is tested against, field for field.
     """
-    if ev_action not in (0, 1) or iv_action not in (0, 1):
-        raise ValueError("actions must be 0 or 1")
-    on_entry = check_lanes(config, ev0, iv0)
     if shared is not None:
         if decide is not None or record_trace:
             raise ValueError("shared results take neither a decide callback nor a trace")
         hit = shared.get((ev_action, iv_action))
         if hit is not None:
             return hit
+    if ev_action not in (0, 1) or iv_action not in (0, 1):
+        raise ValueError("actions must be 0 or 1")
+    on_entry = check_lanes(config, ev0, iv0)
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
     dt = config.dt

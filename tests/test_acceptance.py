@@ -73,7 +73,7 @@ def test_criterion_02_final_state_normalization():
         else:
             sa = qg.GATE_ORDER[rng.integers(5)]
             sb = qg.GATE_ORDER[rng.integers(5)]
-        psi = qg.final_state(qg.QuantumGameConfig(game, psi0, gamma, sa, sb))
+        psi = qg.final_state(qg.QuantumGameConfig(psi0, gamma, sa, sb))
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
     assert time.perf_counter() - start < 1.0
 
@@ -84,7 +84,7 @@ def test_criterion_03_classical_limit_against_product_oracle():
     eye2 = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
     for _ in range(100):
         psi0 = _random_state(rng)
-        cfg = qg.QuantumGameConfig(game, psi0, 0.0, qg.StrategyU(0.0), qg.StrategyU(0.0))
+        cfg = qg.QuantumGameConfig(psi0, 0.0, qg.StrategyU(0.0), qg.StrategyU(0.0))
         psi = qg.final_state(cfg)
         oracle = np.array(_mv(_kron2(eye2, eye2), list(psi0)))
         assert np.max(np.abs(psi - oracle)) <= 1e-12
@@ -95,10 +95,10 @@ def test_criterion_03_classical_limit_against_product_oracle():
 
 def test_criterion_04_gate_game_optimal_point():
     game = cg.merging_game()
-    dist = qg.play(
-        game, qg.basis_state("s10"), math.pi / 2,
+    dist = qg.play(qg.QuantumGameConfig(
+        qg.basis_state("s10"), math.pi / 2,
         qg.QuantumGate.IDENTITY, qg.QuantumGate.PAULI_Z,
-    )
+    ))
     assert abs(dist.p01 - 1.0) <= 1e-9
     assert cg.expected_payoff(dist, game, "a") == 10.0
 

@@ -32,6 +32,9 @@ class TestAngles:
     def test_rejects_junk(self):
         with pytest.raises(cli.CliError):
             cli.parse_angle("deg45")
+        for text in ("pi/0", "pi/0.0", "-3pi/0", "2*pi / 0.00"):
+            with pytest.raises(cli.CliError, match="divides by zero"):
+                cli.parse_angle(text)
 
 
 class TestInitialFlag:
@@ -174,6 +177,14 @@ class TestSolve:
     def test_unknown_model(self, capsys):
         code, _, err = run(capsys, "solve", "--model", "qg-u3")
         assert code == 2
+
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "solve", "--model", "qg-u1", "--gamma", "pi/0",
+            "--theta-a", "0", "--theta-b", "0",
+        )
+        assert code == 2
+        assert err == "error: angle 'pi/0' divides by zero\n"
 
 
 class TestSweep:

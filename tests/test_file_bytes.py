@@ -77,11 +77,28 @@ def test_writer_bytes(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
-def test_solve_csv_stdout_bytes(capsys):
-    assert cli.main(["solve", "--model", "qg-u1-1", "--format", "csv"]) == 0
-    out = capsys.readouterr().out
-    assert out == (
-        "p00,p01,p10,p11,eu_a,eu_b\n"
+SOLVE_CSV = {
+    "qg-u1-1": (
+        ["--model", "qg-u1-1"],
         "0.4999999999999999,0.4999999999999999,3.0814879110195774e-33,"
-        "3.0814879110195774e-33,4.999999999999999,1.9999999999999996\n"
-    )
+        "3.0814879110195774e-33,4.999999999999999,1.9999999999999996\n",
+    ),
+    "qg-g4-z": (
+        ["--model", "qg-g4", "--gate-b", "Z"],
+        "0.0,1.0,4.930380657631324e-32,0.0,10.0,4.0\n",
+    ),
+    "qg-u1-point": (
+        ["--model", "qg-u1", "--gamma", "pi/4", "--theta-a", "pi/3", "--theta-b", "0.7",
+         "--phi-a", "pi/8"],
+        "0.705886368199479,0.22040072172307668,0.021878979403563575,"
+        "0.05183393067388052,2.343357065518901,1.152226611601823\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_CSV)
+def test_solve_csv_stdout_bytes(name, capsys):
+    flags, row = SOLVE_CSV[name]
+    assert cli.main(["solve", *flags, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == "p00,p01,p10,p11,eu_a,eu_b\n" + row

@@ -178,7 +178,6 @@ class TestFinalState:
     def test_mixed_strategy_kinds_rejected(self):
         with pytest.raises(ValueError):
             qg.QuantumGameConfig(
-                merging_game(),
                 qg.equal_superposition(),
                 0.5,
                 qg.StrategyU(1.0),
@@ -188,7 +187,6 @@ class TestFinalState:
     def test_unnormalized_initial_rejected(self):
         with pytest.raises(ValueError):
             qg.QuantumGameConfig(
-                merging_game(),
                 np.array([1.0, 1.0, 0.0, 0.0]),
                 0.5,
                 qg.StrategyU(1.0),
@@ -203,7 +201,7 @@ class TestFinalState:
             ta, pa = rng.uniform(0, qg.THETA_MAX), rng.uniform(0, qg.PHI_MAX)
             tb, pb = rng.uniform(0, qg.THETA_MAX), rng.uniform(0, qg.PHI_MAX)
             cfg = qg.QuantumGameConfig(
-                merging_game(), psi0, gamma, qg.StrategyU(ta, pa), qg.StrategyU(tb, pb)
+                psi0, gamma, qg.StrategyU(ta, pa), qg.StrategyU(tb, pb)
             )
             want = _oracle_final(psi0, gamma, _oracle_u(ta, pa), _oracle_u(tb, pb))
             assert np.max(np.abs(qg.final_state(cfg) - want)) < 1e-12
@@ -215,7 +213,7 @@ class TestFinalState:
             gamma = rng.uniform(0.0, qg.GAMMA_MAX)
             ga, gb = rng.choice(5, size=2)
             ga, gb = qg.GATE_ORDER[ga], qg.GATE_ORDER[gb]
-            cfg = qg.QuantumGameConfig(merging_game(), psi0, gamma, ga, gb)
+            cfg = qg.QuantumGameConfig(psi0, gamma, ga, gb)
             ua = tuple(tuple(row) for row in qg.gate_matrix(ga))
             ub = tuple(tuple(row) for row in qg.gate_matrix(gb))
             want = _oracle_final(psi0, gamma, ua, ub)
@@ -232,10 +230,9 @@ class TestFinalState:
         st.floats(min_value=0.0, max_value=qg.THETA_MAX, allow_nan=False),
     )
     def test_distribution_sums_to_one(self, gamma, ta, tb):
-        dist = qg.play(
-            merging_game(), qg.equal_superposition(), gamma,
-            qg.StrategyU(ta), qg.StrategyU(tb),
-        )
+        dist = qg.play(qg.QuantumGameConfig(
+            qg.equal_superposition(), gamma, qg.StrategyU(ta), qg.StrategyU(tb),
+        ))
         assert abs(sum(dist.as_tuple()) - 1.0) < 1e-9
 
 
@@ -253,18 +250,13 @@ _GATE_DISTS = {
 class TestGateGame:
     @pytest.mark.parametrize("letter", sorted(_GATE_DISTS))
     def test_single_gate_outcomes(self, letter):
-        p = qg.preset("qg-g4")
-        dist = qg.play(merging_game(), p.initial, p.gamma, p.strategy_a, qg.as_gate(letter))
+        dist = qg.play(qg.preset("qg-g4", letter))
         want = _GATE_DISTS[letter]
         assert max(abs(a - b) for a, b in zip(dist.as_tuple(), want)) < 1e-9
 
     def test_uniform_gate_collision_mass(self):
         # averaging the five rows puts exactly 1/5 on s00
-        p = qg.preset("qg-g4")
-        mass = sum(
-            qg.play(merging_game(), p.initial, p.gamma, p.strategy_a, g).p00
-            for g in qg.GATE_ORDER
-        ) / 5.0
+        mass = sum(qg.play(qg.preset("qg-g4", g)).p00 for g in qg.GATE_ORDER) / 5.0
         assert abs(mass - 0.2) < 1e-12
 
 
@@ -294,7 +286,7 @@ class TestGateTable:
         table = qg.sweep_g4(game, initial=psi0, gamma=gamma)
         for i, ga in enumerate(qg.GATE_ORDER):
             for k, gb in enumerate(qg.GATE_ORDER):
-                dist = qg.play(game, psi0, gamma, ga, gb)
+                dist = qg.play(qg.QuantumGameConfig(psi0, gamma, ga, gb))
                 assert table.eu_a[i][k] == expected_payoff(dist, game, "a"), (ga, gb)
                 assert table.eu_b[i][k] == expected_payoff(dist, game, "b"), (ga, gb)
 
@@ -314,25 +306,33 @@ class TestGateTable:
 
 class TestPresets:
     def test_u1_1_distribution(self):
-        p = qg.preset("QG_U1_1")
-        dist = qg.play(merging_game(), p.initial, p.gamma, p.strategy_a, p.strategy_b)
+        dist = qg.play(qg.preset("QG_U1_1"))
         want = (0.5, 0.5, 0.0, 0.0)
         assert max(abs(a - b) for a, b in zip(dist.as_tuple(), want)) < 1e-9
         assert abs(expected_payoff(dist, merging_game(), "a") - 5.0) < 1e-9
 
     def test_u1_2_distribution(self):
-        p = qg.preset("qg-u1-2")
-        dist = qg.play(merging_game(), p.initial, p.gamma, p.strategy_a, p.strategy_b)
+        dist = qg.play(qg.preset("qg-u1-2"))
         assert max(abs(x - 0.25) for x in dist.as_tuple()) < 1e-9
 
-    def test_g4_leaves_b_open(self):
-        p = qg.preset("qg_g4")
-        assert p.strategy_b is None
+    def test_g4_plays_the_given_gate_for_b(self):
+        p = qg.preset("qg_g4", "z")
         assert p.strategy_a is qg.QuantumGate.IDENTITY
+        assert p.strategy_b is qg.QuantumGate.PAULI_Z
+        assert p.gamma == qg.GAMMA_MAX
         assert np.array_equal(p.initial, qg.basis_state("s10"))
 
+    def test_g4_needs_gate_b(self):
+        with pytest.raises(ValueError, match="QG_G4 needs gate_b"):
+            qg.preset("qg_g4")
+
+    @pytest.mark.parametrize("name", ["QG_U1_1", "qg-u1-2"])
+    def test_u1_rejects_gate_b(self, name):
+        with pytest.raises(ValueError, match="takes no gate_b"):
+            qg.preset(name, qg.QuantumGate.PAULI_Z)
+
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown preset 'qg-u2'"):
             qg.preset("qg-u2")
 
 
@@ -352,9 +352,9 @@ class TestSweep:
         for mode in qg.SWEEP_MODES:
             result = qg.sweep_u1(game, mode=mode, initial=psi0, gamma_points=5, theta_points=5)
             for row in result.rows:
-                dist = qg.play(
-                    game, psi0, row.gamma, qg.StrategyU(row.theta_a), qg.StrategyU(row.theta_b),
-                )
+                dist = qg.play(qg.QuantumGameConfig(
+                    psi0, row.gamma, qg.StrategyU(row.theta_a), qg.StrategyU(row.theta_b),
+                ))
                 assert (row.p00, row.p01, row.p10, row.p11) == dist.as_tuple(), (mode, row)
                 assert row.eu_a == expected_payoff(dist, game, "a"), (mode, row)
                 assert row.eu_b == expected_payoff(dist, game, "b"), (mode, row)

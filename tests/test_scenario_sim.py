@@ -476,6 +476,21 @@ class TestSharedResults:
         assert (other.ev_action, other.iv_action) == (0, 1)
         assert shared == {(1, 0): first, (0, 1): other}
 
+    @pytest.mark.parametrize("bad", ["action", "ev_lane", "iv_lane"])
+    def test_a_miss_is_still_checked(self, bad):
+        cfg = sim.builtin_scenario("merging")
+        ev, iv = mid_merging()
+        shared = {}
+        sim.run_episode(cfg, ev, iv, 0, 0, shared=shared)
+        args = {
+            "action": (ev, iv, 2, 0),
+            "ev_lane": (sim.VehicleState("inside", ev.s, ev.v), iv, 0, 1),
+            "iv_lane": (ev, sim.VehicleState("ramp", iv.s, iv.v), 0, 1),
+        }[bad]
+        with pytest.raises(ValueError, match="actions|lane"):
+            sim.run_episode(cfg, *args, shared=shared)
+        assert list(shared) == [(0, 0)]
+
     @pytest.mark.parametrize("extra", [
         {"decide": lambda *state: (1, 1)}, {"record_trace": True},
     ], ids=["decide", "record_trace"])
