@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DegenerateGameError(ValueError):
     """Mixed-strategy denominator is zero: player payoffs cannot support an
@@ -44,7 +46,7 @@ class TwoPlayerGame:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over the four joint outcomes (s00, s01, s10, s11)."""
+    """Probabilities of (s00, s01, s10, s11): floats, or 1-d arrays for a stack."""
 
     p00: float
     p01: float
@@ -53,12 +55,14 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         tol = 1e-9
-        for p in self.as_tuple():
-            if not -tol <= p <= 1.0 + tol:
-                raise ValueError(f"probability {p!r} outside [0, 1]")
-        total = sum(self.as_tuple())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        p = np.array(self.as_tuple(), dtype=np.float64)
+        outside = ~((p >= -tol) & (p <= 1.0 + tol))  # NaN is outside too
+        if outside.any():
+            raise ValueError(f"probability {p[outside][0].item()!r} outside [0, 1]")
+        total = np.atleast_1d(sum(p))
+        off = np.abs(total - 1.0) > tol
+        if off.any():
+            raise ValueError(f"probabilities sum to {total[off][0].item()!r}, not 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)

@@ -176,8 +176,9 @@ def _solve_config(args) -> quantum_game.QuantumGameConfig:
             given["strategy_a"] = quantum_game.as_gate(args.gate_a)
         gate_b = quantum_game.as_gate(args.gate_b)
     else:
-        # --phi-X without --theta-X leaves that strategy as it is
         for side, theta, phi in (("a", args.theta_a, args.phi_a), ("b", args.theta_b, args.phi_b)):
+            if phi is not None and theta is None:
+                raise CliError(f"--phi-{side} needs --theta-{side}")
             if theta is not None:
                 given["strategy_" + side] = quantum_game.StrategyU(
                     parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
@@ -242,7 +243,7 @@ def cmd_sweep(args) -> int:
         result = quantum_game.sweep_u1(game, initial=initial, **grid)
         path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{result.mode}.csv")
         quantum_game.write_sweep_csv(result, path)
-        print(f"wrote {path} ({len(result.rows)} rows)")
+        print(f"wrote {path} ({len(result.columns[0])} rows)")
         mx, mn = result.argmax, result.argmin
         print(f"argmax E[u_A]: gamma = {mx.gamma!r}, theta_a = {mx.theta_a!r}, "
               f"theta_b = {mx.theta_b!r}, E = {mx.eu_a!r}")

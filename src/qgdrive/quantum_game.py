@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -205,14 +204,13 @@ class QuantumGameConfig:
             )
 
 
-def final_states(psi0: np.ndarray, gamma: float, moves) -> list[np.ndarray]:
-    """psi_f = J^dagger (U_A kron U_B) J psi_0 for each (U_A, U_B) in moves,
-    with J psi_0 computed once. Keep the association J^dagger (M (J psi_0)):
-    reordering the products moves the last bits of every output."""
+def final_states(psi0: np.ndarray, gamma: float, moves) -> np.ndarray:
+    """psi_f = J^dagger (U_A kron U_B) J psi_0 for each (U_A, U_B) in moves, as
+    one (k, 4) array from one broadcast matmul. Keep the association
+    J^dagger (M (J psi_0)): reordering the products moves the last bits."""
     j = entangler(gamma)
-    jd = j.conj().T
-    pre = j @ psi0
-    return [jd @ (clinalg.kron(ua, ub) @ pre) for ua, ub in moves]
+    ks = np.array([clinalg.kron(ua, ub) for ua, ub in moves])
+    return (j.conj().T @ (ks @ (j @ psi0))[..., None])[..., 0]
 
 
 def final_state(config: QuantumGameConfig) -> np.ndarray:
@@ -222,13 +220,13 @@ def final_state(config: QuantumGameConfig) -> np.ndarray:
 
 
 def outcome_probabilities(psi: np.ndarray) -> OutcomeDistribution:
-    """Measurement distribution |amp|^2 over (s00, s01, s10, s11); an
-    unnormalized state fails OutcomeDistribution's check."""
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if v.shape != (4,):
-        raise ValueError(f"final state needs 4 amplitudes, got {v.shape[0]}")
+    """|amp|^2 over (s00, s01, s10, s11) of one state (4,) as floats, or of a stack
+    (k, 4) as 1-d arrays; an unnormalized state fails OutcomeDistribution's check."""
+    v = np.asarray(psi, dtype=np.complex128)
+    if v.ndim not in (1, 2) or v.shape[-1] != 4:
+        raise ValueError(f"final states need 4 amplitudes each, got shape {v.shape}")
     p = np.abs(v) ** 2
-    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]), float(p[3]))
+    return OutcomeDistribution(*(p.tolist() if p.ndim == 1 else p.T))
 
 
 def play(config: QuantumGameConfig) -> OutcomeDistribution:
@@ -275,10 +273,12 @@ class SweepRow:
     eu_b: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """The grid as one 1-d array per SweepRow field, in field order, gamma-major."""
+
     mode: str
-    rows: tuple[SweepRow, ...]
+    columns: tuple[np.ndarray, ...]
     argmax: SweepRow
     argmin: SweepRow
 
@@ -309,24 +309,21 @@ def sweep_u1(
     psi0 = equal_superposition() if initial is None else state_vector(initial)
     gammas = np.linspace(0.0, GAMMA_MAX, gamma_points)
     thetas = np.linspace(0.0, THETA_MAX, theta_points)
+    thetas_b = thetas if mode == "equal_thetas" else np.zeros(theta_points)
+    moves = [(strategy_unitary(ta), strategy_unitary(tb)) for ta, tb in zip(thetas, thetas_b)]
+    dist = outcome_probabilities(np.concatenate([final_states(psi0, g, moves) for g in gammas]))
+    eu_a = expected_payoff(dist, game, "a")
+    columns = (np.repeat(gammas, theta_points), np.tile(thetas, gamma_points),
+               np.tile(thetas_b, gamma_points), *dist.as_tuple(),
+               eu_a, expected_payoff(dist, game, "b"))
 
-    angles = [(float(t), float(t) if mode == "equal_thetas" else 0.0) for t in thetas]
-    moves = [(strategy_unitary(ta), strategy_unitary(tb)) for ta, tb in angles]
-
-    rows = []
-    for g in gammas:
-        for (ta, tb), psi in zip(angles, final_states(psi0, float(g), moves)):
-            dist = outcome_probabilities(psi)
-            eu = (expected_payoff(dist, game, "a"), expected_payoff(dist, game, "b"))
-            rows.append(SweepRow(float(g), ta, tb, *dist.as_tuple(), *eu))
-
-    vmax = max(r.eu_a for r in rows)
-    vmin = min(r.eu_a for r in rows)
-    max_ties = [r for r in rows if r.eu_a >= vmax - 1e-9]
-    min_ties = [r for r in rows if r.eu_a <= vmin + 1e-9]
-    argmax = min(max_ties, key=lambda r: (r.gamma, r.theta_a))
-    argmin = min(min_ties, key=lambda r: (-r.gamma, r.theta_a))
-    return SweepResult(mode=mode, rows=tuple(rows), argmax=argmax, argmin=argmin)
+    # rows are sorted by (gamma, theta_a): the argmax is the first tie, the
+    # argmin the first tie of the last tied gamma
+    max_ties = np.flatnonzero(eu_a >= eu_a.max() - 1e-9)
+    min_ties = np.flatnonzero(eu_a <= eu_a.min() + 1e-9)
+    last = min_ties[min_ties // theta_points == min_ties[-1] // theta_points]
+    argmax, argmin = (SweepRow(*(c[i].item() for c in columns)) for i in (max_ties[0], last[0]))
+    return SweepResult(mode, columns, argmax, argmin)
 
 
 @dataclass(frozen=True)
@@ -352,23 +349,20 @@ def sweep_g4(
     action) joint basis state rather than a superposition."""
     psi0 = basis_state("s10") if initial is None else state_vector(initial)
     moves = [(_GATE_MATRICES[ga], _GATE_MATRICES[gb]) for ga in GATE_ORDER for gb in GATE_ORDER]
-    dists = [outcome_probabilities(psi) for psi in final_states(psi0, float(gamma), moves)]
+    dist = outcome_probabilities(final_states(psi0, float(gamma), moves))
     n = len(GATE_ORDER)
-
-    def table(player):
-        eu = [expected_payoff(d, game, player) for d in dists]
-        return tuple(tuple(eu[i:i + n]) for i in range(0, n * n, n))
-
-    return GateTable(gamma=float(gamma), eu_a=table("a"), eu_b=table("b"))
+    eu_a, eu_b = (tuple(map(tuple, expected_payoff(dist, game, player).reshape(n, n).tolist()))
+                  for player in "ab")
+    return GateTable(gamma=float(gamma), eu_a=eu_a, eu_b=eu_b)
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """One line per SweepRow, one column per field."""
+    """One line per grid point, one column per SweepRow field."""
     header = [f.name for f in fields(SweepRow)]
-    write_csv(path, header, map(attrgetter(*header), result.rows))
+    write_csv(path, header, zip(*(c.tolist() for c in result.columns)))
 
 
 def write_gate_table_csv(table: GateTable, path) -> None:

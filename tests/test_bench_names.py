@@ -1,4 +1,5 @@
-"""Every function bench/probe.py traces must exist in qgdrive.
+"""Every function bench/probe.py traces must exist in qgdrive, and a
+traced sweep must keep the call counts bench/selftest.py asserts.
 
 The probe skips a name it cannot find and reports it as zero calls, and
 bench/selftest.py runs outside this suite, so a renamed or moved function
@@ -7,6 +8,7 @@ would otherwise drop out of the per-layer numbers without any test failing.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,31 @@ def test_only_the_known_names_are_gone():
     assert GONE <= {*PROBE.SPANS, *PROBE.COUNTERS}
     for mod_name, fn_name in GONE:
         assert not hasattr(importlib.import_module(f"qgdrive.{mod_name}"), fn_name)
+
+
+@pytest.fixture
+def probe():
+    """A probe installed on every qgdrive module, uninstalled afterwards."""
+    importlib.import_module("qgdrive.cli")
+    saved = [(module, dict(vars(module))) for name, module in list(sys.modules.items())
+             if name == "qgdrive" or name.startswith("qgdrive.")]
+    traced = PROBE.Probe()
+    PROBE.install(traced)
+    yield traced
+    for module, attrs in saved:
+        vars(module).update(attrs)
+
+
+def test_traced_sweep_keeps_the_selftest_pins(probe, tmp_path):
+    # mirrors bench/selftest.py's sweep-u1 pins (one kron per grid point, and
+    # the circuit layer busy) until ROADMAP item 1 restates them there
+    from qgdrive import cli
+
+    argv = ["sweep", "--model", "qg-u1", "--gamma-points", "5", "--theta-points", "5",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv) == 0
+    calls = probe.stats()["calls"]
+    assert calls["clinalg.kron"] == 25
+    for name in ("quantum_game.strategy_unitary", "quantum_game.outcome_probabilities",
+                 "classical_game.expected_payoff"):
+        assert calls[name] > 0, name

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,6 +55,33 @@ class TestDistribution:
             cg.OutcomeDistribution(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             cg.OutcomeDistribution(-0.5, 0.5, 0.5, 0.5)
+
+
+class TestStackedDistribution:
+    """The same check on 1-d array fields, one distribution per column."""
+
+    @staticmethod
+    def stack(p00, p01, p10, p11):
+        return cg.OutcomeDistribution(*(np.array(v, dtype=float) for v in (p00, p01, p10, p11)))
+
+    def test_valid_stack_keeps_its_arrays(self):
+        d = self.stack([0.25, 1.0], [0.25, 0.0], [0.25, 0.0], [0.25, 0.0])
+        assert d.p00.tolist() == [0.25, 1.0]
+        assert cg.expected_payoff(d, cg.merging_game(), "a").tolist() == [3.75, 0.0]
+
+    def test_entry_outside_unit_interval_names_a_plain_float(self):
+        msg = re.escape("probability 1.5 outside [0, 1]")
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            self.stack([0.25, 1.5], [0.25, 0.0], [0.25, 0.0], [0.25, -0.5])
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("probability nan outside [0, 1]")):
+            self.stack([0.25, float("nan")], [0.25, 0.0], [0.25, 0.0], [0.25, 0.0])
+
+    def test_column_whose_sum_misses_one_rejected(self):
+        msg = re.escape("probabilities sum to 2.0, not 1")
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            self.stack([0.25, 0.5, 1.0], [0.25, 0.5, 0.0], [0.25, 0.5, 0.0], [0.25, 0.5, 0.0])
 
 
 class TestPureNash:

@@ -157,6 +157,21 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--model", "qg-u1")
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["qg-u1-1", "qg-u1-2"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_phi_without_theta_is_usage_error(self, capsys, model, side):
+        code, _, err = run(capsys, "solve", "--model", model, f"--phi-{side}", "pi/4")
+        assert code == 2
+        assert f"--phi-{side} needs --theta-{side}" in err
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_u1_phi_without_theta_names_all_u1_flags(self, capsys, side):
+        code, _, err = run(capsys, "solve", "--model", "qg-u1", "--gamma", "0.3",
+                           "--theta-a" if side == "b" else "--theta-b", "1",
+                           f"--phi-{side}", "pi/4")
+        assert code == 2
+        assert "qg-u1 needs --gamma, --theta-a and --theta-b" in err
+
     def test_mixed_flag_kinds_rejected(self, capsys):
         code, _, err = run(
             capsys, "solve", "--model", "qg-u1-1", "--gate-b", "Z"

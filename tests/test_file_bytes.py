@@ -16,13 +16,19 @@ from qgdrive import cli, experiments, quantum_game, scenario_sim
 from qgdrive.classical_game import builtin_game
 
 
-def sweep_csv(mode):
+def sweep_csv(mode, gamma_points=3, theta_points=3, initial=None):
     def write(path):
         result = quantum_game.sweep_u1(
-            builtin_game("merging"), mode=mode, gamma_points=3, theta_points=3
+            builtin_game("merging"), mode=mode, initial=initial,
+            gamma_points=gamma_points, theta_points=theta_points,
         )
         quantum_game.write_sweep_csv(result, path)
     return write
+
+
+# a start with no symmetry, swept on a 21x17 grid: with unequal sizes a
+# mix-up of the gamma and theta axes shows
+ASYMMETRIC = quantum_game.parse_initial_state([1, 2j, 0.5, -1])
 
 
 def gate_table_csv(kind, gamma):
@@ -56,6 +62,12 @@ WRITERS = {
                            "cf5a7dfe41ab79b46d87986de86345324b028299f247723516b992134900806e"),
     "sweep-theta-b-zero": (sweep_csv("theta_b_zero"),
                            "7bb2a7f51a3a23159bc61718637ebca0e0366113db419709495489aab7691409"),
+    "sweep-equal-thetas-21x17-asymmetric": (
+        sweep_csv("equal_thetas", 21, 17, ASYMMETRIC),
+        "606e3a7fb1a24f038396bcb94d326be3f9f54804051ab4009752abcb27c7fd45"),
+    "sweep-theta-b-zero-21x17-asymmetric": (
+        sweep_csv("theta_b_zero", 21, 17, ASYMMETRIC),
+        "e36c1437ca2c4c704c3704fd9df4f88e7d0377a4d6bf8a1f2cfc058d6309e022"),
     "gate-table-merging-pi-2": (gate_table_csv("merging", math.pi / 2),
                                 "b763ea76134be257f7eea6b81b943e09c561d9a0088877f96596c0e4b678e263"),
     "gate-table-roundabout-0.3": (gate_table_csv("roundabout", 0.3),

@@ -1,11 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgdrive import clinalg, quantum_game as qg
-from qgdrive.classical_game import expected_payoff, merging_game
+from qgdrive.classical_game import TwoPlayerGame, expected_payoff, merging_game
 
 from oracles import is_unitary
 
@@ -223,6 +224,23 @@ class TestFinalState:
         with pytest.raises(ValueError):
             qg.outcome_probabilities(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 2, 4)])
+    def test_outcome_probabilities_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            qg.outcome_probabilities(np.full(shape, 0.5))
+
+    def test_stacked_measurement_matches_each_state(self):
+        psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
+        moves = [(qg.gate_matrix(ga), qg.gate_matrix(gb))
+                 for ga in qg.GATE_ORDER for gb in qg.GATE_ORDER]
+        states = qg.final_states(psi0, 0.7, moves)
+        assert states.shape == (25, 4)
+        stacked = qg.outcome_probabilities(states)
+        for k, psi in enumerate(states):
+            one = qg.outcome_probabilities(psi)
+            assert all(isinstance(p, float) for p in one.as_tuple())
+            assert tuple(c[k] for c in stacked.as_tuple()) == one.as_tuple()
+
     @settings(max_examples=40)
     @given(
         st.floats(min_value=0.0, max_value=qg.GAMMA_MAX, allow_nan=False),
@@ -336,12 +354,17 @@ class TestPresets:
             qg.preset("qg-u2")
 
 
+def sweep_rows(result):
+    """A sweep's columns read back as one SweepRow per grid point."""
+    return [qg.SweepRow(*values) for values in zip(*(c.tolist() for c in result.columns))]
+
+
 class TestSweep:
     def test_theta_b_zero_closed_form(self):
         # E[u_A] = 3.75 + 1.25 sin(theta) cos(gamma) on the equal-superposition
         # start with theta_b = 0 and merging payoffs
         result = qg.sweep_u1(merging_game(), gamma_points=9, theta_points=9)
-        for row in result.rows:
+        for row in sweep_rows(result):
             want = 3.75 + 1.25 * math.sin(row.theta_a) * math.cos(row.gamma)
             assert abs(row.eu_a - want) < 1e-9
 
@@ -351,7 +374,7 @@ class TestSweep:
         psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
         for mode in qg.SWEEP_MODES:
             result = qg.sweep_u1(game, mode=mode, initial=psi0, gamma_points=5, theta_points=5)
-            for row in result.rows:
+            for row in sweep_rows(result):
                 dist = qg.play(qg.QuantumGameConfig(
                     psi0, row.gamma, qg.StrategyU(row.theta_a), qg.StrategyU(row.theta_b),
                 ))
@@ -365,6 +388,17 @@ class TestSweep:
         assert abs(result.argmax.theta_a - math.pi / 2) < 1e-9
         assert abs(result.argmin.gamma - qg.GAMMA_MAX) < 1e-9
         assert result.argmin.theta_a == 0.0
+
+    @pytest.mark.parametrize("mode", qg.SWEEP_MODES)
+    def test_flat_payoffs_resolve_to_the_corners(self, mode):
+        # every grid point ties: the argmax is the first row, the argmin the
+        # first row of the largest gamma
+        flat = TwoPlayerGame("flat", ("a0", "a1"), ("b0", "b1"),
+                             ((2.0, 2.0), (2.0, 2.0)), ((3.0, 3.0), (3.0, 3.0)))
+        result = qg.sweep_u1(flat, mode=mode, gamma_points=7, theta_points=5)
+        assert (result.argmax.gamma, result.argmax.theta_a) == (0.0, 0.0)
+        assert (result.argmin.gamma, result.argmin.theta_a) == (qg.GAMMA_MAX, 0.0)
+        assert all(isinstance(v, float) for v in astuple(result.argmin))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -384,7 +418,7 @@ class TestCsv:
         assert lines[0] == "gamma,theta_a,theta_b,p00,p01,p10,p11,eu_a,eu_b"
         assert len(lines) == 1 + 9
         first = [float(x) for x in lines[1].split(",")]
-        row = result.rows[0]
+        row = sweep_rows(result)[0]
         assert first == [
             row.gamma, row.theta_a, row.theta_b,
             row.p00, row.p01, row.p10, row.p11, row.eu_a, row.eu_b,
