@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,16 @@ class OutcomeDistribution:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p00, self.p01, self.p10, self.p11)
+
+    @cached_property
+    def thresholds(self) -> tuple[float, float, float]:
+        """Inverse-CDF thresholds of a single (float) distribution, computed
+        once: P(A=0), P(B=0 | A=0) and P(B=0 | A=1). A conditional given an
+        action of zero probability is 0.5."""
+        p_a0 = self.p00 + self.p01
+        p_a1 = self.p10 + self.p11
+        return (p_a0, self.p00 / p_a0 if p_a0 > 0.0 else 0.5,
+                self.p10 / p_a1 if p_a1 > 0.0 else 0.5)
 
 
 @dataclass(frozen=True)

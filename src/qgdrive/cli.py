@@ -268,15 +268,16 @@ def cmd_sweep(args) -> int:
 
 def _simulate_setup(args):
     if args.config:
-        if args.policies or args.scenario:
-            raise CliError("--config replaces --scenario/--policies; do not combine them")
+        if args.policies or args.scenario or args.decision_replay:
+            raise CliError("--config replaces --scenario/--policies/--decision-replay; "
+                           "do not combine them")
         policy, config = experiments.load_experiment_config(args.config)
         return [policy], config
     if not args.scenario:
         raise CliError("--scenario is required (or use --config)")
     if not args.policies:
         raise CliError("--policies is required (or use --config)")
-    scenario = scenario_sim.builtin_scenario(args.scenario)
+    scenario = scenario_sim.builtin_scenario(args.scenario, decision_replay=args.decision_replay)
     game = classical_game.builtin_game(args.scenario)
     specs = [
         experiments.PolicySpec(name, args.assumed_gate)
@@ -369,6 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="master seed")
     p_sim.add_argument("--assumed-gate", default="Z",
                        help="QG-G4 opponent model: a gate letter or 'uniform'")
+    p_sim.add_argument("--decision-replay", action="store_true",
+                       help="re-take every policy's decision at each step until its "
+                       "maneuver is underway, instead of holding the episode-start one")
     p_sim.add_argument("--config", help="experiment config file (replaces the flags above)")
     p_sim.add_argument("--out", help="report path")
     p_sim.add_argument("--format", default="csv", choices=("csv", "json"))

@@ -4,7 +4,9 @@ Episode i draws its randomness from a generator derived from (master_seed, i)
 alone, so any episode is reproducible in isolation. Each episode consumes
 draws in a fixed order: initial states, the EV decision uniform, the IV
 decision uniform, then any policy-internal draws (a uniform QG_G4's opponent
-gate, then the replay draws).
+gate, then the replay draws). The replay draws are one block of
+2*(horizon - 1) uniforms, taken with one `random(k)` call, which equals k
+scalar draws bit for bit; without replay nothing is drawn after the gate.
 
 The loop is episode-major: a comparison derives episode i's stream and
 draws its initial states and both decision uniforms once, and every policy
@@ -20,20 +22,27 @@ Pass 2 integrates the chunk's distinct (episode, joint action) pairs, at
 most four per episode however many policies run, in one
 scenario_sim.run_episodes call. Pass 3 hands each policy its episode's
 stored result through run_episode's `shared` lookup, in episode-major
-order, and tallies it. Under decision replay each policy continues its own
-copy of the episode's stream from the point after the two shared uniforms,
-and runs run_episode's scalar loop with its own replay callback: its path
-depends on its own replay draws, so nothing is shared or batched.
+order, and tallies it. Under decision replay each policy continues the
+episode's stream from the point after the two shared uniforms: every policy
+without a gate draw reads the episode's one replay block, and a uniform
+QG_G4 draws its gate and then a block of its own from a copy of the stream.
+Each (episode, policy) runs run_episode's scalar loop with a replay
+callback: a replayed path depends on its own decisions, so nothing is
+shared or batched. This is the explicit scalar path, kept until a batched
+replay kernel can also keep bench/selftest.py's call-count pins.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
-distribution conditioned on that EV action. Only CG-EPD and the two QG-U1
-presets have a uniform IV conditional, which reduces to an independent
-50/50 IV draw shared across policies. CG-MS and QG-G4 do not: QG_G4[Z]'s
-distribution is (0, 1, 0, 0), so its IV decelerates in every episode, and
-each of the uniform opponent model's five gate distributions fixes the IV's
-action given the EV's. IDM/MOBIL compute the EV action deterministically
-from the sampled initial states; their IV stays on the 50/50 draw.
+distribution conditioned on that EV action, each by comparing a uniform
+with the distribution's fixed inverse-CDF thresholds (computed once per
+distribution and run, and read by the start and every replayed decision).
+Only CG-EPD and the two QG-U1 presets have a uniform IV conditional, which
+reduces to an independent 50/50 IV draw shared across policies. CG-MS and
+QG-G4 do not: QG_G4[Z]'s distribution is (0, 1, 0, 0), so its IV
+decelerates in every episode, and each of the uniform opponent model's five
+gate distributions fixes the IV's action given the EV's. IDM/MOBIL compute
+the EV action deterministically from the sampled initial states; their IV
+stays on the 50/50 draw.
 """
 
 from __future__ import annotations
@@ -62,9 +71,10 @@ from .quantum_game import (
 )
 from .scenario_sim import (
     ScenarioConfig,
-    VehicleState,
     builtin_scenario,
+    idm_entry_core,
     idm_entry_decision,
+    mobil_merge_core,
     mobil_merge_decision,
     run_episode,
     run_episodes,
@@ -170,48 +180,61 @@ def policy_distributions(policy: PolicySpec, game: TwoPlayerGame):
 
 
 def _sample_joint(dist: OutcomeDistribution, u_ev: float, u_iv: float) -> tuple[int, int]:
-    """Invert the joint distribution: EV from its marginal, IV from the
+    """Invert the joint distribution at its fixed thresholds
+    (OutcomeDistribution.thresholds): EV from its marginal, IV from the
     conditional given the EV action. Keeps the exact joint law while sharing
-    the two uniforms across policies."""
-    p_ev0 = dist.p00 + dist.p01
-    a_ev = 0 if u_ev < p_ev0 else 1
-    if a_ev == 0:
-        p_iv0 = dist.p00 / p_ev0 if p_ev0 > 0.0 else 0.5
-    else:
-        p_ev1 = dist.p10 + dist.p11
-        p_iv0 = dist.p10 / p_ev1 if p_ev1 > 0.0 else 0.5
-    a_iv = 0 if u_iv < p_iv0 else 1
-    return a_ev, a_iv
+    the two uniforms across policies; a uniform on a threshold takes
+    action 1."""
+    p_ev0, p_iv0_ev0, p_iv0_ev1 = dist.thresholds
+    if u_ev < p_ev0:
+        return 0, (0 if u_iv < p_iv0_ev0 else 1)
+    return 1, (0 if u_iv < p_iv0_ev1 else 1)
 
 
-def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv):
-    """Episode-start (EV action, IV action) and the episode's replay callback
-    `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (EV action, IV action)`, for
-    `dists` from policy_distributions.
+def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=None):
+    """Episode-start (EV action, IV action), and under decision replay the
+    episode's replay callback `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (EV
+    action, IV action)`, for `dists` from policy_distributions.
 
     The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
-    then draws its opponent gate from `rng`. Each callback call draws two
-    uniforms from `rng` for a game policy (keeping the gate) or one, the
-    IV's, for IDM/MOBIL. Only IDM/MOBIL read the state, so only their
-    callback builds VehicleStates from it.
+    then draws its opponent gate from `rng`. `uniforms` is the episode's
+    replay block: the 2*(horizon - 1) uniforms that follow the shared two in
+    the episode stream, drawn with one `random(k)` call. Without it (held
+    decisions) the callback is None and nothing more is drawn. Each callback
+    call reads the block's next two uniforms for a game policy, keeping the
+    gate, or the next one, the IV's, for IDM/MOBIL, which decide with their
+    rule's raw-float core (run_episode has checked the lanes). A uniform
+    QG_G4 draws its gate first, so it reads a block of its own, drawn from
+    `rng` after the gate.
     """
     if dists is None:
-        pick = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
-
-        def rule(ev, iv, u_iv):
-            return pick(scenario, ev, iv), (0 if u_iv < 0.5 else 1)
+        mobil = policy.name == "MOBIL"
+        pick = mobil_merge_decision if mobil else idm_entry_decision
+        start = pick(scenario, ev, iv), (0 if u_iv < 0.5 else 1)
+        if uniforms is None:
+            return start, None
+        core = mobil_merge_core if mobil else idm_entry_core
+        u_next = iter(uniforms).__next__
 
         def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
-            return rule(VehicleState(ev_lane, ev_s, ev_v), VehicleState(iv.lane, iv_s, iv_v),
-                        float(rng.random()))
+            return (core(scenario, ev_lane, ev_s, ev_v, iv_s, iv_v),
+                    0 if u_next() < 0.5 else 1)
 
-        return rule(ev, iv, u_iv), replay
-    dist = dists[int(rng.integers(len(dists)))] if isinstance(dists, tuple) else dists
+        return start, replay
+    dist = dists
+    if isinstance(dists, tuple):
+        dist = dists[int(rng.integers(len(dists)))]
+        if uniforms is not None:
+            uniforms = rng.random(len(uniforms)).tolist()
+    start = _sample_joint(dist, u_ev, u_iv)
+    if uniforms is None:
+        return start, None
+    u_next = iter(uniforms).__next__
 
     def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
-        return _sample_joint(dist, float(rng.random()), float(rng.random()))
+        return _sample_joint(dist, u_next(), u_next())
 
-    return _sample_joint(dist, u_ev, u_iv), replay
+    return start, replay
 
 
 def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
@@ -249,7 +272,10 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     run_episode call per (episode, policy), in that order, which returns
     the stored result, and tally it. Under decision replay each
     (episode, policy) pair runs run_episode's scalar loop with its own
-    replay callback.
+    replay callback, which reads the episode's block of replay uniforms and
+    decides at fixed thresholds (a game policy) or with its rule's raw-float
+    core (IDM/MOBIL); this scalar path stays until a batched replay kernel
+    can keep bench/selftest.py's call-count pins.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:
@@ -270,16 +296,19 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         headway_totals[j] += result.mean_headway
 
     if scenario.decision_replay:
-        streams = [np.random.default_rng(0) for _ in specs]
+        # every policy without a gate draw reads the episode's one replay
+        # block; a uniform QG_G4 replays from its own copy of the stream
+        k = 2 * (scenario.horizon - 1)
+        stream = np.random.default_rng(0)
         for i in range(n):
             rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
             state = rng.bit_generator.state
+            block = rng.random(k).tolist()
             for j, spec in enumerate(specs):
-                # each policy replays from its own copy of the episode stream
-                stream = streams[j]
-                stream.bit_generator.state = state
+                if isinstance(dists[j], tuple):  # its gate comes before its block
+                    stream.bit_generator.state = state
                 (a_ev, a_iv), decide = episode_decision(
-                    spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv)
+                    spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv, block)
                 tally(j, run_episode(scenario, ev0, iv0, a_ev, a_iv, decide=decide))
     else:
         for start in range(0, n, _CHUNK):
@@ -349,23 +378,30 @@ def _int_at_least(lo: int):
     return convert
 
 
+def _true_or_false(text: str) -> bool:
+    """read_key_values converter: 'true' or 'false'."""
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
 def load_experiment_config(path) -> tuple[PolicySpec, MonteCarloConfig]:
     """Key-value experiment file, parsed with read_key_values.
 
     Recognized keys: scenario.kind, episodes (positive), master_seed
-    (non-negative), policy.name, policy.assumed_gate (optional). '#' starts
-    a comment.
+    (non-negative), policy.name, and optionally policy.assumed_gate and
+    decision_replay (true or false, default false). '#' starts a comment.
     """
     values = read_key_values(
         path,
         {"scenario.kind": str, "episodes": _int_at_least(1), "master_seed": _int_at_least(0),
          "policy.name": str},
-        {"policy.assumed_gate": str},
+        {"policy.assumed_gate": str, "decision_replay": _true_or_false},
     )
     policy = PolicySpec(values["policy.name"], values.get("policy.assumed_gate", "Z"))
     kind = values["scenario.kind"]
     config = MonteCarloConfig(
-        scenario=builtin_scenario(kind),
+        scenario=builtin_scenario(kind, decision_replay=values.get("decision_replay", False)),
         game=builtin_game(kind),
         episodes=values["episodes"],
         master_seed=values["master_seed"],

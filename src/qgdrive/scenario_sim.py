@@ -318,27 +318,34 @@ def mobil_merge_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleSt
 
     Staying on the ramp means eventually braking for the section end;
     merging puts the EV ahead of or behind the IV on the main lane. Returns
-    action 0 (Merge) or 1 (NotMerge).
+    action 0 (Merge) or 1 (NotMerge). Checks the scenario and the lanes,
+    then decides with mobil_merge_core.
     """
     if config.kind != "merging":
         raise ValueError("MOBIL merge decision applies to the merging scenario only")
     check_lanes(config, ev, iv)
+    return mobil_merge_core(config, ev.lane, ev.s, ev.v, iv.s, iv.v)
+
+
+def mobil_merge_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: float,
+                     iv_s: float, iv_v: float) -> int:
+    """mobil_merge_decision on raw floats, for vehicles already on checked
+    lanes (the IV on its own lane, so its shared-path position is iv_s)."""
     idm = config.idm
     length = config.vehicle_length
-    ego_a_old = idm_accel(ev.v, config.section_end - ev.s - length, 0.0, idm)
+    ego_a_old = idm_accel(ev_v, config.section_end - ev_s - length, 0.0, idm)
 
-    ev_c = common_position(config, ev)
-    iv_c = common_position(config, iv)
-    if iv_c > ev_c:
+    ev_c = ev_s + config.lane_offset if ev_lane == EV_LANE_START[config.kind] else ev_s
+    if iv_s > ev_c:
         # IV would be the EV's leader after the change
-        gap = iv_c - ev_c - length
-        ego_a_new = idm_accel(ev.v, gap, iv.v, idm)
-        fol_old = fol_new = idm_accel(iv.v, None, 0.0, idm)
+        gap = iv_s - ev_c - length
+        ego_a_new = idm_accel(ev_v, gap, iv_v, idm)
+        fol_old = fol_new = idm_accel(iv_v, None, 0.0, idm)
     else:
-        ego_a_new = idm_accel(ev.v, None, 0.0, idm)
-        gap = ev_c - iv_c - length
-        fol_old = idm_accel(iv.v, None, 0.0, idm)
-        fol_new = idm_accel(iv.v, gap, ev.v, idm)
+        ego_a_new = idm_accel(ev_v, None, 0.0, idm)
+        gap = ev_c - iv_s - length
+        fol_old = idm_accel(iv_v, None, 0.0, idm)
+        fol_new = idm_accel(iv_v, gap, ev_v, idm)
     return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new, config.mobil) else 1
 
 
@@ -351,21 +358,29 @@ def idm_entry_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleStat
 
     Enter (action 0) when the circulating vehicle has already passed the
     conflict point, or arrives at constant speed at least T_ACCEPT seconds
-    after the EV would clear it when accelerating. Otherwise yield.
+    after the EV would clear it when accelerating. Otherwise yield. Checks
+    the scenario and the lanes, then decides with idm_entry_core.
     """
     if config.kind != "roundabout":
         raise ValueError("IDM entry decision applies to the roundabout scenario only")
     check_lanes(config, ev, iv)
+    return idm_entry_core(config, ev.lane, ev.s, ev.v, iv.s, iv.v)
+
+
+def idm_entry_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: float,
+                   iv_s: float, iv_v: float) -> int:
+    """idm_entry_decision on raw floats, for vehicles already on checked
+    lanes; ev_lane is not read (it keeps mobil_merge_core's signature)."""
     conflict = config.merge_point + config.lane_offset
-    iv_dist = conflict - iv.s
+    iv_dist = conflict - iv_s
     if iv_dist <= 0.0:
         return 0
-    tau_iv = iv_dist / max(iv.v, 0.1)
+    tau_iv = iv_dist / max(iv_v, 0.1)
     # time for the EV to pass the conflict point plus one vehicle length;
     # an EV already past the line commits (d = 0)
-    d = max(config.merge_point - ev.s + config.vehicle_length, 0.0)
+    d = max(config.merge_point - ev_s + config.vehicle_length, 0.0)
     a = config.a_nominal
-    tau_ev = (-ev.v + math.sqrt(ev.v * ev.v + 2.0 * a * d)) / a
+    tau_ev = (-ev_v + math.sqrt(ev_v * ev_v + 2.0 * a * d)) / a
     return 0 if tau_iv - tau_ev >= T_ACCEPT else 1
 
 
@@ -439,8 +454,13 @@ def run_episode(
     the loop and this parameter can go.
 
     This scalar loop stays for what the kernel does not do: decision
-    replay (one callback per step and lane) and traces. It is also the
-    reference run_episodes is tested against, field for field.
+    replay (one callback per step and lane) and traces. It is the explicit
+    scalar replay path, kept for bench/selftest.py's call-count pins until a
+    batched replay kernel replaces it; the lanes are checked here once, so
+    a callback decides on the raw floats it is given (the Monte Carlo loop's
+    callbacks read a per-episode block of uniforms and fixed thresholds, or
+    call idm_entry_core/mobil_merge_core). It is also the reference
+    run_episodes is tested against, field for field.
     """
     if shared is not None:
         if decide is not None or record_trace:

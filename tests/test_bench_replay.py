@@ -8,6 +8,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from qgdrive import cli
+
 
 def _load_replay():
     path = Path(__file__).resolve().parents[1] / "bench" / "replay.py"
@@ -23,3 +27,18 @@ def test_replay_driver_writes_one_row_per_policy(tmp_path):
     rows = json.loads(out.read_text())
     assert len(rows) == 6
     assert all(row["episodes"] == 3 for row in rows)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_cli_decision_replay_writes_the_drivers_report(tmp_path, seed, capsys):
+    # `qgdrive simulate --decision-replay` reaches the same comparison, so the
+    # driver can give way to it without moving a byte of the report
+    replay = _load_replay()
+    driver, simulate = tmp_path / "driver.json", tmp_path / "simulate.json"
+    assert replay.main(["--episodes", "60", "--seed", str(seed), "--out", str(driver)]) == 0
+    assert cli.main([
+        "simulate", "--scenario", "roundabout", "--policies", ",".join(replay.POLICIES),
+        "--decision-replay", "--assumed-gate", "uniform", "--episodes", "60",
+        "--seed", str(seed), "--format", "json", "--out", str(simulate),
+    ]) == 0
+    assert simulate.read_bytes() == driver.read_bytes()

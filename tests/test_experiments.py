@@ -1,10 +1,14 @@
 import math
+from collections import Counter
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from oracles import inverse_cdf_joint
 from qgdrive import experiments as ex
+from qgdrive import scenario_sim
 from qgdrive.classical_game import OutcomeDistribution, builtin_game
 from qgdrive.scenario_sim import VehicleState, builtin_scenario
 
@@ -131,6 +135,25 @@ class TestJointSampling:
         for (j, k), want in zip(((0, 0), (0, 1), (1, 0), (1, 1)), d.as_tuple()):
             assert counts.get((j, k), 0) / n == pytest.approx(want, abs=0.01)
 
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4)
+           .filter(lambda w: sum(w) > 0.0), st.data())
+    @example([0.0, 1.0, 0.0, 0.0], None)   # QG_G4[Z]: P(EV=1) = 0
+    @example([0.0, 0.0, 0.3, 0.7], None)   # P(EV=0) = 0
+    def test_thresholds_invert_like_the_loop_oracle(self, weights, data):
+        p = [w / sum(weights) for w in weights]
+        dist = OutcomeDistribution(*p)
+        # a uniform on a threshold must land on the oracle's side of it
+        m0, m1 = p[0] + p[1], p[2] + p[3]
+        edges = [m0, p[0] / m0 if m0 else 0.5, p[2] / m1 if m1 else 0.5, 0.0]
+        uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
+        u_ev, u_iv = (0.5, 0.5) if data is None else (data.draw(uniform), data.draw(uniform))
+        want = inverse_cdf_joint(p, u_ev, u_iv)
+        assert ex._sample_joint(dist, u_ev, u_iv) == want
+        # the start decision and a replayed one read the same thresholds
+        start, replay = ex.episode_decision(ex.PolicySpec("cg-ms"), builtin_scenario("merging"),
+                                            dist, None, None, None, u_ev, u_iv, [u_ev, u_iv])
+        assert start == replay("ramp", 110.0, 20.0, 105.0, 20.0) == want
+
     def test_uniform_gate_drawn_after_decision_uniforms(self):
         # the gate index must come from the third draw so the first two
         # stay aligned with every other policy
@@ -245,6 +268,33 @@ class TestRuns:
                 joints = {joint for joint, _ in calls}
                 assert len(objects) == len(joints) <= 4
 
+    @pytest.mark.parametrize("kind", ["roundabout", "merging"])
+    def test_replay_checks_lanes_once_per_episode_and_start(self, kind, monkeypatch):
+        # run_episode checks each (episode, policy) once and the IDM/MOBIL
+        # start decision once per episode; a replayed decision checks nothing
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scenario_sim, "check_lanes",
+                            counting("check_lanes", scenario_sim.check_lanes))
+        monkeypatch.setattr(ex, "run_episode", counting("run_episode", ex.run_episode))
+        controller = "mobil" if kind == "merging" else "idm"
+        start = ex.mobil_merge_decision if kind == "merging" else ex.idm_entry_decision
+        monkeypatch.setattr(ex, start.__name__, counting("start", start))
+        policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", controller]
+        cfg = ex.MonteCarloConfig(
+            builtin_scenario(kind, decision_replay=True), builtin_game(kind), 40, 7
+        )
+        ex.run_comparison([ex.PolicySpec(p, "uniform") for p in policies], cfg)
+        assert counts["run_episode"] == 40 * len(policies)
+        assert counts["start"] == 40
+        assert counts["check_lanes"] == counts["run_episode"] + counts["start"]
+
     @pytest.mark.parametrize("chunk", [1, 7, 50])
     def test_chunk_size_does_not_move_the_summaries(self, chunk, monkeypatch):
         # 23 episodes fill no chunk size evenly; 50 holds them all at once
@@ -334,7 +384,15 @@ class TestRuns:
             ("QG_G4[uniform]", 0.18, 0.73, 37.45840094237928),
             ("IDM", 0.35, 0.65, 40.071021451113204),
         ]),
-    ], ids=["merging", "roundabout-replay"])
+        ("merging", True, 100, ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "mobil"], [
+            ("CG_EPD", 0.43, 0.57, 65.07740859936551),
+            ("CG_MS", 0.64, 0.36, 47.28916806731319),
+            ("QG_U1_1", 0.45, 0.55, 66.3947876232998),
+            ("QG_U1_2", 0.43, 0.57, 65.07740859936551),
+            ("QG_G4[uniform]", 0.16, 0.6, 70.20467183547966),
+            ("MOBIL", 0.28, 0.72, 55.17737039698278),
+        ]),
+    ], ids=["merging", "roundabout-replay", "merging-replay"])
     def test_seeded_stream_is_frozen(self, kind, replay, episodes, policies, want):
         # golden numbers at seed 7: any change to the draw order, the
         # decision rule or the replay loop moves at least one of them
@@ -422,6 +480,15 @@ class TestConfigFile:
         assert cfg.episodes == 250
         assert cfg.master_seed == 99
 
+    @pytest.mark.parametrize("line,replay", [
+        ("", False), ("decision_replay = true\n", True), ("decision_replay = false\n", False),
+    ], ids=["absent", "true", "false"])
+    def test_decision_replay_key(self, tmp_path, line, replay):
+        path = tmp_path / "exp.conf"
+        path.write_text("scenario.kind = merging\nepisodes = 40\nmaster_seed = 1\n"
+                        "policy.name = cg-epd\n" + line)
+        assert ex.load_experiment_config(path)[1].scenario.decision_replay is replay
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "exp.conf"
         path.write_text("scenario.kind = merging\n")
@@ -432,6 +499,7 @@ class TestConfigFile:
         ("episodes = 100", "exp.conf:5: duplicate key 'episodes'"),
         ("policy.assumed_gat = X", "exp.conf:5: unknown key 'policy.assumed_gat'"),
         ("# typo below\nmaster_sed = 3", "exp.conf:6: unknown key 'master_sed'"),
+        ("decision_replay = yes", "exp.conf:5: decision_replay: must be true or false"),
     ])
     def test_strict_keys(self, tmp_path, bad_line, match):
         path = tmp_path / "exp.conf"
