@@ -15,8 +15,9 @@ state machine:
               Decelerate  brake before the yield line until the IV has
                           passed, then resume under IDM and enter.
 
-Own-path coordinates differ per lane; `common_position` projects both
-vehicles onto the shared exit path (the entry lane carries a fixed offset).
+Own-path coordinates differ per lane; the shared exit path is the target
+lane's own path, and an entry-lane position projects onto it by adding
+`lane_offset`.
 run_episode integrates one episode, optionally replaying the decision or
 recording a trace; run_episodes integrates many held-decision episodes at
 once as numpy arrays, with results equal to run_episode's bit for bit.
@@ -236,13 +237,6 @@ def check_lanes(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> b
     if iv.lane != IV_LANE[kind]:
         raise ValueError(f"IV lane {iv.lane!r} is not the {kind} IV lane {IV_LANE[kind]!r}")
     return ev.lane == EV_LANE_START[kind]
-
-
-def common_position(config: ScenarioConfig, state: VehicleState) -> float:
-    """Project an own-path position onto the shared exit path."""
-    if state.lane == EV_LANE_START[config.kind]:
-        return state.s + config.lane_offset
-    return state.s
 
 
 def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:

@@ -155,14 +155,6 @@ class TestKinematics:
 
 
 class TestGeometry:
-    def test_entry_lane_offset(self):
-        m = sim.builtin_scenario("merging")
-        assert sim.common_position(m, sim.VehicleState("ramp", 100.0, 0.0)) == 120.0
-        assert sim.common_position(m, sim.VehicleState("main", 100.0, 0.0)) == 100.0
-        r = sim.builtin_scenario("roundabout")
-        assert sim.common_position(r, sim.VehicleState("approach", 140.0, 0.0)) == 50.0
-        assert sim.common_position(r, sim.VehicleState("inside", 50.0, 0.0)) == 50.0
-
     def test_collision_same_lane_only(self):
         # stationary vehicles: a collision is a center distance below the
         # 5 m half-sum of lengths, on the same lane
