@@ -30,7 +30,7 @@ def test_replay_driver_writes_one_row_per_policy(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [7, 11])
-def test_cli_decision_replay_writes_the_drivers_report(tmp_path, seed, capsys):
+def test_cli_decision_replay_writes_the_drivers_report(tmp_path, seed):
     # `qgdrive simulate --decision-replay` reaches the same comparison, so the
     # driver can give way to it without moving a byte of the report
     replay = _load_replay()
