@@ -28,8 +28,8 @@ without a gate draw reads the episode's one replay block, and a uniform
 QG_G4 draws its gate and then a block of its own from a copy of the stream.
 Each (episode, policy) runs run_episode's scalar loop with a replay
 callback: a replayed path depends on its own decisions, so nothing is
-shared or batched. This is the explicit scalar path, kept until a batched
-replay kernel can also keep bench/selftest.py's call-count pins.
+shared or batched. This is the explicit scalar path; run_episode's
+docstring (its `shared` paragraph) says why it stays.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -71,6 +71,7 @@ from .quantum_game import (
 )
 from .scenario_sim import (
     ScenarioConfig,
+    _require_int,
     builtin_scenario,
     idm_entry_core,
     idm_entry_decision,
@@ -119,10 +120,8 @@ class MonteCarloConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.episodes <= 0:
-            raise ValueError(f"episodes must be positive, got {self.episodes}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        _require_int("episodes", self.episodes, 1)
+        _require_int("master_seed", self.master_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,8 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     (episode, policy) pair runs run_episode's scalar loop with its own
     replay callback, which reads the episode's block of replay uniforms and
     decides at fixed thresholds (a game policy) or with its rule's raw-float
-    core (IDM/MOBIL); this scalar path stays until a batched replay kernel
-    can keep bench/selftest.py's call-count pins.
+    core (IDM/MOBIL). Why pass 3 and the replay path go through run_episode
+    is stated once, in run_episode's `shared` paragraph.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:

@@ -58,6 +58,12 @@ def _non_negative(value) -> bool:
     return math.isfinite(value) and value >= 0
 
 
+def _require_int(name: str, value, lo: int) -> None:
+    """Raise ValueError unless value is an int (a bool is not) of at least lo."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= lo):
+        raise ValueError(f"{name} must be an integer of at least {lo}, got {value!r}")
+
+
 def _require(obj, names, ok, what: str) -> None:
     """Raise ValueError naming the first of obj's fields `names` that fails ok."""
     for name in names:
@@ -129,9 +135,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in EV_LANE_START:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        horizon = self.horizon
-        if not (isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 1):
-            raise ValueError(f"horizon must be an integer of at least 1, got {horizon!r}")
+        _require_int("horizon", self.horizon, 1)
+        if not isinstance(self.decision_replay, bool):
+            raise ValueError(f"decision_replay must be True or False, got {self.decision_replay!r}")
         _require(self, ("dt", "a_nominal", "vehicle_length"), _positive, "finite and positive")
         _require(self, ("merge_point", "section_end", "lane_offset", "pass_clearance"),
                  math.isfinite, "finite")
@@ -443,18 +449,20 @@ def run_episode(
     callback's own draws) or with `record_trace` (a stored result carries no
     trace). The Monte Carlo loop fills it from
     run_episodes, the batched kernel, and then calls run_episode once per
-    (policy, episode) to read it back, because bench/selftest.py pins that
-    call count; once that pin counts outcomes instead, the lookup belongs in
-    the loop and this parameter can go.
+    (policy, episode) to read it back. The reason is bench/selftest.py's
+    call-count pin, stated here once for the whole package: it asserts one
+    run_episode call per (policy, episode) on both Monte Carlo workloads, so
+    the held path keeps this lookup and decision replay keeps this scalar
+    loop. Once that pin counts outcomes instead, the lookup belongs in the
+    loop, this parameter can go, and replay can move to a batched kernel.
 
     This scalar loop stays for what the kernel does not do: decision
     replay (one callback per step and lane) and traces. It is the explicit
-    scalar replay path, kept for bench/selftest.py's call-count pins until a
-    batched replay kernel replaces it; the lanes are checked here once, so
-    a callback decides on the raw floats it is given (the Monte Carlo loop's
-    callbacks read a per-episode block of uniforms and fixed thresholds, or
-    call idm_entry_core/mobil_merge_core). It is also the reference
-    run_episodes is tested against, field for field.
+    scalar replay path (see `shared` above for why); the lanes are checked
+    here once, so a callback decides on the raw floats it is given (the
+    Monte Carlo loop's callbacks read a per-episode block of uniforms and
+    fixed thresholds, or call idm_entry_core/mobil_merge_core). It is also
+    the reference run_episodes is tested against, field for field.
     """
     if shared is not None:
         if decide is not None or record_trace:
@@ -583,34 +591,42 @@ def run_episode(
     return result
 
 
+def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray, dt: float):
+    """run_episode's integration step on arrays: position and speed after dt
+    under acceleration a, where a vehicle that would cross v=0 inside the
+    step brakes to rest exactly."""
+    v_next = v + a * dt
+    stop = v_next < 0.0
+    if stop.any():
+        a = np.where(stop, -v / dt, a)
+        v_next[stop] = 0.0
+    return s + (v * dt + 0.5 * a * dt * dt), v_next
+
+
 def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     """Integrate many held-decision episodes at once: one lane per
     (ev0, iv0, ev_action, iv_action) in `lanes`, one EpisodeResult per lane,
     in order. Each result equals run_episode's on the same arguments in
     every field; the trace is always empty.
 
-    The lanes step together through run_episode's GO/YIELD/FOLLOW phase
-    machine as numpy arrays, with idm_accel_lanes for FOLLOW. The results
-    are bit-identical to run_episode's because the arrays see the same IEEE
-    operations in the same order: `s + (v*dt + 0.5*a*dt*dt)`, one headway
-    sum per lane in step order, and the time as repeated `t += dt`. A lane
-    that collides is masked, not removed: its counts and flags stop there,
-    and the loop ends once every lane has collided.
+    The body is run_episode's step loop with every per-episode scalar turned
+    into an array over the lanes: one `phase` array of _GO/_YIELD/_FOLLOW,
+    each `if` a mask, idm_accel_lanes for FOLLOW and _advance for both
+    vehicles. The results are bit-identical to run_episode's because the
+    arrays see the same IEEE operations in the same order:
+    `s + (v*dt + 0.5*a*dt*dt)`, one headway sum per lane in step order, and
+    the time as repeated `t += dt`. Where run_episode stops at a collision, a
+    lane is masked, not removed: its counts and flags stop there, and the
+    loop ends once every lane has collided.
     """
     lanes = list(lanes)
     if not lanes:
         return []
-    for _, _, ev_action, iv_action in lanes:
-        if ev_action not in (0, 1) or iv_action not in (0, 1):
-            raise ValueError("actions must be 0 or 1")
-    n = len(lanes)
-    on_entry = np.array([check_lanes(config, ev0, iv0) for ev0, iv0, _, _ in lanes], bool)
-    # both vehicles integrate as one array: EVs in [:n], IVs in [n:]
-    pos = np.array([lane[0].s for lane in lanes] + [lane[1].s for lane in lanes], float)
-    vel = np.array([lane[0].v for lane in lanes] + [lane[1].v for lane in lanes], float)
-    ev_actions = [lane[2] for lane in lanes]
-    iv_actions = [lane[3] for lane in lanes]
-
+    ev0s, iv0s, ev_actions, iv_actions = zip(*lanes)
+    if not {*ev_actions, *iv_actions} <= {0, 1}:
+        raise ValueError("actions must be 0 or 1")
+    on_entry = np.array([check_lanes(config, ev0, iv0) for ev0, iv0 in zip(ev0s, iv0s)])
+    # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
     dt = config.dt
     a_nom = config.a_nominal
@@ -620,17 +636,16 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     section_end = config.section_end
     clearance = config.pass_clearance
     length = config.vehicle_length
-    go_a = 0.0 if merging else a_nom
-    iv_a = np.where(np.array(iv_actions) == 0, a_nom, -a_nom if merging else 0.0)
+    go_a = 0.0 if merging else a_nom    # EV acceleration while going
+    iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
 
-    yielding = np.array(ev_actions) == 1
-    going = on_entry & ~yielding        # GO on the entry lane: may change lane
-    follow = np.zeros(n, bool)
-    alive = np.ones(n, bool)
-    # own-path to shared-path shift: lane_offset on the entry lane, else 0.0
-    # (s + 0.0 loses only the sign of a zero, which no comparison, difference
-    # or abs below can see)
-    shift = np.where(on_entry, offset, 0.0)
+    ev_s, ev_v = np.array([(ev0.s, ev0.v) for ev0 in ev0s]).T
+    iv_s, iv_v = np.array([(iv0.s, iv0.v) for iv0 in iv0s]).T
+
+    n = len(lanes)
+    iv_a = np.where(np.array(iv_actions) == 0, a_nom, iv_a1)
+    phase = np.where(np.array(ev_actions) == 0, _GO, _YIELD)
+    alive = np.ones(n, bool)        # not collided: run_episode's loop still runs
     violation = np.zeros(n, bool)
     completed = np.zeros(n, bool)
     completed_at = np.zeros(n)
@@ -638,68 +653,50 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     headway_sum = np.zeros(n)
     final_sum = np.zeros(n)         # headway sums of collided lanes
     t = 0.0
-    any_yielding, any_going = bool(yielding.any()), bool(going.any())
-    # the sets below change only on a release, a lane change or a collision,
-    # so they are rebuilt only then
-    regroup = True
-    ev_common = pos[:n] + shift
+    on_target = ~on_entry
+    # ev_common is ev_s + offset on the entry lane, else ev_s; ev_s + 0.0
+    # differs from ev_s only in the sign of a zero, which no comparison,
+    # difference or abs below can see
+    shift = np.where(on_entry, offset, 0.0)
+    ev_common = ev_s + shift
+    phase_accel = np.array([go_a, -a_nom, 0.0])  # by phase; _FOLLOW's IDM is set per step
 
     for step in range(1, config.horizon + 1):
-        ev_s, iv_s = pos[:n], pos[n:]
-
         # phase transitions on the current state
-        if any_yielding:
-            if not merging:
-                violation |= yielding & alive & (ev_s >= merge_point)
-            released = yielding & (iv_s >= ev_common + clearance)
-            if released.any():
-                follow |= released
-                yielding &= ~released
-                going |= released & on_entry
-                any_yielding, any_going = bool(yielding.any()), bool(going.any())
-                regroup = True
-        if any_going:
-            change = going & (ev_s >= merge_point)
-            if merging:
-                change &= ev_s <= section_end
-            if change.any():
-                ev_s[change] += offset
-                shift[change] = 0.0
-                ev_common = ev_s + shift
-                on_entry &= ~change
-                going &= ~change
-                any_going = bool(going.any())
-                follow |= change
-                change &= alive
-                completed |= change
-                completed_at[change] = t
-                regroup = True
-        if regroup:
-            regroup = False
-            f = (follow & alive).nonzero()[0]
-            on_target_alive = alive & ~on_entry
-            # EV acceleration outside FOLLOW, then the IVs' held ones
-            held_accel = np.concatenate((np.where(yielding, -a_nom, go_a), iv_a))
+        yielding = phase == _YIELD
+        if not merging:
+            violation |= yielding & alive & (ev_s >= merge_point)
+        phase[yielding & (iv_s >= ev_common + clearance)] = _FOLLOW
+        # a collided lane is on the target lane, so it never changes lane
+        change = on_entry & (phase != _YIELD) & (ev_s >= merge_point)
+        if merging:
+            change &= ev_s <= section_end
+        if change.any():
+            on_entry &= ~change
+            on_target |= change
+            ev_s = np.where(change, ev_s + offset, ev_s)
+            shift[change] = 0.0
+            ev_common = ev_s + shift
+            completed |= change
+            completed_at[change] = t
+            phase[change] = _FOLLOW
 
-        accel = held_accel.copy()
-        if f.size:
+        # EV acceleration for this step
+        ev_a = phase_accel[phase]
+        f = ((phase == _FOLLOW) & alive).nonzero()[0]
+        if f.size:  # IDM, IV as leader where it is ahead on the shared path
             lead_s, common = iv_s[f], ev_common[f]
-            accel[f] = idm_accel_lanes(vel[f], lead_s - common - length, vel[n + f],
-                                       lead_s > common, idm)
+            ev_a[f] = idm_accel_lanes(ev_v[f], lead_s - common - length, iv_v[f],
+                                      lead_s > common, idm)
 
-        # integrate, with run_episode's brake-to-rest clamp
-        vel_next = vel + accel * dt
-        stop = vel_next < 0.0
-        if stop.any():
-            accel = np.where(stop, -vel / dt, accel)
-            vel_next[stop] = 0.0
-        pos = pos + (vel * dt + 0.5 * accel * dt * dt)
-        vel = vel_next
+        ev_s, ev_v = _advance(ev_s, ev_v, ev_a, dt)
+        iv_s, iv_v = _advance(iv_s, iv_v, iv_a, dt)
 
         t += dt
-        ev_common = pos[:n] + shift
-        headway = np.abs(pos[n:] - ev_common)
-        hit = on_target_alive & (headway < length)
+        ev_common = ev_s + shift
+        headway = np.abs(iv_s - ev_common)
+
+        hit = alive & on_target & (headway < length)
         if hit.any():
             # the colliding step is excluded from the headway average
             steps_run[hit] = step
@@ -707,7 +704,6 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
             alive &= ~hit
             if not alive.any():
                 break
-            regroup = True
         headway_sum += headway
     headway_sum = np.where(alive, headway_sum, final_sum)
 

@@ -42,14 +42,18 @@ class TestPolicySpec:
         assert ex.PolicySpec("QG_G4", "uniform").label() == "QG_G4[uniform]"
         assert ex.PolicySpec("CG_MS").label() == "CG_MS"
 
+    # episodes=True used to run one episode and report "episodes": true;
+    # 2.5 and a seed of 1.5 raised TypeError in the middle of the run
     def test_episodes_must_be_positive(self):
-        with pytest.raises(ValueError):
-            merging_config(episodes=0)
+        for episodes in (0, True, 2.5, "10"):
+            with pytest.raises(ValueError, match="^episodes must"):
+                merging_config(episodes=episodes)
 
     def test_master_seed_must_be_non_negative(self):
         assert merging_config(seed=0).master_seed == 0
-        with pytest.raises(ValueError, match="master_seed"):
-            merging_config(seed=-1)
+        for seed in (-1, True, False, 1.5):
+            with pytest.raises(ValueError, match="^master_seed must"):
+                merging_config(seed=seed)
 
 
 class TestSeeding:

@@ -57,12 +57,15 @@ class TestConfig:
             sim.merging_scenario(**{field: value})
 
     # horizon=10.5 used to fail inside range() mid-run; a NaN or negative
-    # vehicle length read cr = 0, a NaN lane offset a NaN mean headway
+    # vehicle length read cr = 0, a NaN lane offset a NaN mean headway; the
+    # truthy decision_replay="false" turned replay on (CG_EPD's roundabout
+    # cr read 0.725 instead of 0.245 at 200 episodes, seed 7)
     @pytest.mark.parametrize("field,bad", [
         ("horizon", 10.5), ("horizon", True), ("horizon", -3),
         ("vehicle_length", math.nan), ("vehicle_length", -5.0), ("vehicle_length", 0.0),
         ("merge_point", math.nan), ("section_end", math.inf),
         ("lane_offset", math.nan), ("pass_clearance", -math.inf),
+        ("decision_replay", "false"), ("decision_replay", 0), ("decision_replay", None),
     ])
     def test_horizon_and_geometry_validated(self, field, bad):
         with pytest.raises(ValueError, match=rf"^{field} must"):
@@ -595,6 +598,20 @@ class TestBatchedKernel:
         ]
         assert_kernel_matches_run_episode(cfg, states)
         assert_kernel_matches_run_episode(dataclasses.replace(cfg, horizon=1), states)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["merging", "roundabout"]),
+           dt=st.floats(0.01, 0.5),
+           a_nominal=st.floats(0.1, 6.0),
+           horizon=st.integers(1, 200),
+           pass_clearance=st.floats(-10.0, 40.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_run_episode_on_drawn_configs(self, kind, dt, a_nominal, horizon,
+                                                  pass_clearance, seed):
+        cfg = sim.builtin_scenario(kind, dt=dt, a_nominal=a_nominal, horizon=horizon,
+                                   pass_clearance=pass_clearance)
+        rng = np.random.default_rng(seed)
+        assert_kernel_matches_run_episode(cfg, [sim.sample_initial(cfg, rng) for _ in range(8)])
 
     def test_edge_states_reach_the_branches_they_name(self):
         cfg = sim.builtin_scenario("merging")
