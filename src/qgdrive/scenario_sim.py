@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -74,18 +73,18 @@ def _require(obj, names, ok, what: str) -> None:
 
 @dataclass(frozen=True)
 class IdmParams:
-    """Intelligent Driver Model constants (standard highway values)."""
+    """Intelligent Driver Model constants (standard highway values); the
+    speed exponent is fixed at 4 (see idm_accel)."""
 
     v0: float = 25.0        # desired speed, m/s
     T: float = 1.5          # desired time headway, s
     s0: float = 2.0         # standstill jam distance, m
     a: float = 1.5          # maximum comfortable acceleration, m/s^2
     b: float = 2.0          # comfortable deceleration, m/s^2
-    delta: float = 4.0      # speed exponent
 
     def __post_init__(self):
         # v0 and b divide, sqrt(a*b) needs a*b > 0
-        _require(self, ("v0", "a", "b", "delta"), _positive, "finite and positive")
+        _require(self, ("v0", "a", "b"), _positive, "finite and positive")
         _require(self, ("s0", "T"), _non_negative, "finite and non-negative")
 
     @cached_property
@@ -143,7 +142,8 @@ class ScenarioConfig:
                  math.isfinite, "finite")
         for name in ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            # a finite width implies finite ends; sample_initial scales by it
+            if not (lo <= hi and math.isfinite(hi - lo)):
                 raise ValueError(f"{name} must be finite with lo <= hi, got {(lo, hi)!r}")
 
 
@@ -201,33 +201,18 @@ def builtin_scenario(kind: str, **overrides) -> ScenarioConfig:
     raise ValueError(f"unknown scenario {kind!r}; expected 'merging' or 'roundabout'")
 
 
-def action_semantics(config: ScenarioConfig) -> dict:
-    """Human-readable meaning of each action index per agent."""
-    if config.kind == "merging":
-        return {
-            "ev": {0: "Merge: hold speed, change to the main lane at the merge section",
-                   1: "NotMerge: brake on the ramp, merge after the IV has passed"},
-            "iv": {0: "Accelerate: +a_nominal on the main lane",
-                   1: "Decelerate: -a_nominal on the main lane"},
-        }
-    return {
-        "ev": {0: "Accelerate: +a_nominal through the entry line into the ring",
-               1: "Decelerate: brake before the yield line, enter after the IV has passed"},
-        "iv": {0: "Accelerate: +a_nominal around the ring",
-               1: "Idle: hold speed around the ring"},
-    }
-
-
 def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> tuple[VehicleState, VehicleState]:
     """Draw (EV, IV) uniformly from the configured ranges.
 
     Draw order is fixed (ev_s, ev_v, iv_s, iv_v) so seeded runs are stable.
-    Zero-width ranges produce the endpoint deterministically.
+    The four uniforms come as one block and are scaled as lo + (hi - lo) * u,
+    numpy's own uniform formula, so each value equals an
+    rng.uniform(lo, hi) call on the same stream, bit for bit. Zero-width
+    ranges produce the endpoint deterministically.
     """
-    ev_s = float(rng.uniform(*config.ev_s_range))
-    ev_v = float(rng.uniform(*config.ev_v_range))
-    iv_s = float(rng.uniform(*config.iv_s_range))
-    iv_v = float(rng.uniform(*config.iv_v_range))
+    ranges = (config.ev_s_range, config.ev_v_range, config.iv_s_range, config.iv_v_range)
+    ev_s, ev_v, iv_s, iv_v = [lo + (hi - lo) * u
+                              for (lo, hi), u in zip(ranges, rng.random(4).tolist())]
     return (VehicleState(EV_LANE_START[config.kind], ev_s, ev_v),
             VehicleState(IV_LANE[config.kind], iv_s, iv_v))
 
@@ -257,45 +242,50 @@ def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
 # ---------------------------------------------------------------------------
 # Driver models (baseline plumbing)
 
+def _idm_free(v, v0):
+    """IDM's free-road term 1 - (v/v0)^4 as ((v/v0)^2)^2, for a float or an
+    array alike."""
+    r = v / v0
+    r = r * r
+    return 1.0 - r * r
+
+
 def idm_accel(v: float, gap: "float | None", v_lead: float, p: IdmParams) -> float:
-    """IDM acceleration. gap is the net (bumper) distance to the leader;
-    None means free road. A gap of 0.1 m or less, overlap included, is an
-    emergency: brake at 4b."""
-    free = 1.0 - (v / p.v0) ** p.delta
+    """IDM acceleration with the standard speed exponent 4 (Treiber, Hennecke
+    & Helbing 2000). gap is the net (bumper) distance to the leader; None
+    means free road. A gap of 0.1 m or less, overlap included, is an
+    emergency: brake at 4b.
+
+    Both powers are IEEE multiplications (_idm_free, and q * q for
+    (s*/gap)^2), never the C library's pow, so the result is the same bits
+    on every IEEE 754 platform; idm_accel_lanes runs the same operations.
+    """
+    free = _idm_free(v, p.v0)
     if gap is None:
         return p.a * free
     if gap <= 0.1:
         return -p.b * 4.0
     s_star = p.s0 + max(0.0, v * p.T + v * (v - v_lead) / p.two_sqrt_ab)
-    return p.a * (free - (s_star / gap) ** 2)
-
-
-def _pow_lanes(x: np.ndarray, exponent: float) -> np.ndarray:
-    """x ** exponent per element with Python's float pow (the C library's
-    pow), as idm_accel computes it. np.power is not used: its float64 loop
-    is chosen by the CPU at run time and differs from pow in the last bit
-    for a few percent of inputs, so reports would move between machines."""
-    return np.fromiter(map(pow, x.tolist(), repeat(exponent)), float, x.size)
+    q = s_star / gap
+    return p.a * (free - q * q)
 
 
 def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
                     lead: np.ndarray, p: IdmParams) -> np.ndarray:
     """idm_accel on arrays, bit for bit: lanes where `lead` is False are on
-    free road (their gap and v_lead are not read). Only IEEE-exact array
-    operations are used, in idm_accel's order, and both powers go through
-    _pow_lanes."""
-    free = 1.0 - _pow_lanes(v / p.v0, p.delta)
-    accel = p.a * free
-    near = lead & (gap <= 0.1)
-    inter = (lead & ~near).nonzero()[0]
-    if inter.size:
-        vi = v[inter]
-        dynamic = vi * p.T + vi * (vi - v_lead[inter]) / p.two_sqrt_ab
-        # max(0.0, x) keeps 0.0 unless x > 0.0
-        s_star = p.s0 + np.where(dynamic > 0.0, dynamic, 0.0)
-        accel[inter] = p.a * (free[inter] - _pow_lanes(s_star / gap[inter], 2))
-    accel[near] = -p.b * 4.0
-    return accel
+    free road, the others follow a leader at `gap` driving at `v_lead`.
+    Every lane is evaluated in idm_accel's operations and order, and each
+    lane's branch is picked with np.where; the division by the gap of an
+    emergency or free-road lane, whose result is never read, may overflow
+    or divide by zero silently."""
+    free = _idm_free(v, p.v0)
+    dynamic = v * p.T + v * (v - v_lead) / p.two_sqrt_ab
+    # max(0.0, x) keeps 0.0 unless x > 0.0
+    s_star = p.s0 + np.where(dynamic > 0.0, dynamic, 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = s_star / gap
+        follow = p.a * (free - q * q)
+    return np.where(lead, np.where(gap <= 0.1, -p.b * 4.0, follow), p.a * free)
 
 
 def mobil_decide(
@@ -597,7 +587,7 @@ def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray, dt: float):
     step brakes to rest exactly."""
     v_next = v + a * dt
     stop = v_next < 0.0
-    if stop.any():
+    if np.count_nonzero(stop):
         a = np.where(stop, -v / dt, a)
         v_next[stop] = 0.0
     return s + (v * dt + 0.5 * a * dt * dt), v_next
@@ -611,13 +601,15 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
 
     The body is run_episode's step loop with every per-episode scalar turned
     into an array over the lanes: one `phase` array of _GO/_YIELD/_FOLLOW,
-    each `if` a mask, idm_accel_lanes for FOLLOW and _advance for both
-    vehicles. The results are bit-identical to run_episode's because the
-    arrays see the same IEEE operations in the same order:
+    each `if` a mask, idm_accel_lanes on every lane (np.where keeps it for
+    the _FOLLOW lanes) and _advance for both vehicles. The results are
+    bit-identical to run_episode's because the arrays see the same IEEE
+    operations in the same order: IDM's multiplications,
     `s + (v*dt + 0.5*a*dt*dt)`, one headway sum per lane in step order, and
     the time as repeated `t += dt`. Where run_episode stops at a collision, a
-    lane is masked, not removed: its counts and flags stop there, and the
-    loop ends once every lane has collided.
+    lane is masked, not removed: its counts and flags stop there (its
+    vehicles move on unread), and the loop ends once every lane has
+    collided.
     """
     lanes = list(lanes)
     if not lanes:
@@ -671,7 +663,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         change = on_entry & (phase != _YIELD) & (ev_s >= merge_point)
         if merging:
             change &= ev_s <= section_end
-        if change.any():
+        if np.count_nonzero(change):
             on_entry &= ~change
             on_target |= change
             ev_s = np.where(change, ev_s + offset, ev_s)
@@ -682,12 +674,11 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
             phase[change] = _FOLLOW
 
         # EV acceleration for this step
-        ev_a = phase_accel[phase]
-        f = ((phase == _FOLLOW) & alive).nonzero()[0]
-        if f.size:  # IDM, IV as leader where it is ahead on the shared path
-            lead_s, common = iv_s[f], ev_common[f]
-            ev_a[f] = idm_accel_lanes(ev_v[f], lead_s - common - length, iv_v[f],
-                                      lead_s > common, idm)
+        # _FOLLOW: IDM, IV as leader where it is ahead on the shared path
+        ev_a = np.where(phase == _FOLLOW,
+                        idm_accel_lanes(ev_v, iv_s - ev_common - length, iv_v,
+                                        iv_s > ev_common, idm),
+                        phase_accel[phase])
 
         ev_s, ev_v = _advance(ev_s, ev_v, ev_a, dt)
         iv_s, iv_v = _advance(iv_s, iv_v, iv_a, dt)
@@ -697,12 +688,12 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         headway = np.abs(iv_s - ev_common)
 
         hit = alive & on_target & (headway < length)
-        if hit.any():
+        if np.count_nonzero(hit):
             # the colliding step is excluded from the headway average
             steps_run[hit] = step
             final_sum[hit] = headway_sum[hit]
             alive &= ~hit
-            if not alive.any():
+            if not np.count_nonzero(alive):
                 break
         headway_sum += headway
     headway_sum = np.where(alive, headway_sum, final_sum)

@@ -1,4 +1,6 @@
-"""Numpy oracles shared by the test modules, independent of qgdrive."""
+"""Oracles shared by the test modules, independent of qgdrive."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,3 +29,33 @@ def inverse_cdf_joint(p, u_ev: float, u_iv: float) -> tuple[int, int]:
     j = _first_above(marginal, u_ev)
     conditional = [p[2 * j + k] / marginal[j] if marginal[j] > 0.0 else 0.5 for k in (0, 1)]
     return j, _first_above(conditional, u_iv)
+
+
+def _rounded(op, x, y) -> float:
+    """x op y computed exactly over the rationals, then rounded once to the
+    nearest float (ties to even): an IEEE 754 operation on float operands."""
+    return float(op(Fraction(x), Fraction(y)))
+
+
+def idm_accel_exact(v: float, gap, v_lead: float, p) -> float:
+    """IDM acceleration with exponent 4 as a chain of correctly rounded
+    operations, one rounding per documented step, without libm or numpy:
+    r = v/v0, r = r*r, free = 1 - r*r; free road gives a*free; a gap of
+    0.1 m or less gives -b*4; otherwise s* = s0 + max(0, v*T + (v*(v -
+    v_lead))/two_sqrt_ab), q = s*/gap and a*(free - q*q). p supplies v0, T,
+    s0, a, b and two_sqrt_ab, the per-parameter-set 2*sqrt(a*b) (sqrt is
+    correctly rounded under IEEE 754 too)."""
+    add, sub = Fraction.__add__, Fraction.__sub__
+    mul, div = Fraction.__mul__, Fraction.__truediv__
+    r = _rounded(div, v, p.v0)
+    r = _rounded(mul, r, r)
+    free = _rounded(sub, 1.0, _rounded(mul, r, r))
+    if gap is None:
+        return _rounded(mul, p.a, free)
+    if gap <= 0.1:
+        return _rounded(mul, -p.b, 4.0)
+    closing = _rounded(div, _rounded(mul, v, _rounded(sub, v, v_lead)), p.two_sqrt_ab)
+    dynamic = _rounded(add, _rounded(mul, v, p.T), closing)
+    s_star = _rounded(add, p.s0, dynamic if dynamic > 0.0 else 0.0)
+    q = _rounded(div, s_star, gap)
+    return _rounded(mul, p.a, _rounded(sub, free, _rounded(mul, q, q)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import idm_accel_exact
 from qgdrive import scenario_sim as sim
 
 
@@ -71,12 +72,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must"):
             sim.merging_scenario(**{field: bad})
 
-    def test_action_semantics_structure(self):
-        for kind in ("merging", "roundabout"):
-            sem = sim.action_semantics(sim.builtin_scenario(kind))
-            assert set(sem) == {"ev", "iv"}
-            assert set(sem["ev"]) == {0, 1}
-            assert set(sem["iv"]) == {0, 1}
+    # sample_initial scales by hi - lo, so a range whose width overflows is
+    # rejected with the config, not met mid-run
+    def test_range_width_must_be_finite(self):
+        with pytest.raises(ValueError, match="ev_s_range"):
+            sim.merging_scenario(ev_s_range=(-1e308, 1e308))
 
 
 class TestSampling:
@@ -106,6 +106,25 @@ class TestSampling:
         a = sim.sample_initial(cfg, np.random.default_rng(42))
         b = sim.sample_initial(cfg, np.random.default_rng(42))
         assert a == b
+
+    # the seeded contract: one block of four uniforms is four rng.uniform
+    # calls on the same stream, bit for bit
+    @settings(max_examples=300, deadline=None)
+    @given(ranges=st.lists(
+               st.one_of(
+                   # numpy's uniform rejects the signed width of (0.0, -0.0)
+                   st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True)
+                   .map(sorted),
+                   st.floats(-1e6, 1e6).map(lambda x: [x, x])),
+               min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_block_equals_four_uniform_calls(self, ranges, seed):
+        names = ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range")
+        cfg = sim.builtin_scenario("roundabout", **{n: tuple(r) for n, r in zip(names, ranges)})
+        ev, iv = sim.sample_initial(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        want = [float(rng.uniform(lo, hi)) for lo, hi in ranges]
+        assert [x.hex() for x in (ev.s, ev.v, iv.s, iv.v)] == [x.hex() for x in want]
 
 
 def first_step(ev, iv, ev_action=0, iv_action=1, **overrides):
@@ -210,12 +229,31 @@ class TestDriverModels:
     # b = 0 divided by zero and a < 0 took sqrt of a negative, both deep
     # inside run_episode
     @pytest.mark.parametrize("field,bad", [
-        ("v0", 0.0), ("a", -1.0), ("b", 0.0), ("delta", math.nan),
+        ("v0", 0.0), ("a", -1.0), ("b", 0.0),
         ("s0", -1.0), ("T", math.inf),
     ])
     def test_idm_params_validated(self, field, bad):
         with pytest.raises(ValueError, match=rf"^{field} must"):
             sim.IdmParams(**{field: bad})
+
+    # both IDM paths are the documented chain of IEEE operations, bit for
+    # bit, so no result depends on the platform's pow
+    @pytest.mark.parametrize("p", [sim.IdmParams(), sim.IdmParams(v0=10.0, s0=0.0, T=0.0)],
+                             ids=["highway", "roundabout-no-jam"])
+    def test_idm_is_the_correctly_rounded_chain(self, p):
+        rng = np.random.default_rng(16)
+        n = 4000
+        v = rng.uniform(0.0, 1.6 * p.v0, n)           # v > v0 included
+        gap = rng.uniform(-2.0, 60.0, n)              # <= 0.1 m included
+        gap[:40] = 0.1
+        v_lead = rng.uniform(0.0, 35.0, n)
+        lead = rng.random(n) < 0.5                    # the rest: free road
+        args = [(vi, gi if li else None, wi)
+                for vi, gi, wi, li in zip(v.tolist(), gap.tolist(), v_lead.tolist(), lead.tolist())]
+        want = [idm_accel_exact(*a, p).hex() for a in args]
+        assert [sim.idm_accel(*a, p).hex() for a in args] == want
+        assert [x.hex() for x in sim.idm_accel_lanes(v, gap, v_lead, lead, p).tolist()] == want
+        assert (v > p.v0).sum() > 500 and (lead & (gap <= 0.1)).sum() > 40
 
     def test_idm_zero_jam_distance_and_headway_allowed(self):
         p = sim.IdmParams(s0=0.0, T=0.0)
@@ -640,8 +678,6 @@ class TestBatchedKernel:
             sim.run_episodes(cfg, [(ev, dataclasses.replace(iv, lane="ramp"), 0, 1)])
 
     def test_lane_idm_is_idm_accel_bit_for_bit(self):
-        # np.power's float64 loop differs from the C library's pow in the
-        # last bit on a few percent of these draws, so it cannot pass here
         p = sim.IdmParams()
         rng = np.random.default_rng(2024)
         n = 10_000
