@@ -220,6 +220,12 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     return out
 
 
+def _require_int(name: str, value, lo: int) -> None:
+    """Raise ValueError unless value is an int (a bool is not) of at least lo."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= lo):
+        raise ValueError(f"{name} must be an integer of at least {lo}, got {value!r}")
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header line and one line per row of comma-separated cells.
 

@@ -23,7 +23,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError(f"kron needs two vectors or two matrices, got ranks {a.ndim} and {b.ndim}")
-    outer = np.multiply.outer(a, b)
-    if a.ndim == 2:
-        outer = outer.transpose(0, 2, 1, 3)
-    return outer.reshape([m * n for m, n in zip(a.shape, b.shape)])
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)

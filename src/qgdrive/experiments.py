@@ -57,6 +57,7 @@ import numpy as np
 from .classical_game import (
     OutcomeDistribution,
     TwoPlayerGame,
+    _require_int,
     builtin_game,
     cg_epd_distribution,
     cg_ms_distribution,
@@ -71,7 +72,6 @@ from .quantum_game import (
 )
 from .scenario_sim import (
     ScenarioConfig,
-    _require_int,
     builtin_scenario,
     idm_entry_core,
     idm_entry_decision,

@@ -25,6 +25,7 @@ from . import clinalg
 from .classical_game import (
     OutcomeDistribution,
     TwoPlayerGame,
+    _require_int,
     expected_payoff,
     write_csv,
 )
@@ -275,7 +276,8 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """The grid as one 1-d array per SweepRow field, in field order, gamma-major."""
+    """The grid as one 1-d float64 array per SweepRow field, in field order,
+    gamma-major."""
 
     mode: str
     columns: tuple[np.ndarray, ...]
@@ -304,8 +306,8 @@ def sweep_u1(
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
-    if gamma_points < 2 or theta_points < 2:
-        raise ValueError("gamma_points and theta_points must be at least 2")
+    _require_int("gamma_points", gamma_points, 2)
+    _require_int("theta_points", theta_points, 2)
     psi0 = equal_superposition() if initial is None else state_vector(initial)
     gammas = np.linspace(0.0, GAMMA_MAX, gamma_points)
     thetas = np.linspace(0.0, THETA_MAX, theta_points)
@@ -360,9 +362,23 @@ def sweep_g4(
 # CSV export
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """One line per grid point, one column per SweepRow field."""
+    """One line per grid point, one column per SweepRow field.
+
+    A column repeats most of its values (a 151x151 grid has 151 distinct
+    gammas in 22,801 rows), so each distinct value is spelled once and the
+    strings are gathered back into row order. Values are told apart by
+    their bits, not by float equality, so 0.0 and -0.0 stay apart and a NaN
+    matches itself; the bytes are those of str() on every cell.
+    """
     header = [f.name for f in fields(SweepRow)]
-    write_csv(path, header, zip(*(c.tolist() for c in result.columns)))
+    write_csv(path, header, zip(*map(_spelled, result.columns)))
+
+
+def _spelled(column: np.ndarray) -> list:
+    """str() of each float64 in column, computed once per distinct value."""
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    words = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
+    return words[inverse].tolist()
 
 
 def write_gate_table_csv(table: GateTable, path) -> None:

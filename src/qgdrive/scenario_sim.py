@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .classical_game import write_csv
+from .classical_game import _require_int, write_csv
 
 EV_LANE_START = {"merging": "ramp", "roundabout": "approach"}
 EV_LANE_TARGET = {"merging": "main", "roundabout": "inside"}
@@ -55,12 +55,6 @@ def _positive(value) -> bool:
 
 def _non_negative(value) -> bool:
     return math.isfinite(value) and value >= 0
-
-
-def _require_int(name: str, value, lo: int) -> None:
-    """Raise ValueError unless value is an int (a bool is not) of at least lo."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= lo):
-        raise ValueError(f"{name} must be an integer of at least {lo}, got {value!r}")
 
 
 def _require(obj, names, ok, what: str) -> None:

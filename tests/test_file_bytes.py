@@ -62,6 +62,10 @@ WRITERS = {
                            "cf5a7dfe41ab79b46d87986de86345324b028299f247723516b992134900806e"),
     "sweep-theta-b-zero": (sweep_csv("theta_b_zero"),
                            "7bb2a7f51a3a23159bc61718637ebca0e0366113db419709495489aab7691409"),
+    # 151x151 repeats each gamma and theta 151 times, as `qgdrive sweep` does
+    "sweep-equal-thetas-151x151": (
+        sweep_csv("equal_thetas", 151, 151),
+        "a2abfb425355e10c8d9873a8694db78c04dc20d1f2bce5a77e9ef3f8f0436aae"),
     "sweep-equal-thetas-21x17-asymmetric": (
         sweep_csv("equal_thetas", 21, 17, ASYMMETRIC),
         "606e3a7fb1a24f038396bcb94d326be3f9f54804051ab4009752abcb27c7fd45"),

@@ -1,12 +1,12 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgdrive import clinalg, quantum_game as qg
-from qgdrive.classical_game import TwoPlayerGame, expected_payoff, merging_game
+from qgdrive.classical_game import TwoPlayerGame, expected_payoff, merging_game, write_csv
 
 from oracles import is_unitary
 
@@ -408,6 +408,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             qg.sweep_u1(merging_game(), gamma_points=1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("gamma_points", 2.5), ("gamma_points", 3.0), ("theta_points", True), ("theta_points", "3"),
+    ])
+    def test_grid_sizes_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 2"):
+            qg.sweep_u1(merging_game(), **{name: value})
+
+
+# cells that a float-keyed cache would merge (0.0, -0.0) or miss (nan), next
+# to subnormals and the largest exponents
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-300, 1.7976931348623157e308,
+                     -1e300, math.inf, math.nan]),
+)
+
 
 class TestCsv:
     def test_sweep_csv_round_trip(self, tmp_path):
@@ -423,6 +439,28 @@ class TestCsv:
             row.gamma, row.theta_a, row.theta_b,
             row.p00, row.p01, row.p10, row.p11, row.eu_a, row.eu_b,
         ]
+
+    @settings(max_examples=200)
+    @given(pools=st.lists(st.lists(_CELLS, min_size=1, max_size=5), min_size=9, max_size=9),
+           picks=st.lists(st.integers(0, 4), max_size=30))
+    def test_sweep_csv_spells_every_cell_as_str(self, pools, picks, tmp_path_factory):
+        # few distinct values per column, so every spelling is reused
+        columns = tuple(np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+                        for pool in pools)
+        row = qg.SweepRow(*[0.0] * 9)
+        header = [f.name for f in fields(qg.SweepRow)]
+        tmp = tmp_path_factory.mktemp("sweep")
+        qg.write_sweep_csv(qg.SweepResult("equal_thetas", columns, row, row), tmp / "got.csv")
+        write_csv(tmp / "want.csv", header, zip(*(c.tolist() for c in columns)))
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+    def test_sweep_csv_writes_both_zeros(self, tmp_path):
+        signed = np.array([0.0, -0.0, -0.0, 0.0])
+        row = qg.SweepRow(*[0.0] * 9)
+        result = qg.SweepResult("equal_thetas", (signed,) + (np.full(4, 1.5),) * 8, row, row)
+        qg.write_sweep_csv(result, tmp_path / "sweep.csv")
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [ln.split(",", 1)[0] for ln in lines[1:]] == ["0.0", "-0.0", "-0.0", "0.0"]
 
     def test_gate_table_csv_shape(self, tmp_path):
         table = qg.sweep_g4(merging_game())
