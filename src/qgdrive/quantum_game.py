@@ -364,7 +364,7 @@ def sweep_g4(
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One line per grid point, one column per SweepRow field.
 
-    A column repeats most of its values (a 151x151 grid has 151 distinct
+    A column repeats many of its values (a 151x151 grid has 151 distinct
     gammas in 22,801 rows), so each distinct value is spelled once and the
     strings are gathered back into row order. Values are told apart by
     their bits, not by float equality, so 0.0 and -0.0 stay apart and a NaN
