@@ -38,6 +38,10 @@ class TwoPlayerGame:
     payoff_a: tuple[tuple[float, float], tuple[float, float]]
     payoff_b: tuple[tuple[float, float], tuple[float, float]]
 
+    def __post_init__(self):
+        _check_payoffs(self.payoff_a)
+        _check_payoffs(self.payoff_b)
+
     def u_a(self, j: int, k: int) -> float:
         return self.payoff_a[j][k]
 
@@ -239,14 +243,27 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
+def _check_payoffs(table):
+    """Return table if it is 2x2 with finite entries, else raise ValueError;
+    the one payoff check, run by TwoPlayerGame and by the game-file reader
+    (which names path:line)."""
+    try:
+        square = np.shape(table) == (2, 2)
+    except ValueError:  # numpy refuses a ragged table
+        square = False
+    if not square:
+        raise ValueError(f"payoff table must be 2x2, got {table!r}")
+    if not all(math.isfinite(x) for row in table for x in row):
+        raise ValueError(f"payoffs must be finite, got {table!r}")
+    return table
+
+
 def _payoff_table(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
     parts = text.replace(",", " ").split()
     if len(parts) != 4:
         raise ValueError(f"needs 4 reals, got {len(parts)}")
     v = [float(x) for x in parts]
-    if not all(math.isfinite(x) for x in v):
-        raise ValueError(f"payoffs must be finite, got {text!r}")
-    return ((v[0], v[1]), (v[2], v[3]))
+    return _check_payoffs(((v[0], v[1]), (v[2], v[3])))
 
 
 def _non_empty(text: str) -> str:

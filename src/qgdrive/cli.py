@@ -266,26 +266,37 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+# the flags an experiment file replaces; argparse leaves each None unless
+# given, so that --config can reject it and the flag path fill its default
+_CONFIG_REPLACES = ("scenario", "policies", "episodes", "seed", "assumed_gate",
+                    "decision_replay")
+
+
 def _simulate_setup(args):
     if args.config:
-        if args.policies or args.scenario or args.decision_replay:
-            raise CliError("--config replaces --scenario/--policies/--decision-replay; "
-                           "do not combine them")
+        given = [name for name in _CONFIG_REPLACES if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise CliError(f"--config replaces {flags}; do not combine them")
         policy, config = experiments.load_experiment_config(args.config)
         return [policy], config
     if not args.scenario:
         raise CliError("--scenario is required (or use --config)")
     if not args.policies:
         raise CliError("--policies is required (or use --config)")
-    scenario = scenario_sim.builtin_scenario(args.scenario, decision_replay=args.decision_replay)
+    scenario = scenario_sim.builtin_scenario(args.scenario,
+                                             decision_replay=bool(args.decision_replay))
     game = classical_game.builtin_game(args.scenario)
+    gate = "Z" if args.assumed_gate is None else args.assumed_gate
     specs = [
-        experiments.PolicySpec(name, args.assumed_gate)
+        experiments.PolicySpec(name, gate)
         for name in args.policies.split(",")
         if name.strip()
     ]
     config = experiments.MonteCarloConfig(
-        scenario=scenario, game=game, episodes=args.episodes, master_seed=args.seed
+        scenario=scenario, game=game,
+        episodes=10000 if args.episodes is None else args.episodes,
+        master_seed=0 if args.seed is None else args.seed,
     )
     return specs, config
 
@@ -366,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", help="merging or roundabout")
     p_sim.add_argument("--policies",
                        help="comma-separated: cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,idm,mobil")
-    p_sim.add_argument("--episodes", type=int, default=10000)
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed")
-    p_sim.add_argument("--assumed-gate", default="Z",
-                       help="QG-G4 opponent model: a gate letter or 'uniform'")
-    p_sim.add_argument("--decision-replay", action="store_true",
+    p_sim.add_argument("--episodes", type=int, help="episodes per policy (default 10000)")
+    p_sim.add_argument("--seed", type=int, help="master seed (default 0)")
+    p_sim.add_argument("--assumed-gate",
+                       help="QG-G4 opponent model: a gate letter or 'uniform' (default Z)")
+    p_sim.add_argument("--decision-replay", action="store_true", default=None,
                        help="re-take every policy's decision at each step until its "
                        "maneuver is underway, instead of holding the episode-start one")
     p_sim.add_argument("--config", help="experiment config file (replaces the flags above)")

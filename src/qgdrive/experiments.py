@@ -29,7 +29,7 @@ QG_G4 draws its gate and then a block of its own from a copy of the stream.
 Each (episode, policy) runs run_episode's scalar loop with a replay
 callback: a replayed path depends on its own decisions, so nothing is
 shared or batched. This is the explicit scalar path; run_episode's
-docstring (its `shared` paragraph) says why it stays.
+docstring says why it stays.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -274,7 +274,7 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     replay callback, which reads the episode's block of replay uniforms and
     decides at fixed thresholds (a game policy) or with its rule's raw-float
     core (IDM/MOBIL). Why pass 3 and the replay path go through run_episode
-    is stated once, in run_episode's `shared` paragraph.
+    is stated once, in run_episode's docstring.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:

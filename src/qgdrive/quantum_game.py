@@ -368,14 +368,18 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     gammas in 22,801 rows), so each distinct value is spelled once and the
     strings are gathered back into row order. Values are told apart by
     their bits, not by float equality, so 0.0 and -0.0 stay apart and a NaN
-    matches itself; the bytes are those of str() on every cell.
+    matches itself; the bytes are those of str() on every cell. A column
+    that is not float64 raises ValueError naming it, before the file is
+    opened: its bits would be read as float64's.
     """
     header = [f.name for f in fields(SweepRow)]
-    write_csv(path, header, zip(*map(_spelled, result.columns)))
+    write_csv(path, header, zip(*map(_spelled, header, result.columns)))
 
 
-def _spelled(column: np.ndarray) -> list:
+def _spelled(name: str, column: np.ndarray) -> list:
     """str() of each float64 in column, computed once per distinct value."""
+    if column.dtype != np.float64:
+        raise ValueError(f"sweep column {name!r} must be float64, got {column.dtype}")
     keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
     words = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
     return words[inverse].tolist()

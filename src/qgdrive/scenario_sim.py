@@ -39,7 +39,7 @@ from .classical_game import _require_int, write_csv
 
 EV_LANE_START = {"merging": "ramp", "roundabout": "approach"}
 EV_LANE_TARGET = {"merging": "main", "roundabout": "inside"}
-IV_LANE = {"merging": "main", "roundabout": "inside"}
+IV_LANE = EV_LANE_TARGET    # the IV drives on the lane the EV enters
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,35 +425,34 @@ def run_episode(
     decision is re-taken from the current state at every step until the EV
     reaches _FOLLOW; the result then records the last commanded pair.
 
-    `shared` is a dict the caller owns for one (config, ev0, iv0) triple,
-    keyed by the joint action: a held decision that was integrated already
-    returns the stored (frozen) result without checking or integrating its
-    arguments again, and a new one is checked, integrated and stored. It
-    cannot be combined with `decide` (a replayed path depends on the
+    `shared` is a lookup: a dict the caller owns for one (config, ev0, iv0)
+    triple, keyed by the joint action and filled from run_episodes.
+    run_episode returns `shared[ev_action, iv_action]`, checking and
+    integrating nothing; a joint action missing from it raises ValueError.
+    It cannot be combined with `decide` (a replayed path depends on the
     callback's own draws) or with `record_trace` (a stored result carries no
-    trace). The Monte Carlo loop fills it from
-    run_episodes, the batched kernel, and then calls run_episode once per
-    (policy, episode) to read it back. The reason is bench/selftest.py's
-    call-count pin, stated here once for the whole package: it asserts one
-    run_episode call per (policy, episode) on both Monte Carlo workloads, so
-    the held path keeps this lookup and decision replay keeps this scalar
-    loop. Once that pin counts outcomes instead, the lookup belongs in the
-    loop, this parameter can go, and replay can move to a batched kernel.
+    trace).
 
-    This scalar loop stays for what the kernel does not do: decision
-    replay (one callback per step and lane) and traces. It is the explicit
-    scalar replay path (see `shared` above for why); the lanes are checked
-    here once, so a callback decides on the raw floats it is given (the
-    Monte Carlo loop's callbacks read a per-episode block of uniforms and
-    fixed thresholds, or call idm_entry_core/mobil_merge_core). It is also
-    the reference run_episodes is tested against, field for field.
+    Why the Monte Carlo loop calls run_episode at all is stated here once
+    for the whole package: bench/selftest.py pins one run_episode call per
+    (policy, episode) on both Monte Carlo workloads, so the held path reads
+    the kernel's results through this lookup and decision replay runs this
+    scalar loop. Once that pin counts outcomes instead, the lookup belongs
+    in the loop, `shared` can go, and replay can move to a batched kernel.
+    The lanes are checked here once, so a replay callback decides on the
+    raw floats it is given (the Monte Carlo loop's callbacks read a
+    per-episode block of uniforms and fixed thresholds, or call
+    idm_entry_core/mobil_merge_core). The loop also records traces, and it
+    is the reference run_episodes is tested against, field for field.
     """
     if shared is not None:
         if decide is not None or record_trace:
             raise ValueError("shared results take neither a decide callback nor a trace")
-        hit = shared.get((ev_action, iv_action))
-        if hit is not None:
-            return hit
+        try:
+            return shared[ev_action, iv_action]
+        except KeyError:
+            raise ValueError(f"no shared result for joint action "
+                             f"{(ev_action, iv_action)!r}") from None
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
     on_entry = check_lanes(config, ev0, iv0)
@@ -473,7 +472,6 @@ def run_episode(
     iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
 
     ev_s, ev_v, ev_lane = ev0.s, ev0.v, ev0.lane
-    on_target = not on_entry
     iv_s, iv_v = iv0.s, iv0.v
 
     iv_a = a_nom if iv_action == 0 else iv_a1
@@ -482,14 +480,12 @@ def run_episode(
     violation = False
     completed_at = None
     headway_sum = 0.0
-    headway_steps = 0
-    steps = 0
     trace: list[TracePoint] = []
     t = 0.0
     ev_common = ev_s + offset if on_entry else ev_s
 
-    for _ in range(config.horizon):
-        if decide is not None and steps and phase != _FOLLOW:
+    for steps in range(1, config.horizon + 1):
+        if decide is not None and steps > 1 and phase != _FOLLOW:
             ev_action, iv_action = decide(ev_lane, ev_s, ev_v, iv_s, iv_v)
             iv_a = a_nom if iv_action == 0 else iv_a1
             phase = _GO if ev_action == 0 else _YIELD
@@ -503,7 +499,7 @@ def run_episode(
         if on_entry and phase != _YIELD:
             if ev_s >= merge_point and (ev_s <= section_end or not merging):
                 ev_lane = target_lane
-                on_entry, on_target = False, True
+                on_entry = False
                 ev_s = ev_s + offset
                 ev_common = ev_s
                 completed_at = t
@@ -538,7 +534,6 @@ def run_episode(
         iv_v = iv_v_next
 
         t += dt
-        steps += 1
         ev_common = ev_s + offset if on_entry else ev_s
         headway = abs(iv_s - ev_common)
 
@@ -548,17 +543,16 @@ def run_episode(
                 iv_lane=iv_lane, iv_s=iv_s, iv_v=iv_v, headway=headway,
             ))
 
-        if on_target and headway < length:
+        if not on_entry and headway < length:
             collided = True
             break
 
         # the colliding step is excluded from the headway average
         headway_sum += headway
-        headway_steps += 1
 
     completed = completed_at is not None
     outcome = classify_outcome(collided, completed, violation)
-    result = EpisodeResult(
+    return EpisodeResult(
         ev_action=ev_action,
         iv_action=iv_action,
         outcome=outcome,
@@ -567,12 +561,9 @@ def run_episode(
         violation=violation,
         completed_at=completed_at,
         steps_run=steps,
-        mean_headway=headway_sum / headway_steps if headway_steps else 0.0,
+        mean_headway=headway_sum / (steps - collided) if steps - collided else 0.0,
         trace=tuple(trace),
     )
-    if shared is not None:
-        shared[ev_action, iv_action] = result
-    return result
 
 
 def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray, dt: float):
@@ -611,7 +602,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     ev0s, iv0s, ev_actions, iv_actions = zip(*lanes)
     if not {*ev_actions, *iv_actions} <= {0, 1}:
         raise ValueError("actions must be 0 or 1")
-    on_entry = np.array([check_lanes(config, ev0, iv0) for ev0, iv0 in zip(ev0s, iv0s)])
+    started = np.array([check_lanes(config, ev0, iv0) for ev0, iv0 in zip(ev0s, iv0s)])
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
     dt = config.dt
@@ -633,13 +624,11 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     phase = np.where(np.array(ev_actions) == 0, _GO, _YIELD)
     alive = np.ones(n, bool)        # not collided: run_episode's loop still runs
     violation = np.zeros(n, bool)
-    completed = np.zeros(n, bool)
     completed_at = np.zeros(n)
     steps_run = np.full(n, config.horizon)
     headway_sum = np.zeros(n)
-    final_sum = np.zeros(n)         # headway sums of collided lanes
     t = 0.0
-    on_target = ~on_entry
+    on_entry = started              # rebound as lanes change, never written
     # ev_common is ev_s + offset on the entry lane, else ev_s; ev_s + 0.0
     # differs from ev_s only in the sign of a zero, which no comparison,
     # difference or abs below can see
@@ -658,12 +647,10 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         if merging:
             change &= ev_s <= section_end
         if np.count_nonzero(change):
-            on_entry &= ~change
-            on_target |= change
+            on_entry = on_entry & ~change
             ev_s = np.where(change, ev_s + offset, ev_s)
             shift[change] = 0.0
             ev_common = ev_s + shift
-            completed |= change
             completed_at[change] = t
             phase[change] = _FOLLOW
 
@@ -681,16 +668,14 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         ev_common = ev_s + shift
         headway = np.abs(iv_s - ev_common)
 
-        hit = alive & on_target & (headway < length)
+        hit = alive & ~on_entry & (headway < length)
         if np.count_nonzero(hit):
             # the colliding step is excluded from the headway average
             steps_run[hit] = step
-            final_sum[hit] = headway_sum[hit]
             alive &= ~hit
             if not np.count_nonzero(alive):
                 break
-        headway_sum += headway
-    headway_sum = np.where(alive, headway_sum, final_sum)
+        np.add(headway_sum, headway, out=headway_sum, where=alive)
 
     # positional, in EpisodeResult's field order: this runs once per lane
     return [
@@ -698,7 +683,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
                       collided, done, overrun, at if done else None, steps,
                       total / (steps - collided) if steps - collided else 0.0, ())
         for ev_action, iv_action, collided, done, overrun, at, steps, total in zip(
-            ev_actions, iv_actions, (~alive).tolist(), completed.tolist(),
+            ev_actions, iv_actions, (~alive).tolist(), (started & ~on_entry).tolist(),
             violation.tolist(), completed_at.tolist(), steps_run.tolist(),
             headway_sum.tolist())
     ]

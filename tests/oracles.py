@@ -5,6 +5,29 @@ from fractions import Fraction
 import numpy as np
 
 
+def kron2(a, b):
+    """A (x) B of two 2x2 matrices as a 4x4 list of lists, by loops, with A
+    on the high bit (clinalg's convention)."""
+    out = [[0j] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for m in range(2):
+                    out[2 * i + k][2 * j + m] = a[i][j] * b[k][m]
+    return out
+
+
+def mv(a, v):
+    """The 4x4 matrix a times the 4-vector v, by loops."""
+    return [sum(a[i][k] * v[k] for k in range(4)) for i in range(4)]
+
+
+def random_state(rng):
+    """A normalized complex 4-vector with Gaussian components drawn from rng."""
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
 def is_unitary(m, tol: float = 1e-12) -> bool:
     """True if m^dagger m = I within tol (max absolute entry deviation)."""
     m = np.asarray(m, dtype=np.complex128)

@@ -19,30 +19,9 @@ from qgdrive import experiments as ex
 from qgdrive import quantum_game as qg
 from qgdrive.scenario_sim import builtin_scenario
 
-from oracles import is_unitary
+from oracles import is_unitary, kron2 as _kron2, mv as _mv, random_state as _random_state
 
 MASTER_SEED = 7
-
-
-# -- loop-based product oracle, independent of the engine's linear algebra --
-
-def _kron2(a, b):
-    out = [[0j] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for m in range(2):
-                    out[2 * i + k][2 * j + m] = a[i][j] * b[k][m]
-    return out
-
-
-def _mv(a, v):
-    return [sum(a[i][k] * v[k] for k in range(4)) for i in range(4)]
-
-
-def _random_state(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return v / np.linalg.norm(v)
 
 
 def test_criterion_01_operator_algebra():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -42,6 +43,21 @@ class TestGames:
         g = cg.merging_game()
         assert g.u_a(0, 1) == 10.0
         assert g.u_b(1, 0) == 10.0
+
+    # unchecked, a NaN payoff reaches mixed_strategy (p=nan) and sweep_u1
+    # (an IndexError); the file reader's check is tested in TestLoadGame
+    @pytest.mark.parametrize("bad,match", [
+        (((math.nan, 1.0), (2.0, 3.0)), "finite"),
+        (((1.0, 2.0), (-math.inf, 3.0)), "finite"),
+        (((1.0, 2.0), (3.0,)), "2x2"),
+        (((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), "2x2"),
+        ((1.0, 2.0, 3.0, 4.0), "2x2"),
+    ], ids=["nan", "inf", "ragged", "2x3", "flat"])
+    def test_programmatic_payoffs_checked(self, bad, match):
+        good = ((0.0, 1.0), (2.0, 3.0))
+        for ua, ub in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=match):
+                game_from_tables(ua, ub)
 
 
 class TestDistribution:

@@ -376,16 +376,20 @@ class TestSimulate:
         assert code == 2
         assert "merging-only" in err
 
-    def test_config_excludes_flags(self, capsys, tmp_path):
+    # a flag given at its default value is still rejected
+    @pytest.mark.parametrize("flag", [
+        ["--scenario", "merging"], ["--policies", "cg-epd"], ["--episodes", "500"],
+        ["--seed", "0"], ["--assumed-gate", "uniform"], ["--decision-replay"],
+    ], ids=lambda flag: flag[0])
+    def test_config_excludes_flags(self, capsys, tmp_path, flag):
         conf = tmp_path / "exp.conf"
         conf.write_text(
             "scenario.kind = merging\nepisodes = 40\n"
             "master_seed = 1\npolicy.name = cg-epd\n"
         )
-        code, _, err = run(
-            capsys, "simulate", "--config", str(conf), "--scenario", "merging"
-        )
+        code, _, err = run(capsys, "simulate", "--config", str(conf), *flag)
         assert code == 2
+        assert flag[0] in err
 
     def test_config_excludes_decision_replay(self, capsys, tmp_path):
         # the experiment file's decision_replay key is the one switch there

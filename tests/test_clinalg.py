@@ -8,12 +8,7 @@ from hypothesis import given, strategies as st
 from qgdrive import clinalg
 from qgdrive.quantum_game import state_vector
 
-from oracles import is_unitary
-
-
-def random_state(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return v / np.linalg.norm(v)
+from oracles import is_unitary, random_state
 
 
 class TestConstructors:

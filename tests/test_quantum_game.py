@@ -8,22 +8,12 @@ from hypothesis import given, settings, strategies as st
 from qgdrive import clinalg, quantum_game as qg
 from qgdrive.classical_game import TwoPlayerGame, expected_payoff, merging_game, write_csv
 
-from oracles import is_unitary
+from oracles import is_unitary, kron2, mv, random_state
 
 # ---------------------------------------------------------------------------
 # Loop-based oracle: plain-Python products, no shared code with the engine.
 
 _X2 = ((0.0, 1.0), (1.0, 0.0))
-
-
-def _kron2(a, b):
-    out = [[0j] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for m in range(2):
-                    out[2 * i + k][2 * j + m] = a[i][j] * b[k][m]
-    return out
 
 
 def _mm(a, b):
@@ -32,17 +22,13 @@ def _mm(a, b):
     ]
 
 
-def _mv(a, v):
-    return [sum(a[i][k] * v[k] for k in range(4)) for i in range(4)]
-
-
 def _dag(a):
     return [[a[j][i].conjugate() for j in range(4)] for i in range(4)]
 
 
 def _oracle_entangler(gamma):
     # Taylor series of exp(-i*gamma/2 * X(x)X); fast convergence on [0, pi/2]
-    k = _kron2(_X2, _X2)
+    k = kron2(_X2, _X2)
     acc = [[1.0 + 0j if i == j else 0j for j in range(4)] for i in range(4)]
     term = acc
     z = -0.5j * gamma
@@ -61,14 +47,9 @@ def _oracle_u(theta, phi):
 
 def _oracle_final(psi0, gamma, ua, ub):
     j = _oracle_entangler(gamma)
-    step = _mv(j, list(psi0))
-    step = _mv(_kron2(ua, ub), step)
-    return np.array(_mv(_dag(j), step))
-
-
-def random_state(rng):
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return v / np.linalg.norm(v)
+    step = mv(j, list(psi0))
+    step = mv(kron2(ua, ub), step)
+    return np.array(mv(_dag(j), step))
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +442,17 @@ class TestCsv:
         qg.write_sweep_csv(result, tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [ln.split(",", 1)[0] for ln in lines[1:]] == ["0.0", "-0.0", "-0.0", "0.0"]
+
+    # unchecked, an int64 column's bits are read as float64's
+    # (np.arange(3) is written as 0.0,5e-324,1e-323)
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_sweep_csv_rejects_non_float64_columns(self, dtype, tmp_path):
+        row = qg.SweepRow(*[0.0] * 9)
+        columns = (np.full(3, 1.5),) * 4 + (np.arange(3, dtype=dtype),) + (np.full(3, 1.5),) * 4
+        result = qg.SweepResult("equal_thetas", columns, row, row)
+        with pytest.raises(ValueError, match="'p01' must be float64"):
+            qg.write_sweep_csv(result, tmp_path / "sweep.csv")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_gate_table_csv_shape(self, tmp_path):
         table = qg.sweep_g4(merging_game())

@@ -463,6 +463,16 @@ class TestEpisodes:
 
 
 class TestSharedResults:
+    JOINTS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def filled(self, kind):
+        """`shared` for one episode, filled from run_episodes as the Monte
+        Carlo loop fills it."""
+        cfg = sim.builtin_scenario(kind)
+        ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
+        results = sim.run_episodes(cfg, [(ev, iv, *joint) for joint in self.JOINTS])
+        return cfg, ev, iv, dict(zip(self.JOINTS, results))
+
     def count_idm(self, monkeypatch):
         calls = []
         real = sim.idm_accel
@@ -475,54 +485,25 @@ class TestSharedResults:
         return calls
 
     def test_repeated_joint_action_returns_the_stored_result(self, monkeypatch):
-        cfg = sim.builtin_scenario("merging")
-        ev, iv = mid_merging()
-        shared = {}
-        first = sim.run_episode(cfg, ev, iv, 0, 1, shared=shared)
+        cfg, ev, iv, shared = self.filled("merging")
         calls = self.count_idm(monkeypatch)
-        assert sim.run_episode(cfg, ev, iv, 0, 1, shared=shared) is first
+        assert sim.run_episode(cfg, ev, iv, 0, 1, shared=shared) is shared[0, 1]
         assert not calls
 
     @pytest.mark.parametrize("kind", ["merging", "roundabout"])
     def test_stored_result_equals_a_fresh_run(self, kind):
-        cfg = sim.builtin_scenario(kind)
-        ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
-        shared = {}
-        joints = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for joint in joints:
-            sim.run_episode(cfg, ev, iv, *joint, shared=shared)
-        assert list(shared) == joints
+        cfg, ev, iv, shared = self.filled(kind)
         for joint, stored in shared.items():
             fresh = sim.run_episode(cfg, ev, iv, *joint)
             for f in dataclasses.fields(sim.EpisodeResult):
                 assert getattr(stored, f.name) == getattr(fresh, f.name), f.name
 
-    def test_a_different_joint_action_integrates_fresh(self, monkeypatch):
-        cfg = sim.builtin_scenario("merging")
-        ev, iv = mid_merging()
-        shared = {}
-        first = sim.run_episode(cfg, ev, iv, 1, 0, shared=shared)
-        calls = self.count_idm(monkeypatch)
-        other = sim.run_episode(cfg, ev, iv, 0, 1, shared=shared)
-        assert calls
-        assert other is not first
-        assert (other.ev_action, other.iv_action) == (0, 1)
-        assert shared == {(1, 0): first, (0, 1): other}
-
-    @pytest.mark.parametrize("bad", ["action", "ev_lane", "iv_lane"])
-    def test_a_miss_is_still_checked(self, bad):
-        cfg = sim.builtin_scenario("merging")
-        ev, iv = mid_merging()
-        shared = {}
-        sim.run_episode(cfg, ev, iv, 0, 0, shared=shared)
-        args = {
-            "action": (ev, iv, 2, 0),
-            "ev_lane": (sim.VehicleState("inside", ev.s, ev.v), iv, 0, 1),
-            "iv_lane": (ev, sim.VehicleState("ramp", iv.s, iv.v), 0, 1),
-        }[bad]
-        with pytest.raises(ValueError, match="actions|lane"):
-            sim.run_episode(cfg, *args, shared=shared)
-        assert list(shared) == [(0, 0)]
+    def test_a_miss_raises(self):
+        cfg, ev, iv, shared = self.filled("merging")
+        del shared[1, 1]
+        with pytest.raises(ValueError, match=r"joint action \(1, 1\)"):
+            sim.run_episode(cfg, ev, iv, 1, 1, shared=shared)
+        assert list(shared) == self.JOINTS[:3]
 
     @pytest.mark.parametrize("extra", [
         {"decide": lambda *state: (1, 1)}, {"record_trace": True},
