@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -244,7 +245,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def _check_payoffs(table):
-    """Return table if it is 2x2 with finite entries, else raise ValueError;
+    """Return table if it is 2x2 with finite real entries, else raise ValueError;
     the one payoff check, run by TwoPlayerGame and by the game-file reader
     (which names path:line)."""
     try:
@@ -253,8 +254,8 @@ def _check_payoffs(table):
         square = False
     if not square:
         raise ValueError(f"payoff table must be 2x2, got {table!r}")
-    if not all(math.isfinite(x) for row in table for x in row):
-        raise ValueError(f"payoffs must be finite, got {table!r}")
+    if not all(isinstance(x, Real) and math.isfinite(x) for row in table for x in row):
+        raise ValueError(f"payoffs must be finite reals, got {table!r}")
     return table
 
 

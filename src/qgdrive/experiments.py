@@ -7,6 +7,9 @@ decision uniform, then any policy-internal draws (a uniform QG_G4's opponent
 gate, then the replay draws). The replay draws are one block of
 2*(horizon - 1) uniforms, taken with one `random(k)` call, which equals k
 scalar draws bit for bit; without replay nothing is drawn after the gate.
+A uniform QG_G4 reads its own block, drawn after its gate from a copy of
+the stream, so when the gate fixes its law (see below) it skips that block
+without moving any other draw.
 
 The loop is episode-major: a comparison derives episode i's stream and
 draws its initial states and both decision uniforms once, and every policy
@@ -15,21 +18,24 @@ policy's row therefore does not depend on which other policies run beside
 it, or in what order; run_monte_carlo is the one-policy view of the same
 loop.
 
-Without replay every decision is held for the whole episode, so the
-episodes go in chunks of _CHUNK, each in three passes. Pass 1 goes episode
-by episode, draws as above, and lets every policy take its joint action.
-Pass 2 integrates the chunk's distinct (episode, joint action) pairs, at
-most four per episode however many policies run, in one
-scenario_sim.run_episodes call. Pass 3 hands each policy its episode's
-stored result through run_episode's `shared` lookup, in episode-major
-order, and tallies it. Under decision replay each policy continues the
-episode's stream from the point after the two shared uniforms: every policy
-without a gate draw reads the episode's one replay block, and a uniform
-QG_G4 draws its gate and then a block of its own from a copy of the stream.
-Each (episode, policy) runs run_episode's scalar loop with a replay
-callback: a replayed path depends on its own decisions, so nothing is
-shared or batched. This is the explicit scalar path; run_episode's
-docstring says why it stays.
+The episodes go in chunks of _CHUNK, each in three passes. Pass 1 goes
+episode by episode, draws as above, and lets every held policy take its
+joint action. Without replay every policy is held for the whole episode.
+Under decision replay a game policy is held in an episode whose law is
+fixed (_fixed_law): P(A=0) and the drawn EV action's conditional are exactly
+0.0 or 1.0, so no replayed uniform can change its decision. That is QG_G4[Z]
+and a uniform QG_G4 whose gate is X, Y, Z or I. Pass 2 integrates the
+chunk's distinct held (episode, joint action) pairs, at most four per
+episode however many policies run, in one scenario_sim.run_episodes call.
+Pass 3 goes episode-major: each held policy reads its stored result through
+run_episode's `shared` lookup, and each replayed policy continues the
+episode's stream from the point after the two shared uniforms, kept as the
+generator state in pass 1. Every replayed policy without a gate draw reads
+the episode's one replay block; a uniform QG_G4 draws its gate and then a
+block of its own from a copy of the stream. A replayed (episode, policy)
+runs run_episode's scalar loop with a replay callback: a replayed path
+depends on its own decisions, so it is neither shared nor batched. This is
+the explicit scalar path; run_episode's docstring says why it stays.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -190,6 +196,31 @@ def _sample_joint(dist: OutcomeDistribution, u_ev: float, u_iv: float) -> tuple[
     return 1, (0 if u_iv < p_iv0_ev1 else 1)
 
 
+def _fixed_law(dist: "OutcomeDistribution | None") -> bool:
+    """Whether _sample_joint takes one joint action from `dist` at every pair
+    of uniforms: P(A=0) is exactly 0.0 or 1.0, and so is the conditional
+    threshold of the one EV action that can be drawn. A uniform u in [0, 1)
+    is always below 1.0 and never below 0.0, so a replayed decision under
+    such a law repeats the start decision, and the replayed episode is the
+    held one. One ulp below 1.0 (QG_U1_1's P(A=0)) is not fixed; neither is
+    IDM/MOBIL (None), which decides from the state."""
+    if dist is None:
+        return False
+    p_ev0, p_iv0_ev0, p_iv0_ev1 = dist.thresholds
+    if p_ev0 == 1.0:
+        return p_iv0_ev0 in (0.0, 1.0)
+    return p_ev0 == 0.0 and p_iv0_ev1 in (0.0, 1.0)
+
+
+def _episode_law(dists, rng):
+    """The law a game policy plays in an episode: `dists` itself, or for a
+    uniform QG_G4 (a tuple of gate laws) the row of the gate drawn from
+    `rng`."""
+    if isinstance(dists, tuple):
+        return dists[int(rng.integers(len(dists)))]
+    return dists
+
+
 def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=None):
     """Episode-start (EV action, IV action), and under decision replay the
     episode's replay callback `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (EV
@@ -204,7 +235,9 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
     gate, or the next one, the IV's, for IDM/MOBIL, which decide with their
     rule's raw-float core (run_episode has checked the lanes). A uniform
     QG_G4 draws its gate first, so it reads a block of its own, drawn from
-    `rng` after the gate.
+    `rng` after the gate. run_comparison asks for a callback only when the
+    policy's law for the episode is not fixed (_fixed_law): a fixed law's
+    callback would repeat the start decision, so its episode is held.
     """
     if dists is None:
         mobil = policy.name == "MOBIL"
@@ -220,11 +253,9 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
                     0 if u_next() < 0.5 else 1)
 
         return start, replay
-    dist = dists
-    if isinstance(dists, tuple):
-        dist = dists[int(rng.integers(len(dists)))]
-        if uniforms is not None:
-            uniforms = rng.random(len(uniforms)).tolist()
+    dist = _episode_law(dists, rng)
+    if isinstance(dists, tuple) and uniforms is not None:
+        uniforms = rng.random(len(uniforms)).tolist()
     start = _sample_joint(dist, u_ev, u_iv)
     if uniforms is None:
         return start, None
@@ -243,9 +274,9 @@ def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSumm
     return run_comparison([policy], config)[0]
 
 
-# Episodes per kernel call without decision replay. A chunk's lanes are its
-# distinct (episode, joint action) pairs, at most four per episode, so this
-# bounds the kernel's arrays however many episodes a run has.
+# Episodes per kernel call. A chunk's lanes are its distinct held
+# (episode, joint action) pairs, at most four per episode, so this bounds the
+# kernel's arrays however many episodes a run has.
 _CHUNK = 512
 
 
@@ -263,18 +294,20 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     policy. Each report label may appear once; a repeat, like a policy on
     the wrong scenario, is rejected before anything runs.
 
-    Without decision replay the episodes go in chunks of _CHUNK, each in
-    three passes: (1) episode by episode, draw as the contract says and let
-    every policy take its held joint action; (2) integrate the chunk's
-    distinct (episode, joint action) pairs in one run_episodes call and
-    store each result in its episode's `shared` dict; (3) make one
-    run_episode call per (episode, policy), in that order, which returns
-    the stored result, and tally it. Under decision replay each
-    (episode, policy) pair runs run_episode's scalar loop with its own
-    replay callback, which reads the episode's block of replay uniforms and
-    decides at fixed thresholds (a game policy) or with its rule's raw-float
-    core (IDM/MOBIL). Why pass 3 and the replay path go through run_episode
-    is stated once, in run_episode's docstring.
+    The episodes go in chunks of _CHUNK, each in three passes: (1) episode
+    by episode, draw as the contract says and let every held policy take
+    its joint action; (2) integrate the chunk's distinct held (episode,
+    joint action) pairs in one run_episodes call and store each result in
+    its episode's `shared` dict; (3) make one run_episode call per
+    (episode, policy), in that order, and tally it. A held policy's call
+    returns the stored result. A replayed one runs run_episode's scalar
+    loop with its own replay callback, which reads the episode's block of
+    replay uniforms, redrawn from the episode's stream state kept in pass 1,
+    and decides at fixed thresholds (a game policy) or with its rule's
+    raw-float core (IDM/MOBIL). Without decision replay every policy is
+    held; under it, a game policy is held in an episode whose law is fixed
+    (_fixed_law), since replay cannot change its decision. Why pass 3 goes
+    through run_episode is stated once, in run_episode's docstring.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:
@@ -285,50 +318,55 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         if labels[i] in labels[:i]:
             raise ValueError(f"policy {labels[i]} is given more than once")
     scenario = config.scenario
+    replay = scenario.decision_replay
     n = config.episodes
     dists = [policy_distributions(spec, config.game) for spec in specs]
     outcomes = [Counter() for _ in specs]
     headway_totals = [0.0] * len(specs)
+    k = 2 * (scenario.horizon - 1)
+    stream = np.random.default_rng(0)   # replays continue an episode's stream here
 
     def tally(j, result):
         outcomes[j][result.outcome] += 1
         headway_totals[j] += result.mean_headway
 
-    if scenario.decision_replay:
-        # every policy without a gate draw reads the episode's one replay
-        # block; a uniform QG_G4 replays from its own copy of the stream
-        k = 2 * (scenario.horizon - 1)
-        stream = np.random.default_rng(0)
-        for i in range(n):
+    for start in range(0, n, _CHUNK):
+        # pass 1: the contract's draws, then every held policy's joint
+        # action (None for a replayed one); only a uniform QG_G4 draws
+        # further (its gate), and a label appears once, so the policies can
+        # share `rng`, and the replay block starts at `state`
+        episodes = []
+        for i in range(start, min(start + _CHUNK, n)):
             rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
-            state = rng.bit_generator.state
-            block = rng.random(k).tolist()
-            for j, spec in enumerate(specs):
+            state = rng.bit_generator.state if replay else None
+            joints = []
+            for spec, d in zip(specs, dists):
+                law = _episode_law(d, rng)
+                joints.append(None if replay and not _fixed_law(law) else
+                              episode_decision(spec, scenario, law, None,
+                                               ev0, iv0, u_ev, u_iv)[0])
+            episodes.append((ev0, iv0, u_ev, u_iv, state, joints))
+        # pass 2: each distinct held (episode, joint action), integrated once
+        results = iter(run_episodes(scenario, (
+            (ev0, iv0, *joint) for ev0, iv0, *_, joints in episodes
+            for joint in dict.fromkeys(joints) if joint is not None)))
+        # pass 3: every (episode, policy) reads its stored result, or
+        # replays; a uniform QG_G4 re-draws its gate, then its own block
+        for ev0, iv0, u_ev, u_iv, state, joints in episodes:
+            shared = {joint: next(results) for joint in dict.fromkeys(joints)
+                      if joint is not None}
+            if None in joints:
+                stream.bit_generator.state = state
+                block = stream.random(k).tolist()
+            for j, joint in enumerate(joints):
+                if joint is not None:
+                    tally(j, run_episode(scenario, ev0, iv0, *joint, shared=shared))
+                    continue
                 if isinstance(dists[j], tuple):  # its gate comes before its block
                     stream.bit_generator.state = state
                 (a_ev, a_iv), decide = episode_decision(
-                    spec, scenario, dists[j], stream, ev0, iv0, u_ev, u_iv, block)
+                    specs[j], scenario, dists[j], stream, ev0, iv0, u_ev, u_iv, block)
                 tally(j, run_episode(scenario, ev0, iv0, a_ev, a_iv, decide=decide))
-    else:
-        for start in range(0, n, _CHUNK):
-            # pass 1: the contract's draws, then every policy's held joint
-            # action; only a uniform QG_G4 draws further (its gate), and a
-            # label appears once, so the policies can share `rng`
-            episodes = []
-            for i in range(start, min(start + _CHUNK, n)):
-                rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
-                episodes.append((ev0, iv0, [
-                    episode_decision(spec, scenario, d, rng, ev0, iv0, u_ev, u_iv)[0]
-                    for spec, d in zip(specs, dists)]))
-            # pass 2: each distinct (episode, joint action), integrated once
-            results = iter(run_episodes(scenario, (
-                (ev0, iv0, *joint) for ev0, iv0, joints in episodes
-                for joint in dict.fromkeys(joints))))
-            # pass 3: every (episode, policy) reads its stored result
-            for ev0, iv0, joints in episodes:
-                shared = {joint: next(results) for joint in dict.fromkeys(joints)}
-                for j, joint in enumerate(joints):
-                    tally(j, run_episode(scenario, ev0, iv0, *joint, shared=shared))
     return tuple(
         MetricsSummary(
             scenario=scenario.kind,

@@ -435,10 +435,13 @@ def run_episode(
 
     Why the Monte Carlo loop calls run_episode at all is stated here once
     for the whole package: bench/selftest.py pins one run_episode call per
-    (policy, episode) on both Monte Carlo workloads, so the held path reads
-    the kernel's results through this lookup and decision replay runs this
-    scalar loop. Once that pin counts outcomes instead, the lookup belongs
-    in the loop, `shared` can go, and replay can move to a batched kernel.
+    (policy, episode) on both Monte Carlo workloads, so a held decision
+    reads the kernel's results through this lookup and a replayed one runs
+    this scalar loop. Under decision replay a game policy whose law is fixed
+    (QG_G4[Z], or a uniform QG_G4 that drew X, Y, Z or I) is held, since
+    replay cannot change its decision; only the other policies replay here.
+    Once that pin counts outcomes instead, the lookup belongs in the loop,
+    `shared` can go, and replay can move to a batched kernel.
     The lanes are checked here once, so a replay callback decides on the
     raw floats it is given (the Monte Carlo loop's callbacks read a
     per-episode block of uniforms and fixed thresholds, or call

@@ -45,14 +45,18 @@ class TestGames:
         assert g.u_b(1, 0) == 10.0
 
     # unchecked, a NaN payoff reaches mixed_strategy (p=nan) and sweep_u1
-    # (an IndexError); the file reader's check is tested in TestLoadGame
+    # (an IndexError), and math.isfinite raised TypeError on an entry that
+    # is not a real; the file reader's check is tested in TestLoadGame
     @pytest.mark.parametrize("bad,match", [
         (((math.nan, 1.0), (2.0, 3.0)), "finite"),
         (((1.0, 2.0), (-math.inf, 3.0)), "finite"),
+        (((1.0, "2"), (3.0, 4.0)), r"finite reals, got \(\(1\.0, '2'\)"),
+        (((1.0, 2.0), (None, 4.0)), r"finite reals, got .*None"),
+        (((1.0, 2.0), (3.0, 1j)), r"finite reals, got .*1j"),
         (((1.0, 2.0), (3.0,)), "2x2"),
         (((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), "2x2"),
         ((1.0, 2.0, 3.0, 4.0), "2x2"),
-    ], ids=["nan", "inf", "ragged", "2x3", "flat"])
+    ], ids=["nan", "inf", "str", "none", "complex", "ragged", "2x3", "flat"])
     def test_programmatic_payoffs_checked(self, bad, match):
         good = ((0.0, 1.0), (2.0, 3.0))
         for ua, ub in ((bad, good), (good, bad)):

@@ -391,17 +391,6 @@ class TestSimulate:
         assert code == 2
         assert flag[0] in err
 
-    def test_config_excludes_decision_replay(self, capsys, tmp_path):
-        # the experiment file's decision_replay key is the one switch there
-        conf = tmp_path / "exp.conf"
-        conf.write_text(
-            "scenario.kind = roundabout\nepisodes = 40\n"
-            "master_seed = 1\npolicy.name = idm\n"
-        )
-        code, _, err = run(capsys, "simulate", "--config", str(conf), "--decision-replay")
-        assert code == 2
-        assert "--decision-replay" in err
-
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "no.conf"))
         assert code == 2

@@ -10,6 +10,7 @@ from oracles import inverse_cdf_joint
 from qgdrive import experiments as ex
 from qgdrive import scenario_sim
 from qgdrive.classical_game import OutcomeDistribution, builtin_game
+from qgdrive.quantum_game import GATE_ORDER, QuantumGate
 from qgdrive.scenario_sim import VehicleState, builtin_scenario
 
 
@@ -416,6 +417,96 @@ class TestRuns:
         s = ex.run_monte_carlo(ex.PolicySpec("IDM"), replay)
         assert s.episodes == 80
         assert 0.0 <= s.cr <= 1.0
+
+
+class TestFixedLaws:
+    @pytest.mark.parametrize("kind", ["merging", "roundabout"])
+    def test_which_laws_are_fixed(self, kind):
+        game = builtin_game(kind)
+
+        def law(name, gate="Z"):
+            return ex.policy_distributions(ex.PolicySpec(name, gate), game)
+
+        # the uniform opponent model's gate laws, in GATE_ORDER: only H mixes
+        gates = dict(zip((g.value for g in GATE_ORDER), law("QG_G4", "uniform")))
+        assert {g: ex._fixed_law(d) for g, d in gates.items()} == {
+            "H": False, "X": True, "Y": True, "Z": True, "I": True}
+        assert ex._fixed_law(law("QG_G4", "Z"))
+        assert not ex._fixed_law(law("CG_EPD"))
+        assert not ex._fixed_law(law("CG_MS"))
+        assert not ex._fixed_law(None)                 # IDM/MOBIL decide from the state
+        # QG_U1_1's P(A=0) lies just below 1.0, so a uniform can still reach it
+        u11 = law("QG_U1_1")
+        assert u11.thresholds[0] == 0.9999999999999998
+        assert not ex._fixed_law(u11)
+        # P(A=0) one step below 1.0, with fixed conditionals: the top
+        # uniform in [0, 1) takes the other EV action
+        top = math.nextafter(1.0, 0.0)
+        near = OutcomeDistribution(top, 0.0, 1.0 - top, 0.0)
+        assert not ex._fixed_law(near)
+        # a fixed law takes one joint action at both ends of [0, 1)
+        for d in (*gates.values(), u11, near):
+            joints = {ex._sample_joint(d, u_ev, u_iv) for u_ev in (0.0, top) for u_iv in (0.0, top)}
+            assert (len(joints) == 1) == ex._fixed_law(d)
+
+    @given(st.sampled_from(["merging", "roundabout"]), st.sampled_from("XYZI"),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_fixed_law_replays_the_held_episode(self, kind, gate, wide, seed):
+        # the wide ranges let every joint action collide, time out or succeed
+        ranges = {
+            "merging": dict(ev_s_range=(95.0, 125.0), ev_v_range=(14.0, 26.0),
+                            iv_s_range=(80.0, 130.0), iv_v_range=(14.0, 26.0)),
+            "roundabout": dict(ev_s_range=(110.0, 125.0), ev_v_range=(2.0, 10.0),
+                               iv_s_range=(0.0, 35.0), iv_v_range=(4.0, 12.0)),
+        }[kind] if wide else {}
+        scenario = builtin_scenario(kind, decision_replay=True, **ranges)
+        spec = ex.PolicySpec("QG_G4", gate)
+        law = ex.policy_distributions(spec, builtin_game(kind))
+        rng = np.random.default_rng(seed)
+        ev0, iv0 = scenario_sim.sample_initial(scenario, rng)
+        u_ev, u_iv = rng.random(2).tolist()
+        block = rng.random(2 * (scenario.horizon - 1)).tolist()
+        start, decide = ex.episode_decision(spec, scenario, law, None, ev0, iv0, u_ev, u_iv, block)
+        replayed = scenario_sim.run_episode(scenario, ev0, iv0, *start, record_trace=True,
+                                            decide=decide)
+        held = scenario_sim.run_episode(scenario, ev0, iv0, *start, record_trace=True)
+        assert replayed == held
+
+    @pytest.mark.parametrize("kind", ["merging", "roundabout"])
+    @pytest.mark.parametrize("chunk", [7, 512])
+    def test_fixed_gates_are_held_under_replay(self, kind, chunk, monkeypatch):
+        lanes, calls = [], []
+        real_many, real_one = ex.run_episodes, ex.run_episode
+
+        def many(config, batch):
+            batch = list(batch)
+            lanes.extend(batch)
+            return real_many(config, batch)
+
+        def one(config, ev0, iv0, a_ev, a_iv, **kwargs):
+            calls.append((ev0, "shared" in kwargs))
+            return real_one(config, ev0, iv0, a_ev, a_iv, **kwargs)
+
+        monkeypatch.setattr(ex, "_CHUNK", chunk)
+        monkeypatch.setattr(ex, "run_episodes", many)
+        monkeypatch.setattr(ex, "run_episode", one)
+        controller = "mobil" if kind == "merging" else "idm"
+        policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", controller]
+        cfg = ex.MonteCarloConfig(
+            builtin_scenario(kind, decision_replay=True), builtin_game(kind), 40, 7
+        )
+        ex.run_comparison([ex.PolicySpec(p, "uniform") for p in policies], cfg)
+        # each episode's gate, drawn as the contract says
+        starts, fixed = [], []
+        for i in range(40):
+            rng = ex.episode_rng(7, i)
+            starts.append(scenario_sim.sample_initial(cfg.scenario, rng)[0])
+            rng.random(2)
+            fixed.append(GATE_ORDER[int(rng.integers(5))] is not QuantumGate.HADAMARD)
+        assert 0 < sum(fixed) < 40
+        assert [lane[0] for lane in lanes] == [ev0 for ev0, f in zip(starts, fixed) if f]
+        assert [ev0 for ev0, _ in calls] == [ev0 for ev0 in starts for _ in policies]
+        assert [held for _, held in calls] == [f and p == "qg-g4" for f in fixed for p in policies]
 
 
 class TestReports:
