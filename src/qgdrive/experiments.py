@@ -202,8 +202,9 @@ def _fixed_law(dist: "OutcomeDistribution | None") -> bool:
     threshold of the one EV action that can be drawn. A uniform u in [0, 1)
     is always below 1.0 and never below 0.0, so a replayed decision under
     such a law repeats the start decision, and the replayed episode is the
-    held one. One ulp below 1.0 (QG_U1_1's P(A=0)) is not fixed; neither is
-    IDM/MOBIL (None), which decides from the state."""
+    held one. A threshold just below 1.0 (QG_U1_1's P(A=0) is
+    0.9999999999999998) is not fixed; neither is IDM/MOBIL (None), which
+    decides from the state."""
     if dist is None:
         return False
     p_ev0, p_iv0_ev0, p_iv0_ev1 = dist.thresholds

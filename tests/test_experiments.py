@@ -435,7 +435,7 @@ class TestFixedLaws:
         assert not ex._fixed_law(law("CG_EPD"))
         assert not ex._fixed_law(law("CG_MS"))
         assert not ex._fixed_law(None)                 # IDM/MOBIL decide from the state
-        # QG_U1_1's P(A=0) lies just below 1.0, so a uniform can still reach it
+        # QG_U1_1's P(A=0) lies just below 1.0, and its IV conditional is 0.5
         u11 = law("QG_U1_1")
         assert u11.thresholds[0] == 0.9999999999999998
         assert not ex._fixed_law(u11)
