@@ -82,7 +82,8 @@ def parse_initial_flag(text: str) -> np.ndarray:
     if not any(amps):
         raise CliError("initial state must have nonzero norm")
     state = quantum_game.parse_initial_state(amps)
-    nrm = float(np.linalg.norm(amps))
+    n, scale = quantum_game.state_norm(amps)
+    nrm = float(n / scale)  # the norm normalizing divides by
     if abs(nrm - 1.0) > 1e-6:
         print(
             f"warning: initial state norm {nrm!r} deviates from 1; normalizing",
@@ -108,14 +109,6 @@ def output_path(explicit: "str | None", default_name: str) -> str:
         return explicit
     base = os.environ.get(OUTPUT_DIR_ENV, "")
     return os.path.join(base, default_name) if base else default_name
-
-
-def _fmt6(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _fmt4(x: float) -> str:
-    return f"{x:.4g}"
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +252,7 @@ def cmd_sweep(args) -> int:
     print("E[u_A] by (A gate row, B gate column):")
     print("     " + "".join(f"{c:>11}" for c in letters))
     for letter, row in zip(letters, table.eu_a):
-        print(f"  {letter}  " + "".join(f"{_fmt4(x):>11}" for x in row))
+        print(f"  {letter}  " + "".join(f"{x:>11.4g}" for x in row))
     return 0
 
 
@@ -313,7 +306,7 @@ def cmd_simulate(args) -> int:
     widths = [{"scenario": 12, "method": 16}.get(h, max(len(h) + 1, 9)) for h in header]
     print("".join(f"{h:<{w}}" for h, w in zip(header, widths)))
     for s in summaries:
-        cells = [_fmt6(v) if isinstance(v, float) else str(v) for v in astuple(s)]
+        cells = [f"{v:.6g}" if isinstance(v, float) else str(v) for v in astuple(s)]
         print("".join(f"{c:<{w}}" for c, w in zip(cells, widths)))
     print("mean_headway_m averages post-decision steps, collision step excluded")
     return 0

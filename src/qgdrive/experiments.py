@@ -184,13 +184,13 @@ def policy_distributions(policy: PolicySpec, game: TwoPlayerGame):
     return None
 
 
-def _sample_joint(dist: OutcomeDistribution, u_ev: float, u_iv: float) -> tuple[int, int]:
-    """Invert the joint distribution at its fixed thresholds
-    (OutcomeDistribution.thresholds): EV from its marginal, IV from the
-    conditional given the EV action. Keeps the exact joint law while sharing
-    the two uniforms across policies; a uniform on a threshold takes
-    action 1."""
-    p_ev0, p_iv0_ev0, p_iv0_ev1 = dist.thresholds
+def _sample_joint(thresholds: tuple, u_ev: float, u_iv: float) -> tuple[int, int]:
+    """Invert a joint distribution at its fixed thresholds (its
+    OutcomeDistribution.thresholds, which a replay callback binds once per
+    episode): EV from its marginal, IV from the conditional given the EV
+    action. Keeps the exact joint law while sharing the two uniforms across
+    policies; a uniform on a threshold takes action 1."""
+    p_ev0, p_iv0_ev0, p_iv0_ev1 = thresholds
     if u_ev < p_ev0:
         return 0, (0 if u_iv < p_iv0_ev0 else 1)
     return 1, (0 if u_iv < p_iv0_ev1 else 1)
@@ -257,13 +257,14 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
     dist = _episode_law(dists, rng)
     if isinstance(dists, tuple) and uniforms is not None:
         uniforms = rng.random(len(uniforms)).tolist()
-    start = _sample_joint(dist, u_ev, u_iv)
+    thresholds = dist.thresholds
+    start = _sample_joint(thresholds, u_ev, u_iv)
     if uniforms is None:
         return start, None
     u_next = iter(uniforms).__next__
 
     def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
-        return _sample_joint(dist, u_next(), u_next())
+        return _sample_joint(thresholds, u_next(), u_next())
 
     return start, replay
 
@@ -305,10 +306,8 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     loop with its own replay callback, which reads the episode's block of
     replay uniforms, redrawn from the episode's stream state kept in pass 1,
     and decides at fixed thresholds (a game policy) or with its rule's
-    raw-float core (IDM/MOBIL). Without decision replay every policy is
-    held; under it, a game policy is held in an episode whose law is fixed
-    (_fixed_law), since replay cannot change its decision. Why pass 3 goes
-    through run_episode is stated once, in run_episode's docstring.
+    raw-float core (IDM/MOBIL); the module docstring says which policies are
+    held. Why pass 3 goes through run_episode is stated in run_episode's.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:

@@ -97,26 +97,36 @@ def equal_superposition() -> np.ndarray:
     return np.full(4, 0.5, dtype=np.complex128)
 
 
+def state_norm(amplitudes) -> tuple[np.float64, float]:
+    """(norm, scale): np.linalg.norm of the amplitudes times scale, inf if it
+    overflows. scale is 1.0 unless a nonzero vector's squares all underflow,
+    so that its norm reads 0; then it is 2**600, an exact power of two that
+    lifts them into the normal range, so the vector's norm is norm / scale."""
+    v = np.asarray(amplitudes, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    return (np.linalg.norm(v * 2.0**600), 2.0**600) if n == 0.0 and v.any() else (n, 1.0)
+
+
 def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
     """Validate (or normalize) a length-4 amplitude vector.
 
     The amplitudes and their norm must be finite. With normalize=False the
     norm must already be 1 within 1e-9; with normalize=True any nonzero
-    vector is rescaled to unit norm.
+    vector is rescaled to unit norm, first by state_norm's scale.
     """
     v = np.asarray(amplitudes, dtype=np.complex128)
     if v.shape != (4,):
         raise ValueError(f"state vector must have 4 amplitudes, got shape {v.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        n = np.linalg.norm(v)
+    n, scale = state_norm(v)
     if not np.isfinite(n):
         raise ValueError(f"state vector amplitudes and norm must be finite, got norm {float(n)}")
     if normalize:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return v / n
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"state vector norm {n!r} deviates from 1 by more than 1e-9")
+        return v / n if scale == 1.0 else v * scale / n
+    if abs(n / scale - 1.0) > 1e-9:
+        raise ValueError(f"state vector norm {n / scale!r} deviates from 1 by more than 1e-9")
     return v
 
 

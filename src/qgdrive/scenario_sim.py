@@ -77,15 +77,21 @@ class IdmParams:
     b: float = 2.0          # comfortable deceleration, m/s^2
 
     def __post_init__(self):
-        # v0 and b divide, sqrt(a*b) needs a*b > 0
-        _require(self, ("v0", "a", "b"), _positive, "finite and positive")
+        _require(self, ("v0", "a", "b"), _positive, "finite and positive")  # v0 and b divide
         _require(self, ("s0", "T"), _non_negative, "finite and non-negative")
+        if not self.a * self.b > 0.0:  # 2*sqrt(a*b) divides; a tiny a*b underflows to 0
+            raise ValueError(f"a*b must be positive, got {self.a!r}*{self.b!r} = 0.0")
 
     @cached_property
     def two_sqrt_ab(self) -> float:
         """2*sqrt(a*b), the denominator of IDM's dynamic term; computed once
         per parameter set, and read by idm_accel and idm_accel_lanes."""
         return 2.0 * math.sqrt(self.a * self.b)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """(v0, T, s0, a, -b*4, two_sqrt_ab), which idm_accel unpacks at once."""
+        return self.v0, self.T, self.s0, self.a, -self.b * 4.0, self.two_sqrt_ab
 
 
 @dataclass(frozen=True)
@@ -236,32 +242,28 @@ def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
 # ---------------------------------------------------------------------------
 # Driver models (baseline plumbing)
 
-def _idm_free(v, v0):
-    """IDM's free-road term 1 - (v/v0)^4 as ((v/v0)^2)^2, for a float or an
-    array alike."""
-    r = v / v0
-    r = r * r
-    return 1.0 - r * r
-
-
 def idm_accel(v: float, gap: "float | None", v_lead: float, p: IdmParams) -> float:
     """IDM acceleration with the standard speed exponent 4 (Treiber, Hennecke
     & Helbing 2000). gap is the net (bumper) distance to the leader; None
     means free road. A gap of 0.1 m or less, overlap included, is an
     emergency: brake at 4b.
 
-    Both powers are IEEE multiplications (_idm_free, and q * q for
-    (s*/gap)^2), never the C library's pow, so the result is the same bits
-    on every IEEE 754 platform; idm_accel_lanes runs the same operations.
+    Both powers are IEEE multiplications (1 - (v/v0)^4 as ((v/v0)^2)^2, and
+    q * q for (s*/gap)^2), never the C library's pow, so the result is the
+    same bits on every IEEE 754 platform; idm_accel_lanes runs the same
+    operations. The constants are read from the cached IdmParams.terms.
     """
-    free = _idm_free(v, p.v0)
+    v0, T, s0, a, brake, two_sqrt_ab = p.terms
+    r = v / v0
+    r = r * r
+    free = 1.0 - r * r
     if gap is None:
-        return p.a * free
+        return a * free
     if gap <= 0.1:
-        return -p.b * 4.0
-    s_star = p.s0 + max(0.0, v * p.T + v * (v - v_lead) / p.two_sqrt_ab)
-    q = s_star / gap
-    return p.a * (free - q * q)
+        return brake
+    dynamic = v * T + v * (v - v_lead) / two_sqrt_ab
+    q = (s0 + (dynamic if dynamic > 0.0 else 0.0)) / gap
+    return a * (free - q * q)
 
 
 def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
@@ -272,7 +274,9 @@ def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
     lane's branch is picked with np.where; the division by the gap of an
     emergency or free-road lane, whose result is never read, may overflow
     or divide by zero silently."""
-    free = _idm_free(v, p.v0)
+    r = v / p.v0
+    r = r * r
+    free = 1.0 - r * r
     dynamic = v * p.T + v * (v - v_lead) / p.two_sqrt_ab
     # max(0.0, x) keeps 0.0 unless x > 0.0
     s_star = p.s0 + np.where(dynamic > 0.0, dynamic, 0.0)
@@ -354,17 +358,18 @@ def idm_entry_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleStat
 def idm_entry_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: float,
                    iv_s: float, iv_v: float) -> int:
     """idm_entry_decision on raw floats, for vehicles already on checked
-    lanes; ev_lane is not read (it keeps mobil_merge_core's signature)."""
+    lanes; ev_lane is not read (it keeps mobil_merge_core's signature).
+    `c if c > x else x` is max(x, c), keeping x on a tie or a NaN."""
     conflict = config.merge_point + config.lane_offset
     iv_dist = conflict - iv_s
     if iv_dist <= 0.0:
         return 0
-    tau_iv = iv_dist / max(iv_v, 0.1)
+    tau_iv = iv_dist / (0.1 if 0.1 > iv_v else iv_v)
     # time for the EV to pass the conflict point plus one vehicle length;
     # an EV already past the line commits (d = 0)
-    d = max(config.merge_point - ev_s + config.vehicle_length, 0.0)
+    d = config.merge_point - ev_s + config.vehicle_length
     a = config.a_nominal
-    tau_ev = (-ev_v + math.sqrt(ev_v * ev_v + 2.0 * a * d)) / a
+    tau_ev = (-ev_v + math.sqrt(ev_v * ev_v + 2.0 * a * (0.0 if 0.0 > d else d))) / a
     return 0 if tau_iv - tau_ev >= T_ACCEPT else 1
 
 
@@ -423,7 +428,9 @@ def run_episode(
     Given a decide callback
     `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (ev_action, iv_action)`, the joint
     decision is re-taken from the current state at every step until the EV
-    reaches _FOLLOW; the result then records the last commanded pair.
+    reaches _FOLLOW; the result then records the last commanded pair. The
+    IV's step terms a*dt and 0.5*a*dt*dt are looked up per commanded action
+    (iv_terms, computed once per episode), and IDM reads IdmParams.terms.
 
     `shared` is a lookup: a dict the caller owns for one (config, ev0, iv0)
     triple, keyed by the joint action and filled from run_episodes.
@@ -443,10 +450,9 @@ def run_episode(
     Once that pin counts outcomes instead, the lookup belongs in the loop,
     `shared` can go, and replay can move to a batched kernel.
     The lanes are checked here once, so a replay callback decides on the
-    raw floats it is given (the Monte Carlo loop's callbacks read a
-    per-episode block of uniforms and fixed thresholds, or call
-    idm_entry_core/mobil_merge_core). The loop also records traces, and it
-    is the reference run_episodes is tested against, field for field.
+    raw floats it is given (a per-episode block of uniforms against fixed
+    thresholds, or idm_entry_core/mobil_merge_core). The loop also records
+    traces, and it is the reference run_episodes is tested against.
     """
     if shared is not None:
         if decide is not None or record_trace:
@@ -473,11 +479,13 @@ def run_episode(
     target_lane = EV_LANE_TARGET[config.kind]
     go_a = 0.0 if merging else a_nom    # EV acceleration while going
     iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
+    # per IV action, its step's speed and position terms a*dt and 0.5*a*dt*dt
+    iv_terms = {i: (a * dt, 0.5 * a * dt * dt) for i, a in enumerate((a_nom, iv_a1))}
 
     ev_s, ev_v, ev_lane = ev0.s, ev0.v, ev0.lane
     iv_s, iv_v = iv0.s, iv0.v
 
-    iv_a = a_nom if iv_action == 0 else iv_a1
+    iv_dv, iv_ds = iv_terms[iv_action]
     phase = _GO if ev_action == 0 else _YIELD
     collided = False
     violation = False
@@ -488,9 +496,9 @@ def run_episode(
     ev_common = ev_s + offset if on_entry else ev_s
 
     for steps in range(1, config.horizon + 1):
-        if decide is not None and steps > 1 and phase != _FOLLOW:
+        if phase != _FOLLOW and decide is not None and steps > 1:
             ev_action, iv_action = decide(ev_lane, ev_s, ev_v, iv_s, iv_v)
-            iv_a = a_nom if iv_action == 0 else iv_a1
+            iv_dv, iv_ds = iv_terms[iv_action]
             phase = _GO if ev_action == 0 else _YIELD
 
         # phase transitions on the current state
@@ -528,12 +536,12 @@ def run_episode(
         ev_s += ev_v * dt + 0.5 * ev_a * dt * dt
         ev_v = ev_v_next
 
-        iv_a_step = iv_a
-        iv_v_next = iv_v + iv_a_step * dt
+        iv_v_next = iv_v + iv_dv
         if iv_v_next < 0.0:
-            iv_a_step = -iv_v / dt
+            iv_s += iv_v * dt + 0.5 * (-iv_v / dt) * dt * dt
             iv_v_next = 0.0
-        iv_s += iv_v * dt + 0.5 * iv_a_step * dt * dt
+        else:
+            iv_s += iv_v * dt + iv_ds
         iv_v = iv_v_next
 
         t += dt

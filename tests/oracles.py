@@ -1,5 +1,7 @@
 """Oracles shared by the test modules, independent of qgdrive."""
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -56,8 +58,17 @@ def inverse_cdf_joint(p, u_ev: float, u_iv: float) -> tuple[int, int]:
 
 def _rounded(op, x, y) -> float:
     """x op y computed exactly over the rationals, then rounded once to the
-    nearest float (ties to even): an IEEE 754 operation on float operands."""
-    return float(op(Fraction(x), Fraction(y)))
+    nearest float (ties to even): an IEEE 754 operation on float operands.
+    A rounded result beyond the largest float is an infinity of its sign;
+    an infinite or NaN operand takes Python's float arithmetic, which is
+    IEEE's for +, -, * and for / by a nonzero divisor."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return op(x, y)
+    exact = op(Fraction(x), Fraction(y))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def idm_accel_exact(v: float, gap, v_lead: float, p) -> float:
@@ -68,8 +79,7 @@ def idm_accel_exact(v: float, gap, v_lead: float, p) -> float:
     v_lead))/two_sqrt_ab), q = s*/gap and a*(free - q*q). p supplies v0, T,
     s0, a, b and two_sqrt_ab, the per-parameter-set 2*sqrt(a*b) (sqrt is
     correctly rounded under IEEE 754 too)."""
-    add, sub = Fraction.__add__, Fraction.__sub__
-    mul, div = Fraction.__mul__, Fraction.__truediv__
+    add, sub, mul, div = operator.add, operator.sub, operator.mul, operator.truediv
     r = _rounded(div, v, p.v0)
     r = _rounded(mul, r, r)
     free = _rounded(sub, 1.0, _rounded(mul, r, r))
@@ -82,3 +92,22 @@ def idm_accel_exact(v: float, gap, v_lead: float, p) -> float:
     s_star = _rounded(add, p.s0, dynamic if dynamic > 0.0 else 0.0)
     q = _rounded(div, s_star, gap)
     return _rounded(mul, p.a, _rounded(sub, free, _rounded(mul, q, q)))
+
+
+def idm_entry_max_rule(config, ev_s: float, ev_v: float, iv_s: float, iv_v: float,
+                       t_accept: float) -> int:
+    """The roundabout gap-acceptance entry rule as first written, with the
+    builtin max for its two floors: enter (0) when the IV is past the
+    conflict point (merge_point + lane_offset on its path), or arrives at
+    constant speed, floored at 0.1 m/s, at least t_accept seconds after the
+    EV, accelerating at a_nominal, has covered the distance to the yield
+    line plus one vehicle length, floored at 0; otherwise yield (1)."""
+    conflict = config.merge_point + config.lane_offset
+    iv_dist = conflict - iv_s
+    if iv_dist <= 0.0:
+        return 0
+    tau_iv = iv_dist / max(iv_v, 0.1)
+    d = max(config.merge_point - ev_s + config.vehicle_length, 0.0)
+    a = config.a_nominal
+    tau_ev = (-ev_v + math.sqrt(ev_v * ev_v + 2.0 * a * d)) / a
+    return 0 if tau_iv - tau_ev >= t_accept else 1

@@ -60,6 +60,20 @@ class TestInitialFlag:
         with pytest.raises(cli.CliError):
             cli.parse_initial_flag("0,0,0,0,0,0,0,0")
 
+    # np.linalg.norm reads 0 for these; solve used to exit 2 with "cannot
+    # normalize the zero vector" and the warning printed norm 0.0
+    @pytest.mark.parametrize("tiny,norm,unit", [
+        ("1e-200,0,1e-200,0,0,0,0,0", "1.414213562373095e-200", "1,0,1,0,0,0,0,0"),
+        ("5e-324,0,0,0,0,0,0,0", "5e-324", "s00"),
+    ], ids=["1e-200", "5e-324"])
+    def test_underflowing_raw_components_normalized(self, capsys, tiny, norm, unit):
+        flags = ("solve", "--model", "qg-u1", "--gamma", "0.5", "--theta-a", "1",
+                 "--theta-b", "0.3", "--format", "csv", "--initial")
+        code, out, err = run(capsys, *flags, tiny)
+        assert code == 0
+        assert err == f"warning: initial state norm {norm} deviates from 1; normalizing\n"
+        assert out == run(capsys, *flags, unit)[1]
+
 
 class TestEquilibria:
     def test_merging_report(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgdrive import clinalg
-from qgdrive.quantum_game import state_vector
+from qgdrive.quantum_game import state_norm, state_vector
 
 from oracles import is_unitary, random_state
 
@@ -22,8 +22,25 @@ class TestConstructors:
         assert abs(v[0] - 1 / np.sqrt(2)) < 1e-12
 
     def test_state_vector_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero vector"):
             state_vector([0, 0, 0, 0], normalize=True)
+
+    # every square of these underflows, so np.linalg.norm reads 0; the
+    # vector is first scaled by a power of two, which keeps every bit
+    @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+    def test_state_vector_normalizes_an_underflowing_norm(self, tiny):
+        v = state_vector([tiny, 0, 1j * tiny, 0], normalize=True)
+        assert v.tolist() == pytest.approx([2 ** -0.5, 0, 2 ** -0.5 * 1j, 0], abs=1e-15)
+        if tiny == 5e-324:  # 2**-1074: the same bits as the unit-scale vector
+            assert v.tobytes() == state_vector([1, 0, 1j, 0], normalize=True).tobytes()
+        assert state_norm([tiny, 0, 0, 0]) == (tiny * 2.0**600, 2.0**600)
+
+    def test_accepted_vectors_are_not_rescaled(self):
+        for amps in ([1, 2j, 0.5, -1], [1e-150, 0, 0, 3e-151], [3, 4, 0, 0]):
+            assert state_norm(amps) == (np.linalg.norm(np.asarray(amps, complex)), 1.0)
+        # a norm of 2**-600 scales to 1.0, but the vector is not a unit one
+        with pytest.raises(ValueError, match=r"norm .*e-181\) deviates from 1"):
+            state_vector([2.0**-600, 0, 0, 0])
 
     @pytest.mark.parametrize("amps,normalize", [
         ([np.nan, 0, 0, 0], False),

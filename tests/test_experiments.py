@@ -119,15 +119,15 @@ class TestDistributions:
 class TestJointSampling:
     def test_uniform_inversion_quadrants(self):
         d = OutcomeDistribution(0.25, 0.25, 0.25, 0.25)
-        assert ex._sample_joint(d, 0.4, 0.4) == (0, 0)
-        assert ex._sample_joint(d, 0.4, 0.6) == (0, 1)
-        assert ex._sample_joint(d, 0.6, 0.4) == (1, 0)
-        assert ex._sample_joint(d, 0.6, 0.6) == (1, 1)
+        assert ex._sample_joint(d.thresholds, 0.4, 0.4) == (0, 0)
+        assert ex._sample_joint(d.thresholds, 0.4, 0.6) == (0, 1)
+        assert ex._sample_joint(d.thresholds, 0.6, 0.4) == (1, 0)
+        assert ex._sample_joint(d.thresholds, 0.6, 0.6) == (1, 1)
 
     def test_point_mass_ignores_draws(self):
         d = OutcomeDistribution(0.0, 1.0, 0.0, 0.0)
         for u in (0.01, 0.5, 0.99):
-            assert ex._sample_joint(d, u, u) == (0, 1)
+            assert ex._sample_joint(d.thresholds, u, u) == (0, 1)
 
     def test_empirical_joint_matches_law(self):
         d = OutcomeDistribution(0.5, 0.1, 0.15, 0.25)
@@ -135,7 +135,7 @@ class TestJointSampling:
         counts = {}
         n = 40000
         for _ in range(n):
-            jk = ex._sample_joint(d, float(rng.random()), float(rng.random()))
+            jk = ex._sample_joint(d.thresholds, float(rng.random()), float(rng.random()))
             counts[jk] = counts.get(jk, 0) + 1
         for (j, k), want in zip(((0, 0), (0, 1), (1, 0), (1, 1)), d.as_tuple()):
             assert counts.get((j, k), 0) / n == pytest.approx(want, abs=0.01)
@@ -153,7 +153,7 @@ class TestJointSampling:
         uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
         u_ev, u_iv = (0.5, 0.5) if data is None else (data.draw(uniform), data.draw(uniform))
         want = inverse_cdf_joint(p, u_ev, u_iv)
-        assert ex._sample_joint(dist, u_ev, u_iv) == want
+        assert ex._sample_joint(dist.thresholds, u_ev, u_iv) == want
         # the start decision and a replayed one read the same thresholds
         start, replay = ex.episode_decision(ex.PolicySpec("cg-ms"), builtin_scenario("merging"),
                                             dist, None, None, None, u_ev, u_iv, [u_ev, u_iv])
@@ -173,7 +173,7 @@ class TestJointSampling:
             twin = ex.episode_rng(3, i)
             u_ev, u_iv = float(twin.random()), float(twin.random())
             gate = int(twin.integers(5))
-            assert got == ex._sample_joint(rows[gate], u_ev, u_iv)
+            assert got == ex._sample_joint(rows[gate].thresholds, u_ev, u_iv)
 
     def test_controller_requires_states(self):
         # a controller decides from the initial states, which must be on the
@@ -446,7 +446,8 @@ class TestFixedLaws:
         assert not ex._fixed_law(near)
         # a fixed law takes one joint action at both ends of [0, 1)
         for d in (*gates.values(), u11, near):
-            joints = {ex._sample_joint(d, u_ev, u_iv) for u_ev in (0.0, top) for u_iv in (0.0, top)}
+            joints = {ex._sample_joint(d.thresholds, u_ev, u_iv)
+                      for u_ev in (0.0, top) for u_iv in (0.0, top)}
             assert (len(joints) == 1) == ex._fixed_law(d)
 
     @given(st.sampled_from(["merging", "roundabout"]), st.sampled_from("XYZI"),

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import idm_accel_exact
+from oracles import idm_accel_exact, idm_entry_max_rule
 from qgdrive import scenario_sim as sim
 
 
@@ -255,6 +255,64 @@ class TestDriverModels:
         assert [x.hex() for x in sim.idm_accel_lanes(v, gap, v_lead, lead, p).tolist()] == want
         assert (v > p.v0).sum() > 500 and (lead & (gap <= 0.1)).sum() > 40
 
+    # a*b = 1e-340 is 0.0 in floats, so 2*sqrt(a*b) was 0 and idm_accel
+    # raised ZeroDivisionError once a leader was given
+    @pytest.mark.parametrize("a,b", [(1e-170, 1e-170), (5e-324, 0.5)])
+    def test_idm_params_reject_an_underflowing_a_times_b(self, a, b):
+        with pytest.raises(ValueError, match=r"^a\*b must be positive"):
+            sim.IdmParams(a=a, b=b)
+        assert sim.IdmParams(a=a, b=1.0).two_sqrt_ab > 0.0
+
+    # hand-picked corners of the chain, each against the exact oracle
+    @pytest.mark.parametrize("v,gap,v_lead,params", [
+        (1e308, 50.0, 1.7e308, dict(T=10.0)),       # v*T = inf, closing = -inf: NaN dynamic
+        (1e308, None, 0.0, {}),                     # (v/v0)^4 overflows on free road
+        (20.0, 30.0, 1e300, {}),                    # a far faster leader: dynamic < 0
+        (20.0, 30.0, 20.0 + 1.5 * 2 * math.sqrt(3.0), dict(s0=0.0)),  # dynamic about 0
+        (20.0, 30.0, 25.0, dict(a=1e200, b=1e200)),  # 2*sqrt(a*b) overflows to inf
+        (-0.0, 5e-324, 3.0, {}),                    # signed zero speed, subnormal gap
+        (5e-324, 0.2, -1e308, dict(v0=5e-324)),     # subnormal v0
+    ], ids=["nan-dynamic", "free-overflow", "fast-leader", "dynamic-near-zero",
+            "infinite-denominator", "zero-speed", "subnormal-v0"])
+    def test_idm_corners_match_the_exact_chain(self, v, gap, v_lead, params):
+        p = sim.IdmParams(**params)
+        want = idm_accel_exact(v, gap, v_lead, p).hex()
+        assert sim.idm_accel(v, gap, v_lead, p).hex() == want
+        lanes = [np.array([x]) for x in (v, 1.0 if gap is None else gap, v_lead, gap is not None)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sim.idm_accel_lanes(*lanes, p).item().hex() == want
+
+    # any valid IdmParams, any finite speeds and gaps: near-zero, subnormal
+    # and huge values overflow and underflow inside the chain, and a leader
+    # faster than the EV makes IDM's dynamic term negative, where
+    # `x if x > 0.0 else 0.0` stands for max(0.0, x)
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_idm_is_the_correctly_rounded_chain_for_any_input(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.one_of(st.floats(0.5, 40.0), st.floats(min_value=0.0, exclude_min=True,
+                                                               allow_infinity=False))
+        non_negative = st.one_of(st.just(0.0), st.floats(0.0, 5.0), positive)
+        fields = dict(v0=positive, T=non_negative, s0=non_negative, a=positive, b=positive)
+        try:
+            p = sim.IdmParams(**{name: data.draw(s, label=name) for name, s in fields.items()})
+        except ValueError:
+            assume(False)       # only an underflowing a*b is drawn invalid
+        speed = st.one_of(st.floats(-1.0, 45.0), finite)
+        v = data.draw(speed, label="v")
+        v_lead = data.draw(st.one_of(
+            speed,
+            st.floats(min_value=v, allow_infinity=False),           # leader at least as fast
+            st.floats(0.0, 40.0).map(lambda d: v + d).filter(math.isfinite),
+        ), label="v_lead")
+        gap = data.draw(st.one_of(st.none(), st.just(0.1), st.floats(-5.0, 0.1),
+                                  st.floats(0.1, 200.0), finite), label="gap")
+        want = idm_accel_exact(v, gap, v_lead, p).hex()
+        assert sim.idm_accel(v, gap, v_lead, p).hex() == want
+        lanes = [np.array([x]) for x in (v, 1.0 if gap is None else gap, v_lead, gap is not None)]
+        with np.errstate(over="ignore", invalid="ignore"):  # huge v overflows (v/v0)^4
+            assert sim.idm_accel_lanes(*lanes, p).item().hex() == want
+
     def test_idm_zero_jam_distance_and_headway_allowed(self):
         p = sim.IdmParams(s0=0.0, T=0.0)
         assert sim.idm_accel(20.0, 20.0, 20.0, p) == pytest.approx(p.a * (1.0 - 0.8 ** 4))
@@ -298,6 +356,39 @@ class TestDriverModels:
         assert sim.idm_entry_decision(cfg, ev, sim.VehicleState("inside", 45.0, 10.0)) == 1
         with pytest.raises(ValueError):
             sim.idm_entry_decision(sim.builtin_scenario("merging"), ev, ev)
+
+    # idm_entry_core spells its two floors as comparisons; the max-spelled
+    # rule in tests/oracles.py is the reference, NaN and ties included
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_entry_core_is_the_max_rule(self, data):
+        cfg = sim.builtin_scenario("roundabout", **data.draw(st.fixed_dictionaries({}, optional={
+            "merge_point": st.floats(100.0, 200.0), "lane_offset": st.floats(-150.0, 0.0),
+            "vehicle_length": st.floats(0.5, 10.0), "a_nominal": st.floats(0.1, 5.0)})))
+        conflict = cfg.merge_point + cfg.lane_offset
+        line = cfg.merge_point
+        # a NaN is drawn on purpose: `c if c > x else x` must keep it as max does
+        anything = st.one_of(st.just(math.nan), st.floats(allow_infinity=False))
+        ev_s = data.draw(st.one_of(
+            st.floats(line - 30.0, line),                           # before the yield line
+            st.floats(line, line + 2 * cfg.vehicle_length),         # past it: d floors at 0
+            st.just(line + cfg.vehicle_length), anything), label="ev_s")
+        ev_v = data.draw(st.one_of(st.floats(0.0, 15.0), anything), label="ev_v")
+        iv_v = data.draw(st.one_of(
+            st.floats(-1.0, 0.1), st.just(0.1), st.floats(0.1, 15.0), anything), label="iv_v")
+        tau_ev = ((-ev_v + math.sqrt(ev_v * ev_v + 2.0 * cfg.a_nominal * max(
+            line - ev_s + cfg.vehicle_length, 0.0))) / cfg.a_nominal
+                  if math.isfinite(ev_s) and math.isfinite(ev_v) else 0.0)
+        iv_s_choices = [st.floats(conflict - 60.0, conflict),       # approaching
+                        st.floats(conflict, conflict + 30.0),       # already past
+                        anything]
+        at_boundary = conflict - max(iv_v, 0.1) * (tau_ev + sim.T_ACCEPT)
+        if math.isfinite(at_boundary):                              # tau gap ~ T_ACCEPT
+            iv_s_choices.append(st.integers(-4, 4).map(
+                lambda k: at_boundary + k * math.ulp(at_boundary)))
+        iv_s = data.draw(st.one_of(iv_s_choices), label="iv_s")
+        want = idm_entry_max_rule(cfg, ev_s, ev_v, iv_s, iv_v, sim.T_ACCEPT)
+        assert sim.idm_entry_core(cfg, "approach", ev_s, ev_v, iv_s, iv_v) == want
 
 
 
