@@ -27,7 +27,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 
-from . import classical_game, experiments, quantum_game, scenario_sim
+from . import classical_game, experiments, quantum_game
 from .classical_game import NoInteriorEquilibriumError
 
 OUTPUT_DIR_ENV = "QGDRIVE_OUTPUT_DIR"
@@ -260,7 +260,8 @@ def cmd_sweep(args) -> int:
 # simulate
 
 # the flags an experiment file replaces; argparse leaves each None unless
-# given, so that --config can reject it and the flag path fill its default
+# given, so that --config can reject it, the flag path can fill the episodes
+# and seed defaults, and experiments.comparison keeps the gate's and replay's
 _CONFIG_REPLACES = ("scenario", "policies", "episodes", "seed", "assumed_gate",
                     "decision_replay")
 
@@ -271,27 +272,16 @@ def _simulate_setup(args):
         if given:
             flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise CliError(f"--config replaces {flags}; do not combine them")
-        policy, config = experiments.load_experiment_config(args.config)
-        return [policy], config
+        return experiments.load_experiment_config(args.config)
     if not args.scenario:
         raise CliError("--scenario is required (or use --config)")
     if not args.policies:
         raise CliError("--policies is required (or use --config)")
-    scenario = scenario_sim.builtin_scenario(args.scenario,
-                                             decision_replay=bool(args.decision_replay))
-    game = classical_game.builtin_game(args.scenario)
-    gate = "Z" if args.assumed_gate is None else args.assumed_gate
-    specs = [
-        experiments.PolicySpec(name, gate)
-        for name in args.policies.split(",")
-        if name.strip()
-    ]
-    config = experiments.MonteCarloConfig(
-        scenario=scenario, game=game,
-        episodes=10000 if args.episodes is None else args.episodes,
-        master_seed=0 if args.seed is None else args.seed,
-    )
-    return specs, config
+    return experiments.comparison(
+        args.scenario, [name for name in args.policies.split(",") if name.strip()],
+        10000 if args.episodes is None else args.episodes,
+        0 if args.seed is None else args.seed,
+        args.assumed_gate, args.decision_replay, "--assumed-gate")
 
 
 def cmd_simulate(args) -> int:

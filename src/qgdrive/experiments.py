@@ -422,25 +422,42 @@ def _true_or_false(text: str) -> bool:
     return text == "true"
 
 
-def load_experiment_config(path) -> tuple[PolicySpec, MonteCarloConfig]:
-    """Key-value experiment file, parsed with read_key_values.
+def comparison(kind, policies, episodes, master_seed, assumed_gate=None,
+               decision_replay=None, gate_name="assumed_gate"):
+    """(specs, config) for a run_comparison of the named policies on the
+    builtin scenario and game `kind`: the one builder behind both of
+    `qgdrive simulate`'s inputs, its flags and an experiment file. An
+    assumed_gate or decision_replay of None keeps PolicySpec's or
+    ScenarioConfig's default. A gate given without a QG_G4 among the
+    policies raises ValueError naming it as gate_name, since no policy
+    would read it."""
+    gate = {} if assumed_gate is None else {"assumed_gate": assumed_gate}
+    specs = [PolicySpec(name, **gate) for name in policies]
+    if gate and all(spec.name != "QG_G4" for spec in specs):
+        raise ValueError(f"{gate_name} {assumed_gate!r} is read by qg-g4 only, "
+                         "and no qg-g4 is among the policies")
+    replay = {} if decision_replay is None else {"decision_replay": decision_replay}
+    config = MonteCarloConfig(builtin_scenario(kind, **replay), builtin_game(kind),
+                              episodes, master_seed)
+    return specs, config
+
+
+def load_experiment_config(path) -> tuple[list[PolicySpec], MonteCarloConfig]:
+    """comparison() of an experiment file, parsed with read_key_values.
 
     Recognized keys: scenario.kind, episodes (positive), master_seed
     (non-negative), policy.name, and optionally policy.assumed_gate and
     decision_replay (true or false, default false). '#' starts a comment.
+    A value the builder would reject is rejected at its line.
     """
     values = read_key_values(
         path,
-        {"scenario.kind": str, "episodes": _int_at_least(1), "master_seed": _int_at_least(0),
-         "policy.name": str},
-        {"policy.assumed_gate": str, "decision_replay": _true_or_false},
+        {"scenario.kind": lambda kind: builtin_scenario(kind).kind,
+         "episodes": _int_at_least(1), "master_seed": _int_at_least(0),
+         "policy.name": lambda name: PolicySpec(name).name},
+        {"policy.assumed_gate": lambda gate: PolicySpec("QG_G4", gate).assumed_gate,
+         "decision_replay": _true_or_false},
     )
-    policy = PolicySpec(values["policy.name"], values.get("policy.assumed_gate", "Z"))
-    kind = values["scenario.kind"]
-    config = MonteCarloConfig(
-        scenario=builtin_scenario(kind, decision_replay=values.get("decision_replay", False)),
-        game=builtin_game(kind),
-        episodes=values["episodes"],
-        master_seed=values["master_seed"],
-    )
-    return policy, config
+    return comparison(values["scenario.kind"], [values["policy.name"]], values["episodes"],
+                      values["master_seed"], values.get("policy.assumed_gate"),
+                      values.get("decision_replay"), f"{path}: policy.assumed_gate")

@@ -99,13 +99,14 @@ def equal_superposition() -> np.ndarray:
 
 def state_norm(amplitudes) -> tuple[np.float64, float]:
     """(norm, scale): np.linalg.norm of the amplitudes times scale, inf if it
-    overflows. scale is 1.0 unless a nonzero vector's squares all underflow,
-    so that its norm reads 0; then it is 2**600, an exact power of two that
-    lifts them into the normal range, so the vector's norm is norm / scale."""
+    overflows. scale is 1.0 unless a nonzero vector's norm is below 2**-511,
+    where its sum of squares is subnormal or zero and has lost digits; then
+    it is 2**600, an exact power of two that lifts the squares into the
+    normal range, so the vector's norm is norm / scale."""
     v = np.asarray(amplitudes, dtype=np.complex128)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(v)
-    return (np.linalg.norm(v * 2.0**600), 2.0**600) if n == 0.0 and v.any() else (n, 1.0)
+    return (np.linalg.norm(v * 2.0**600), 2.0**600) if n < 2.0**-511 and v.any() else (n, 1.0)
 
 
 def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:

@@ -405,6 +405,18 @@ class EpisodeResult:
 _GO, _YIELD, _FOLLOW = 0, 1, 2
 
 
+def _episode_result(ev_action, iv_action, collided, violation, completed_at, steps,
+                    headway_sum, trace=()) -> EpisodeResult:
+    """The EpisodeResult of an episode that ran `steps` steps, summing the
+    headway of every step but a colliding one: the one assembly of
+    run_episode and run_episodes. Positional, in field order: run_episodes
+    calls it once per lane."""
+    completed = completed_at is not None
+    return EpisodeResult(ev_action, iv_action, classify_outcome(collided, completed, violation),
+                         collided, completed, violation, completed_at, steps,
+                         headway_sum / (steps - collided) if steps - collided else 0.0, trace)
+
+
 def run_episode(
     config: ScenarioConfig,
     ev0: VehicleState,
@@ -561,20 +573,8 @@ def run_episode(
         # the colliding step is excluded from the headway average
         headway_sum += headway
 
-    completed = completed_at is not None
-    outcome = classify_outcome(collided, completed, violation)
-    return EpisodeResult(
-        ev_action=ev_action,
-        iv_action=iv_action,
-        outcome=outcome,
-        collided=collided,
-        completed=completed,
-        violation=violation,
-        completed_at=completed_at,
-        steps_run=steps,
-        mean_headway=headway_sum / (steps - collided) if steps - collided else 0.0,
-        trace=tuple(trace),
-    )
+    return _episode_result(ev_action, iv_action, collided, violation, completed_at, steps,
+                           headway_sum, tuple(trace))
 
 
 def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray, dt: float):
@@ -688,11 +688,9 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
                 break
         np.add(headway_sum, headway, out=headway_sum, where=alive)
 
-    # positional, in EpisodeResult's field order: this runs once per lane
     return [
-        EpisodeResult(ev_action, iv_action, classify_outcome(collided, done, overrun),
-                      collided, done, overrun, at if done else None, steps,
-                      total / (steps - collided) if steps - collided else 0.0, ())
+        _episode_result(ev_action, iv_action, collided, overrun, at if done else None,
+                        steps, total)
         for ev_action, iv_action, collided, done, overrun, at, steps, total in zip(
             ev_actions, iv_actions, (~alive).tolist(), (started & ~on_entry).tolist(),
             violation.tolist(), completed_at.tolist(), steps_run.tolist(),

@@ -74,6 +74,17 @@ class TestInitialFlag:
         assert err == f"warning: initial state norm {norm} deviates from 1; normalizing\n"
         assert out == run(capsys, *flags, unit)[1]
 
+    # these norms are nonzero but their squares are subnormal and lose
+    # digits; 1e-160 used to exit 2 ("norm 1.0000055664551364 deviates")
+    @pytest.mark.parametrize("tiny", [1e-155, 1e-160])
+    def test_subnormal_squares_normalize_as_their_power_of_two_multiple(self, capsys, tiny):
+        flags = ("solve", "--model", "qg-u1", "--gamma", "0.5", "--theta-a", "1",
+                 "--theta-b", "0.3", "--format", "csv", "--initial")
+        code, out, _ = run(capsys, *flags, f"{tiny!r},0,{tiny!r},0,0,0,0,0")
+        big = tiny * 2.0**600
+        assert code == 0
+        assert out == run(capsys, *flags, f"{big!r},0,{big!r},0,0,0,0,0")[1]
+
 
 class TestEquilibria:
     def test_merging_report(self, capsys):
@@ -389,6 +400,35 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(conf))
         assert code == 2
         assert "merging-only" in err
+
+    def test_gate_without_qg_g4_is_usage_error(self, capsys, tmp_path):
+        # no policy would read the gate, from the flag or from the file key
+        code, _, err = run(capsys, "simulate", "--scenario", "merging", "--policies", "cg-epd",
+                           "--episodes", "5", "--assumed-gate", "X")
+        assert code == 2
+        assert "--assumed-gate 'X' is read by qg-g4 only" in err
+        conf = tmp_path / "exp.conf"
+        conf.write_text("scenario.kind = merging\nepisodes = 5\nmaster_seed = 1\n"
+                        "policy.name = cg-epd\npolicy.assumed_gate = X\n")
+        code, _, err = run(capsys, "simulate", "--config", str(conf))
+        assert code == 2
+        assert "exp.conf: policy.assumed_gate 'X' is read by qg-g4 only" in err
+
+    # both inputs go through experiments.comparison
+    @pytest.mark.parametrize("replay", [False, True], ids=["held", "replay"])
+    @pytest.mark.parametrize("scenario", ["merging", "roundabout"])
+    def test_config_file_and_flags_write_the_same_report(self, capsys, tmp_path, scenario,
+                                                         replay):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"scenario.kind = {scenario}\nepisodes = 60\nmaster_seed = 7\n"
+                        "policy.name = qg-g4\npolicy.assumed_gate = uniform\n"
+                        f"decision_replay = {str(replay).lower()}\n")
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert run(capsys, "simulate", "--config", str(conf), "--out", str(by_file))[0] == 0
+        assert run(capsys, "simulate", "--scenario", scenario, "--policies", "qg-g4",
+                   "--assumed-gate", "uniform", "--episodes", "60", "--seed", "7",
+                   *(["--decision-replay"] if replay else []), "--out", str(by_flags))[0] == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
 
     # a flag given at its default value is still rejected
     @pytest.mark.parametrize("flag", [

@@ -35,6 +35,15 @@ class TestConstructors:
             assert v.tobytes() == state_vector([1, 0, 1j, 0], normalize=True).tobytes()
         assert state_norm([tiny, 0, 0, 0]) == (tiny * 2.0**600, 2.0**600)
 
+    # nonzero squares that are subnormal: the vector is scaled as above, so
+    # it normalizes to the bits of its multiple by 2**600
+    @pytest.mark.parametrize("tiny", [1e-155, 1e-160, 2.0**-512],
+                             ids=["1e-155", "1e-160", "2**-512"])
+    def test_state_vector_normalizes_subnormal_squares(self, tiny):
+        amps = np.array([tiny, 0, 1j * tiny / 3, 0])
+        v = state_vector(amps, normalize=True)
+        assert v.tobytes() == state_vector(amps * 2.0**600, normalize=True).tobytes()
+
     def test_accepted_vectors_are_not_rescaled(self):
         for amps in ([1, 2j, 0.5, -1], [1e-150, 0, 0, 3e-151], [3, 4, 0, 0]):
             assert state_norm(amps) == (np.linalg.norm(np.asarray(amps, complex)), 1.0)

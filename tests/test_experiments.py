@@ -569,7 +569,7 @@ class TestConfigFile:
             "policy.name = qg-g4\n"
             "policy.assumed_gate = uniform\n"
         )
-        policy, cfg = ex.load_experiment_config(path)
+        (policy,), cfg = ex.load_experiment_config(path)
         assert policy.name == "QG_G4"
         assert policy.assumed_gate == "uniform"
         assert cfg.scenario.kind == "roundabout"
@@ -596,12 +596,18 @@ class TestConfigFile:
         ("policy.assumed_gat = X", "exp.conf:5: unknown key 'policy.assumed_gat'"),
         ("# typo below\nmaster_sed = 3", "exp.conf:6: unknown key 'master_sed'"),
         ("decision_replay = yes", "exp.conf:5: decision_replay: must be true or false"),
+        ("scenario.kind = merge", "exp.conf:5: scenario.kind: unknown scenario 'merge'"),
+        ("policy.name = qg-u5", "exp.conf:5: policy.name: unknown policy 'QG_U5'"),
+        ("policy.assumed_gate = Q", "exp.conf:5: policy.assumed_gate: unknown gate 'Q'"),
     ])
     def test_strict_keys(self, tmp_path, bad_line, match):
+        # scenario.kind and policy.name are left out, so that a bad value of
+        # either is not a duplicate: a line's error is raised at that line,
+        # before the missing keys are counted
         path = tmp_path / "exp.conf"
         path.write_text(
-            "scenario.kind = merging\nepisodes = 40\n"
-            "master_seed = 1\npolicy.name = cg-epd\n" + bad_line + "\n"
+            "episodes = 40\nmaster_seed = 1\n"
+            "# scenario.kind and\n# policy.name left out\n" + bad_line + "\n"
         )
         with pytest.raises(ValueError, match=match):
             ex.load_experiment_config(path)

@@ -1,12 +1,15 @@
-"""Every ```python block in README.md runs as written, and every `qgdrive`
-command line in its shell blocks parses with the CLI's own parser."""
+"""Every ```python block in README.md runs as written, every `qgdrive`
+command line in its shell blocks parses with the CLI's own parser, and the
+package's top level exports the Library example's imports."""
 
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import qgdrive
 from qgdrive import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +41,11 @@ def test_readme_has_command_lines():
 def test_readme_command_line_parses(argv):
     # a renamed or removed flag makes argparse exit with code 2
     cli.build_parser().parse_args(argv[1:])
+
+
+def test_top_level_exports_the_library_imports():
+    imported = re.search(r"^from qgdrive import \((.*?)\)", TEXT, re.S | re.M).group(1)
+    public = {name for name, value in vars(qgdrive).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == {name.strip() for name in imported.split(",") if name.strip()}
+    assert len(public) == 10 and qgdrive.__version__
