@@ -21,9 +21,9 @@ lane's own path, and an entry-lane position projects onto it by adding
 run_episode integrates one episode, optionally replaying the decision or
 recording a trace; run_episodes integrates many held-decision episodes at
 once as numpy arrays, with results equal to run_episode's bit for bit.
-Geometry defaults are tuned so that, over the default initial ranges, the
-contested joint action (EV goes + IV accelerates) always produces a
-collision and every other joint action never does.
+The two builtin scenarios are one table of ScenarioConfig rows that
+builtin_scenario reads; the constants of MOBIL and of the roundabout's
+gap-acceptance rule are module constants.
 """
 
 from __future__ import annotations
@@ -85,26 +85,14 @@ class IdmParams:
     @cached_property
     def two_sqrt_ab(self) -> float:
         """2*sqrt(a*b), the denominator of IDM's dynamic term; computed once
-        per parameter set, and read by idm_accel and idm_accel_lanes."""
+        per parameter set, and read through terms."""
         return 2.0 * math.sqrt(self.a * self.b)
 
     @cached_property
     def terms(self) -> tuple:
-        """(v0, T, s0, a, -b*4, two_sqrt_ab), which idm_accel unpacks at once."""
+        """(v0, T, s0, a, -b*4, two_sqrt_ab), which idm_accel and
+        idm_accel_lanes unpack at once."""
         return self.v0, self.T, self.s0, self.a, -self.b * 4.0, self.two_sqrt_ab
-
-
-@dataclass(frozen=True)
-class MobilParams:
-    """MOBIL lane-change constants."""
-
-    politeness: float = 0.3
-    a_threshold: float = 0.1    # minimum incentive gain, m/s^2
-    b_safe: float = 4.0         # maximum braking imposed on the new follower
-
-    def __post_init__(self):
-        _require(self, ("politeness", "a_threshold"), math.isfinite, "finite")
-        _require(self, ("b_safe",), _non_negative, "finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,6 @@ class ScenarioConfig:
     # only reader
     decision_replay: bool = False
     idm: IdmParams = IdmParams()
-    mobil: MobilParams = MobilParams()
 
     def __post_init__(self):
         if self.kind not in EV_LANE_START:
@@ -147,16 +134,18 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite with lo <= hi, got {(lo, hi)!r}")
 
 
-def merging_scenario(**overrides) -> ScenarioConfig:
-    """Highway on-ramp joining a main lane.
-
-    Ramp position x projects to main-lane position x + 20, so the EV enters
-    the main lane 15..35 m ahead of the IV's start window. A yielding IV can
-    never reach it; an accelerating IV always runs it down inside the
-    horizon.
-    """
-    base = dict(
-        kind="merging",
+# The builtin scenarios, which builtin_scenario reads: one row of
+# ScenarioConfig fields each, tuned so that the contested joint action (EV
+# goes + IV accelerates) always collides and every other joint action never
+# does. Merging: ramp position x projects to main-lane position x + 20, so
+# the EV enters the main lane 15..35 m ahead of the IV's start window; a
+# yielding IV can never reach it, an accelerating IV always runs it down
+# inside the horizon. Roundabout: approach position x projects to
+# circulating-lane position x - 90, so the yield line at 140 maps onto the
+# conflict point at 50; the approach speeds stop within the 18 m to the
+# line, so a yielding EV never overruns it.
+_BUILTIN = {
+    "merging": dict(
         ev_s_range=(105.0, 115.0),
         ev_v_range=(18.0, 22.0),
         iv_s_range=(100.0, 110.0),
@@ -165,21 +154,8 @@ def merging_scenario(**overrides) -> ScenarioConfig:
         section_end=255.0,
         lane_offset=20.0,
         idm=IdmParams(v0=25.0),
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def roundabout_scenario(**overrides) -> ScenarioConfig:
-    """Single-lane roundabout entry against one circulating vehicle.
-
-    Approach position x projects to circulating-lane position x - 90; the
-    yield line at 140 maps onto the conflict point at 50. Default approach
-    speeds stop within the 18 m to the line, so a yielding EV never overruns
-    it.
-    """
-    base = dict(
-        kind="roundabout",
+    ),
+    "roundabout": dict(
         ev_s_range=(118.0, 122.0),
         ev_v_range=(4.0, 8.0),
         iv_s_range=(0.0, 10.0),
@@ -188,17 +164,15 @@ def roundabout_scenario(**overrides) -> ScenarioConfig:
         section_end=140.0,
         lane_offset=-90.0,
         idm=IdmParams(v0=10.0),
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    ),
+}
 
 
 def builtin_scenario(kind: str, **overrides) -> ScenarioConfig:
-    if kind == "merging":
-        return merging_scenario(**overrides)
-    if kind == "roundabout":
-        return roundabout_scenario(**overrides)
-    raise ValueError(f"unknown scenario {kind!r}; expected 'merging' or 'roundabout'")
+    """The _BUILTIN row `kind` as a ScenarioConfig, `overrides` applied."""
+    if kind not in _BUILTIN:
+        raise ValueError(f"unknown scenario {kind!r}; expected 'merging' or 'roundabout'")
+    return ScenarioConfig(kind, **{**_BUILTIN[kind], **overrides})
 
 
 def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> tuple[VehicleState, VehicleState]:
@@ -274,16 +248,25 @@ def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
     lane's branch is picked with np.where; the division by the gap of an
     emergency or free-road lane, whose result is never read, may overflow
     or divide by zero silently."""
-    r = v / p.v0
+    v0, T, s0, a, brake, two_sqrt_ab = p.terms
+    r = v / v0
     r = r * r
     free = 1.0 - r * r
-    dynamic = v * p.T + v * (v - v_lead) / p.two_sqrt_ab
+    dynamic = v * T + v * (v - v_lead) / two_sqrt_ab
     # max(0.0, x) keeps 0.0 unless x > 0.0
-    s_star = p.s0 + np.where(dynamic > 0.0, dynamic, 0.0)
+    s_star = s0 + np.where(dynamic > 0.0, dynamic, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = s_star / gap
-        follow = p.a * (free - q * q)
-    return np.where(lead, np.where(gap <= 0.1, -p.b * 4.0, follow), p.a * free)
+        follow = a * (free - q * q)
+    return np.where(lead, np.where(gap <= 0.1, brake, follow), a * free)
+
+
+# The baselines' constants: MOBIL's (Kesting, Treiber & Helbing 2007) and
+# the roundabout's accepted entry gap
+MOBIL_POLITENESS = 0.3
+MOBIL_THRESHOLD = 0.1   # minimum incentive gain, m/s^2
+MOBIL_B_SAFE = 4.0      # maximum braking imposed on the new follower, m/s^2
+T_ACCEPT = 2.5          # s
 
 
 def mobil_decide(
@@ -291,14 +274,13 @@ def mobil_decide(
     ego_a_new: float,
     follower_a_old: float,
     follower_a_new: float,
-    p: MobilParams,
 ) -> bool:
     """MOBIL criterion: safe for the new follower, and the politeness-weighted
     acceleration gain clears the threshold."""
-    if follower_a_new < -p.b_safe:
+    if follower_a_new < -MOBIL_B_SAFE:
         return False
-    gain = (ego_a_new - ego_a_old) + p.politeness * (follower_a_new - follower_a_old)
-    return gain > p.a_threshold
+    gain = (ego_a_new - ego_a_old) + MOBIL_POLITENESS * (follower_a_new - follower_a_old)
+    return gain > MOBIL_THRESHOLD
 
 
 def mobil_merge_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> int:
@@ -334,11 +316,7 @@ def mobil_merge_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: fl
         gap = ev_c - iv_s - length
         fol_old = idm_accel(iv_v, None, 0.0, idm)
         fol_new = idm_accel(iv_v, gap, ev_v, idm)
-    return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new, config.mobil) else 1
-
-
-# accepted entry gap of the roundabout baseline, s
-T_ACCEPT = 2.5
+    return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new) else 1
 
 
 def idm_entry_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> int:

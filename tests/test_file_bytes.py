@@ -57,13 +57,14 @@ def report(fmt):
     return write
 
 
-def replay_report(scenario, baseline):
-    # every policy re-decides each step; the uniform QG_G4 draws its gate
-    # per episode, so held and replayed episodes mix. On merging, MOBIL's
-    # replayed decision calls idm_accel four times
+def simulate_report(scenario, baseline, replay):
+    # all six policies of the scenario. Under replay every policy re-decides
+    # each step; the uniform QG_G4 draws its gate per episode, so held and
+    # replayed episodes mix. On merging, MOBIL's replayed decision calls
+    # idm_accel four times
     def write(path):
         assert cli.main([
-            "simulate", "--scenario", scenario, "--decision-replay",
+            "simulate", "--scenario", scenario, *(["--decision-replay"] if replay else []),
             "--policies", f"cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,{baseline}",
             "--assumed-gate", "uniform",
             "--episodes", "60", "--seed", "7", "--format", "json", "--out", str(path),
@@ -96,10 +97,12 @@ WRITERS = {
                    "d1728ca4c1c22cdbeaf9f6a00a7ca47cc05dcd6740e7a1deb8b1866a8f3b8db5"),
     "report-json": (report("json"),
                     "72bce67846a5a2eb5a776f1841f0026a3fefa7669144168d5ba9aa82794f014c"),
-    "report-json-roundabout-replay": (replay_report("roundabout", "idm"),
+    "report-json-roundabout-replay": (simulate_report("roundabout", "idm", replay=True),
         "414f3e440de89a8c1247be242e021ea280df5bd9ec51822e2325f25166027903"),
-    "report-json-merging-replay": (replay_report("merging", "mobil"),
+    "report-json-merging-replay": (simulate_report("merging", "mobil", replay=True),
         "ad628ab2c6a845d97ed0a449892402ac5b6397666a054a67fa7c62f609d943f0"),
+    "report-json-roundabout-held": (simulate_report("roundabout", "idm", replay=False),
+        "5f1abd1d07c7a7e4615be3180b3253e2c2674237cd8638667764c173977c1ce8"),
 }
 
 

@@ -37,9 +37,9 @@ class TestConfig:
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            sim.merging_scenario(dt=0.0)
+            sim.builtin_scenario("merging", dt=0.0)
         with pytest.raises(ValueError):
-            sim.merging_scenario(horizon=0)
+            sim.builtin_scenario("merging", horizon=0)
 
     # each case: (bad sampling range, bad dt / a_nominal); a_nominal = 0
     # divides by zero in idm_entry_decision, a negative one swaps the actions
@@ -55,7 +55,7 @@ class TestConfig:
     def test_sampling_ranges_validated(self, field, bad):
         value = bad[0] if field.endswith("_range") else bad[1]
         with pytest.raises(ValueError, match=field):
-            sim.merging_scenario(**{field: value})
+            sim.builtin_scenario("merging", **{field: value})
 
     # horizon=10.5 used to fail inside range() mid-run; a NaN or negative
     # vehicle length read cr = 0, a NaN lane offset a NaN mean headway; the
@@ -70,13 +70,13 @@ class TestConfig:
     ])
     def test_horizon_and_geometry_validated(self, field, bad):
         with pytest.raises(ValueError, match=rf"^{field} must"):
-            sim.merging_scenario(**{field: bad})
+            sim.builtin_scenario("merging", **{field: bad})
 
     # sample_initial scales by hi - lo, so a range whose width overflows is
     # rejected with the config, not met mid-run
     def test_range_width_must_be_finite(self):
         with pytest.raises(ValueError, match="ev_s_range"):
-            sim.merging_scenario(ev_s_range=(-1e308, 1e308))
+            sim.builtin_scenario("merging", ev_s_range=(-1e308, 1e308))
 
 
 class TestSampling:
@@ -317,27 +317,16 @@ class TestDriverModels:
         p = sim.IdmParams(s0=0.0, T=0.0)
         assert sim.idm_accel(20.0, 20.0, 20.0, p) == pytest.approx(p.a * (1.0 - 0.8 ** 4))
 
-    @pytest.mark.parametrize("field,bad", [
-        ("politeness", math.nan), ("a_threshold", math.inf),
-        ("b_safe", -0.1), ("b_safe", math.nan),
-    ])
-    def test_mobil_params_validated(self, field, bad):
-        with pytest.raises(ValueError, match=rf"^{field} must"):
-            sim.MobilParams(**{field: bad})
-
     def test_mobil_rejects_unsafe_cut_in(self):
-        p = sim.MobilParams()
-        assert not sim.mobil_decide(0.0, 2.0, 0.0, -p.b_safe - 0.1, p)
+        assert not sim.mobil_decide(0.0, 2.0, 0.0, -sim.MOBIL_B_SAFE - 0.1)
 
     def test_mobil_needs_net_gain(self):
-        p = sim.MobilParams()
-        assert sim.mobil_decide(-1.0, 1.0, 0.0, 0.0, p)
-        assert not sim.mobil_decide(0.0, 0.05, 0.0, 0.0, p)
+        assert sim.mobil_decide(-1.0, 1.0, 0.0, 0.0)
+        assert not sim.mobil_decide(0.0, 0.05, 0.0, 0.0)
 
     def test_mobil_politeness_weighs_follower(self):
-        p = sim.MobilParams()
         # ego gain 1.0, follower loses 4.0: politeness 0.3 kills the move
-        assert not sim.mobil_decide(0.0, 1.0, 0.0, -4.0, p)
+        assert not sim.mobil_decide(0.0, 1.0, 0.0, -4.0)
 
     def test_merge_decision_directions(self):
         cfg = sim.builtin_scenario("merging")
