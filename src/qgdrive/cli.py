@@ -83,7 +83,7 @@ def parse_initial_flag(text: str) -> np.ndarray:
         raise CliError("initial state must have nonzero norm")
     state = quantum_game.parse_initial_state(amps)
     n, scale = quantum_game.state_norm(amps)
-    nrm = float(n / scale)  # the norm normalizing divides by
+    nrm = float(n) / scale  # the vector's norm; inf once its square overflows
     if abs(nrm - 1.0) > 1e-6:
         print(
             f"warning: initial state norm {nrm!r} deviates from 1; normalizing",

@@ -98,23 +98,26 @@ def equal_superposition() -> np.ndarray:
 
 
 def state_norm(amplitudes) -> tuple[np.float64, float]:
-    """(norm, scale): np.linalg.norm of the amplitudes times scale, inf if it
-    overflows. scale is 1.0 unless a nonzero vector's norm is below 2**-511,
-    where its sum of squares is subnormal or zero and has lost digits; then
-    it is 2**600, an exact power of two that lifts the squares into the
-    normal range, so the vector's norm is norm / scale."""
+    """(norm, scale): np.linalg.norm of the amplitudes times scale, inf only
+    for a non-finite amplitude. scale is 1.0 unless a nonzero vector's norm
+    is below 2**-511, where its sum of squares is subnormal or zero and has
+    lost digits, or a finite vector's sum of squares overflows; then it is
+    2**600 or 2**-600, an exact power of two that brings the squares into
+    the normal range, so the vector's norm is norm / scale."""
     v = np.asarray(amplitudes, dtype=np.complex128)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(v)
-    return (np.linalg.norm(v * 2.0**600), 2.0**600) if n < 2.0**-511 and v.any() else (n, 1.0)
+    scale = (2.0**600 if n < 2.0**-511 and v.any()
+             else 2.0**-600 if n == np.inf and np.isfinite(v).all() else 1.0)
+    return (n, 1.0) if scale == 1.0 else (np.linalg.norm(v * scale), scale)
 
 
 def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
     """Validate (or normalize) a length-4 amplitude vector.
 
-    The amplitudes and their norm must be finite. With normalize=False the
-    norm must already be 1 within 1e-9; with normalize=True any nonzero
-    vector is rescaled to unit norm, first by state_norm's scale.
+    The amplitudes must be finite. With normalize=False the norm must
+    already be 1 within 1e-9; with normalize=True any nonzero vector is
+    rescaled to unit norm, first by state_norm's scale.
     """
     v = np.asarray(amplitudes, dtype=np.complex128)
     if v.shape != (4,):
@@ -126,8 +129,10 @@ def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return v / n if scale == 1.0 else v * scale / n
-    if abs(n / scale - 1.0) > 1e-9:
-        raise ValueError(f"state vector norm {n / scale!r} deviates from 1 by more than 1e-9")
+    with np.errstate(over="ignore"):
+        n = n / scale       # inf once a finite vector's norm overflows
+    if abs(n - 1.0) > 1e-9:
+        raise ValueError(f"state vector norm {n!r} deviates from 1 by more than 1e-9")
     return v
 
 

@@ -1,9 +1,9 @@
 """Kinematic merging and roundabout episodes driven by one joint decision.
 
 Each episode samples initial states, takes a single (EV action, IV action)
-pair at t=0, and integrates forward at a fixed timestep. The IV holds its
-commanded acceleration for the whole episode; the EV runs a small maneuver
-state machine:
+pair at t=0, and integrates forward at the fixed time step DT. The IV holds
+its commanded acceleration for the whole episode; the EV runs a small
+maneuver state machine:
 
   merging     Merge     hold speed, change lane on crossing the merge-section
                         entry, then follow IDM on the main lane.
@@ -22,15 +22,16 @@ run_episode integrates one episode, optionally replaying the decision or
 recording a trace; run_episodes integrates many held-decision episodes at
 once as numpy arrays, with results equal to run_episode's bit for bit.
 The two builtin scenarios are one table of ScenarioConfig rows that
-builtin_scenario reads; the constants of MOBIL and of the roundabout's
-gap-acceptance rule are module constants.
+builtin_scenario reads. The time step DT, the vehicle length
+VEHICLE_LENGTH and the constants of IDM, of MOBIL and of the roundabout's
+gap-acceptance rule are module constants; IDM's desired speed is a row
+field, idm_v0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -53,10 +54,6 @@ def _positive(value) -> bool:
     return math.isfinite(value) and value > 0
 
 
-def _non_negative(value) -> bool:
-    return math.isfinite(value) and value >= 0
-
-
 def _require(obj, names, ok, what: str) -> None:
     """Raise ValueError naming the first of obj's fields `names` that fails ok."""
     for name in names:
@@ -65,43 +62,16 @@ def _require(obj, names, ok, what: str) -> None:
             raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class IdmParams:
-    """Intelligent Driver Model constants (standard highway values); the
-    speed exponent is fixed at 4 (see idm_accel)."""
-
-    v0: float = 25.0        # desired speed, m/s
-    T: float = 1.5          # desired time headway, s
-    s0: float = 2.0         # standstill jam distance, m
-    a: float = 1.5          # maximum comfortable acceleration, m/s^2
-    b: float = 2.0          # comfortable deceleration, m/s^2
-
-    def __post_init__(self):
-        _require(self, ("v0", "a", "b"), _positive, "finite and positive")  # v0 and b divide
-        _require(self, ("s0", "T"), _non_negative, "finite and non-negative")
-        if not self.a * self.b > 0.0:  # 2*sqrt(a*b) divides; a tiny a*b underflows to 0
-            raise ValueError(f"a*b must be positive, got {self.a!r}*{self.b!r} = 0.0")
-
-    @cached_property
-    def two_sqrt_ab(self) -> float:
-        """2*sqrt(a*b), the denominator of IDM's dynamic term; computed once
-        per parameter set, and read through terms."""
-        return 2.0 * math.sqrt(self.a * self.b)
-
-    @cached_property
-    def terms(self) -> tuple:
-        """(v0, T, s0, a, -b*4, two_sqrt_ab), which idm_accel and
-        idm_accel_lanes unpack at once."""
-        return self.v0, self.T, self.s0, self.a, -self.b * 4.0, self.two_sqrt_ab
+DT = 0.1                # integration time step, s
+VEHICLE_LENGTH = 5.0    # m; a centre distance below it on one lane is a collision
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str                      # "merging" | "roundabout"
-    dt: float = 0.1
     horizon: int = 150             # steps per episode
     a_nominal: float = 2.0         # commanded accel magnitude, m/s^2
-    vehicle_length: float = 5.0
+    idm_v0: float = 25.0           # IDM's desired speed, m/s
     # uniform sampling ranges (lo, hi)
     ev_s_range: tuple[float, float] = (0.0, 0.0)
     ev_v_range: tuple[float, float] = (0.0, 0.0)
@@ -116,7 +86,6 @@ class ScenarioConfig:
     # the episode-start decision; the experiments Monte Carlo loop is its
     # only reader
     decision_replay: bool = False
-    idm: IdmParams = IdmParams()
 
     def __post_init__(self):
         if self.kind not in EV_LANE_START:
@@ -124,7 +93,7 @@ class ScenarioConfig:
         _require_int("horizon", self.horizon, 1)
         if not isinstance(self.decision_replay, bool):
             raise ValueError(f"decision_replay must be True or False, got {self.decision_replay!r}")
-        _require(self, ("dt", "a_nominal", "vehicle_length"), _positive, "finite and positive")
+        _require(self, ("a_nominal", "idm_v0"), _positive, "finite and positive")
         _require(self, ("merge_point", "section_end", "lane_offset", "pass_clearance"),
                  math.isfinite, "finite")
         for name in ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"):
@@ -153,7 +122,7 @@ _BUILTIN = {
         merge_point=125.0,
         section_end=255.0,
         lane_offset=20.0,
-        idm=IdmParams(v0=25.0),
+        idm_v0=25.0,
     ),
     "roundabout": dict(
         ev_s_range=(118.0, 122.0),
@@ -163,7 +132,7 @@ _BUILTIN = {
         merge_point=140.0,
         section_end=140.0,
         lane_offset=-90.0,
-        idm=IdmParams(v0=10.0),
+        idm_v0=10.0,
     ),
 }
 
@@ -216,57 +185,63 @@ def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
 # ---------------------------------------------------------------------------
 # Driver models (baseline plumbing)
 
-def idm_accel(v: float, gap: "float | None", v_lead: float, p: IdmParams) -> float:
+# The baselines' constants: IDM's (Treiber, Hennecke & Helbing 2000; its
+# desired speed is the scenario's idm_v0), MOBIL's (Kesting, Treiber &
+# Helbing 2007) and the roundabout's accepted entry gap
+IDM_T = 1.5             # desired time headway, s
+IDM_S0 = 2.0            # standstill jam distance, m
+IDM_A = 1.5             # maximum comfortable acceleration, m/s^2
+IDM_B = 2.0             # comfortable deceleration, m/s^2
+_IDM_BRAKE = -IDM_B * 4.0                           # the emergency brake
+_IDM_TWO_SQRT_AB = 2.0 * math.sqrt(IDM_A * IDM_B)   # the dynamic term's denominator
+MOBIL_POLITENESS = 0.3
+MOBIL_THRESHOLD = 0.1   # minimum incentive gain, m/s^2
+MOBIL_B_SAFE = 4.0      # maximum braking imposed on the new follower, m/s^2
+T_ACCEPT = 2.5          # s
+
+
+def idm_accel(v: float, gap: "float | None", v_lead: float, v0: float) -> float:
     """IDM acceleration with the standard speed exponent 4 (Treiber, Hennecke
-    & Helbing 2000). gap is the net (bumper) distance to the leader; None
-    means free road. A gap of 0.1 m or less, overlap included, is an
-    emergency: brake at 4b.
+    & Helbing 2000) and desired speed v0. gap is the net (bumper) distance
+    to the leader; None means free road. A gap of 0.1 m or less, overlap
+    included, is an emergency: brake at 4b.
 
     Both powers are IEEE multiplications (1 - (v/v0)^4 as ((v/v0)^2)^2, and
     q * q for (s*/gap)^2), never the C library's pow, so the result is the
     same bits on every IEEE 754 platform; idm_accel_lanes runs the same
-    operations. The constants are read from the cached IdmParams.terms.
+    operations. The other constants are the module's IDM_*, with -4b and
+    2*sqrt(a*b) computed once, at import.
     """
-    v0, T, s0, a, brake, two_sqrt_ab = p.terms
     r = v / v0
     r = r * r
     free = 1.0 - r * r
     if gap is None:
-        return a * free
+        return IDM_A * free
     if gap <= 0.1:
-        return brake
-    dynamic = v * T + v * (v - v_lead) / two_sqrt_ab
-    q = (s0 + (dynamic if dynamic > 0.0 else 0.0)) / gap
-    return a * (free - q * q)
+        return _IDM_BRAKE
+    dynamic = v * IDM_T + v * (v - v_lead) / _IDM_TWO_SQRT_AB
+    q = (IDM_S0 + (dynamic if dynamic > 0.0 else 0.0)) / gap
+    return IDM_A * (free - q * q)
 
 
 def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
-                    lead: np.ndarray, p: IdmParams) -> np.ndarray:
+                    lead: np.ndarray, v0: float) -> np.ndarray:
     """idm_accel on arrays, bit for bit: lanes where `lead` is False are on
     free road, the others follow a leader at `gap` driving at `v_lead`.
     Every lane is evaluated in idm_accel's operations and order, and each
     lane's branch is picked with np.where; the division by the gap of an
     emergency or free-road lane, whose result is never read, may overflow
     or divide by zero silently."""
-    v0, T, s0, a, brake, two_sqrt_ab = p.terms
     r = v / v0
     r = r * r
     free = 1.0 - r * r
-    dynamic = v * T + v * (v - v_lead) / two_sqrt_ab
+    dynamic = v * IDM_T + v * (v - v_lead) / _IDM_TWO_SQRT_AB
     # max(0.0, x) keeps 0.0 unless x > 0.0
-    s_star = s0 + np.where(dynamic > 0.0, dynamic, 0.0)
+    s_star = IDM_S0 + np.where(dynamic > 0.0, dynamic, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = s_star / gap
-        follow = a * (free - q * q)
-    return np.where(lead, np.where(gap <= 0.1, brake, follow), a * free)
-
-
-# The baselines' constants: MOBIL's (Kesting, Treiber & Helbing 2007) and
-# the roundabout's accepted entry gap
-MOBIL_POLITENESS = 0.3
-MOBIL_THRESHOLD = 0.1   # minimum incentive gain, m/s^2
-MOBIL_B_SAFE = 4.0      # maximum braking imposed on the new follower, m/s^2
-T_ACCEPT = 2.5          # s
+        follow = IDM_A * (free - q * q)
+    return np.where(lead, np.where(gap <= 0.1, _IDM_BRAKE, follow), IDM_A * free)
 
 
 def mobil_decide(
@@ -301,21 +276,20 @@ def mobil_merge_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: fl
                      iv_s: float, iv_v: float) -> int:
     """mobil_merge_decision on raw floats, for vehicles already on checked
     lanes (the IV on its own lane, so its shared-path position is iv_s)."""
-    idm = config.idm
-    length = config.vehicle_length
-    ego_a_old = idm_accel(ev_v, config.section_end - ev_s - length, 0.0, idm)
+    v0 = config.idm_v0
+    ego_a_old = idm_accel(ev_v, config.section_end - ev_s - VEHICLE_LENGTH, 0.0, v0)
 
     ev_c = ev_s + config.lane_offset if ev_lane == EV_LANE_START[config.kind] else ev_s
     if iv_s > ev_c:
         # IV would be the EV's leader after the change
-        gap = iv_s - ev_c - length
-        ego_a_new = idm_accel(ev_v, gap, iv_v, idm)
-        fol_old = fol_new = idm_accel(iv_v, None, 0.0, idm)
+        gap = iv_s - ev_c - VEHICLE_LENGTH
+        ego_a_new = idm_accel(ev_v, gap, iv_v, v0)
+        fol_old = fol_new = idm_accel(iv_v, None, 0.0, v0)
     else:
-        ego_a_new = idm_accel(ev_v, None, 0.0, idm)
-        gap = ev_c - iv_s - length
-        fol_old = idm_accel(iv_v, None, 0.0, idm)
-        fol_new = idm_accel(iv_v, gap, ev_v, idm)
+        ego_a_new = idm_accel(ev_v, None, 0.0, v0)
+        gap = ev_c - iv_s - VEHICLE_LENGTH
+        fol_old = idm_accel(iv_v, None, 0.0, v0)
+        fol_new = idm_accel(iv_v, gap, ev_v, v0)
     return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new) else 1
 
 
@@ -345,7 +319,7 @@ def idm_entry_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: floa
     tau_iv = iv_dist / (0.1 if 0.1 > iv_v else iv_v)
     # time for the EV to pass the conflict point plus one vehicle length;
     # an EV already past the line commits (d = 0)
-    d = config.merge_point - ev_s + config.vehicle_length
+    d = config.merge_point - ev_s + VEHICLE_LENGTH
     a = config.a_nominal
     tau_ev = (-ev_v + math.sqrt(ev_v * ev_v + 2.0 * a * (0.0 if 0.0 > d else d))) / a
     return 0 if tau_iv - tau_ev >= T_ACCEPT else 1
@@ -413,14 +387,14 @@ def run_episode(
     follows IDM behind the IV once released from a yield or on the target
     lane. The module docstring gives each scenario's maneuvers. The episode
     stops at the first step whose centre distance on the target lane is
-    below config.vehicle_length (a collision) or after config.horizon steps.
+    below VEHICLE_LENGTH (a collision) or after config.horizon steps.
     Vehicles off the scenario's lanes are rejected (check_lanes).
     Given a decide callback
     `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (ev_action, iv_action)`, the joint
     decision is re-taken from the current state at every step until the EV
     reaches _FOLLOW; the result then records the last commanded pair. The
-    IV's step terms a*dt and 0.5*a*dt*dt are looked up per commanded action
-    (iv_terms, computed once per episode), and IDM reads IdmParams.terms.
+    IV's step terms a*DT and 0.5*a*DT*DT are looked up per commanded action
+    (iv_terms, computed once per episode), and IDM reads config.idm_v0.
 
     `shared` is a lookup: a dict the caller owns for one (config, ev0, iv0)
     triple, keyed by the joint action and filled from run_episodes.
@@ -457,14 +431,14 @@ def run_episode(
     on_entry = check_lanes(config, ev0, iv0)
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
-    dt = config.dt
+    dt = DT
     a_nom = config.a_nominal
-    idm = config.idm
+    v0 = config.idm_v0
     offset = config.lane_offset
     merge_point = config.merge_point
     section_end = config.section_end
     clearance = config.pass_clearance
-    length = config.vehicle_length
+    length = VEHICLE_LENGTH
     iv_lane = IV_LANE[config.kind]
     target_lane = EV_LANE_TARGET[config.kind]
     go_a = 0.0 if merging else a_nom    # EV acceleration while going
@@ -513,9 +487,9 @@ def run_episode(
             ev_a = -a_nom
         else:  # _FOLLOW: IDM, IV as leader when it is ahead on the shared path
             if iv_s > ev_common:
-                ev_a = idm_accel(ev_v, iv_s - ev_common - length, iv_v, idm)
+                ev_a = idm_accel(ev_v, iv_s - ev_common - length, iv_v, v0)
             else:
-                ev_a = idm_accel(ev_v, None, 0.0, idm)
+                ev_a = idm_accel(ev_v, None, 0.0, v0)
 
         # integrate both vehicles; one that would cross v=0 inside the step
         # brakes to rest exactly (v is set: v + (-v/dt)*dt can round below 0)
@@ -555,16 +529,16 @@ def run_episode(
                            headway_sum, tuple(trace))
 
 
-def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray, dt: float):
-    """run_episode's integration step on arrays: position and speed after dt
+def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray):
+    """run_episode's integration step on arrays: position and speed after DT
     under acceleration a, where a vehicle that would cross v=0 inside the
     step brakes to rest exactly."""
-    v_next = v + a * dt
+    v_next = v + a * DT
     stop = v_next < 0.0
     if np.count_nonzero(stop):
-        a = np.where(stop, -v / dt, a)
+        a = np.where(stop, -v / DT, a)
         v_next[stop] = 0.0
-    return s + (v * dt + 0.5 * a * dt * dt), v_next
+    return s + (v * DT + 0.5 * a * DT * DT), v_next
 
 
 def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
@@ -579,8 +553,8 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     the _FOLLOW lanes) and _advance for both vehicles. The results are
     bit-identical to run_episode's because the arrays see the same IEEE
     operations in the same order: IDM's multiplications,
-    `s + (v*dt + 0.5*a*dt*dt)`, one headway sum per lane in step order, and
-    the time as repeated `t += dt`. Where run_episode stops at a collision, a
+    `s + (v*DT + 0.5*a*DT*DT)`, one headway sum per lane in step order, and
+    the time as repeated `t += DT`. Where run_episode stops at a collision, a
     lane is masked, not removed: its counts and flags stop there (its
     vehicles move on unread), and the loop ends once every lane has
     collided.
@@ -594,14 +568,13 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     started = np.array([check_lanes(config, ev0, iv0) for ev0, iv0 in zip(ev0s, iv0s)])
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
-    dt = config.dt
     a_nom = config.a_nominal
-    idm = config.idm
+    v0 = config.idm_v0
     offset = config.lane_offset
     merge_point = config.merge_point
     section_end = config.section_end
     clearance = config.pass_clearance
-    length = config.vehicle_length
+    length = VEHICLE_LENGTH
     go_a = 0.0 if merging else a_nom    # EV acceleration while going
     iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
 
@@ -647,13 +620,13 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         # _FOLLOW: IDM, IV as leader where it is ahead on the shared path
         ev_a = np.where(phase == _FOLLOW,
                         idm_accel_lanes(ev_v, iv_s - ev_common - length, iv_v,
-                                        iv_s > ev_common, idm),
+                                        iv_s > ev_common, v0),
                         phase_accel[phase])
 
-        ev_s, ev_v = _advance(ev_s, ev_v, ev_a, dt)
-        iv_s, iv_v = _advance(iv_s, iv_v, iv_a, dt)
+        ev_s, ev_v = _advance(ev_s, ev_v, ev_a)
+        iv_s, iv_v = _advance(iv_s, iv_v, iv_a)
 
-        t += dt
+        t += DT
         ev_common = ev_s + shift
         headway = np.abs(iv_s - ev_common)
 

@@ -71,43 +71,45 @@ def _rounded(op, x, y) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
-def idm_accel_exact(v: float, gap, v_lead: float, p) -> float:
+def idm_accel_exact(v: float, gap, v_lead: float, v0: float, T: float, s0: float,
+                    a: float, b: float) -> float:
     """IDM acceleration with exponent 4 as a chain of correctly rounded
     operations, one rounding per documented step, without libm or numpy:
     r = v/v0, r = r*r, free = 1 - r*r; free road gives a*free; a gap of
     0.1 m or less gives -b*4; otherwise s* = s0 + max(0, v*T + (v*(v -
-    v_lead))/two_sqrt_ab), q = s*/gap and a*(free - q*q). p supplies v0, T,
-    s0, a, b and two_sqrt_ab, the per-parameter-set 2*sqrt(a*b) (sqrt is
-    correctly rounded under IEEE 754 too)."""
+    v_lead))/(2*sqrt(a*b))), q = s*/gap and a*(free - q*q). 2*sqrt(a*b) is
+    rounded at each step too (sqrt is correctly rounded under IEEE 754)."""
     add, sub, mul, div = operator.add, operator.sub, operator.mul, operator.truediv
-    r = _rounded(div, v, p.v0)
+    r = _rounded(div, v, v0)
     r = _rounded(mul, r, r)
     free = _rounded(sub, 1.0, _rounded(mul, r, r))
     if gap is None:
-        return _rounded(mul, p.a, free)
+        return _rounded(mul, a, free)
     if gap <= 0.1:
-        return _rounded(mul, -p.b, 4.0)
-    closing = _rounded(div, _rounded(mul, v, _rounded(sub, v, v_lead)), p.two_sqrt_ab)
-    dynamic = _rounded(add, _rounded(mul, v, p.T), closing)
-    s_star = _rounded(add, p.s0, dynamic if dynamic > 0.0 else 0.0)
+        return _rounded(mul, -b, 4.0)
+    two_root_ab = _rounded(mul, 2.0, math.sqrt(_rounded(mul, a, b)))
+    closing = _rounded(div, _rounded(mul, v, _rounded(sub, v, v_lead)), two_root_ab)
+    dynamic = _rounded(add, _rounded(mul, v, T), closing)
+    s_star = _rounded(add, s0, dynamic if dynamic > 0.0 else 0.0)
     q = _rounded(div, s_star, gap)
-    return _rounded(mul, p.a, _rounded(sub, free, _rounded(mul, q, q)))
+    return _rounded(mul, a, _rounded(sub, free, _rounded(mul, q, q)))
 
 
 def idm_entry_max_rule(config, ev_s: float, ev_v: float, iv_s: float, iv_v: float,
-                       t_accept: float) -> int:
+                       t_accept: float, length: float) -> int:
     """The roundabout gap-acceptance entry rule as first written, with the
     builtin max for its two floors: enter (0) when the IV is past the
     conflict point (merge_point + lane_offset on its path), or arrives at
     constant speed, floored at 0.1 m/s, at least t_accept seconds after the
     EV, accelerating at a_nominal, has covered the distance to the yield
-    line plus one vehicle length, floored at 0; otherwise yield (1)."""
+    line plus one vehicle length, `length`, floored at 0; otherwise yield
+    (1)."""
     conflict = config.merge_point + config.lane_offset
     iv_dist = conflict - iv_s
     if iv_dist <= 0.0:
         return 0
     tau_iv = iv_dist / max(iv_v, 0.1)
-    d = max(config.merge_point - ev_s + config.vehicle_length, 0.0)
+    d = max(config.merge_point - ev_s + length, 0.0)
     a = config.a_nominal
     tau_ev = (-ev_v + math.sqrt(ev_v * ev_v + 2.0 * a * d)) / a
     return 0 if tau_iv - tau_ev >= t_accept else 1

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -75,14 +76,23 @@ class TestInitialFlag:
         assert out == run(capsys, *flags, unit)[1]
 
     # these norms are nonzero but their squares are subnormal and lose
-    # digits; 1e-160 used to exit 2 ("norm 1.0000055664551364 deviates")
-    @pytest.mark.parametrize("tiny", [1e-155, 1e-160])
-    def test_subnormal_squares_normalize_as_their_power_of_two_multiple(self, capsys, tiny):
+    # digits, or overflow; 1e-160 used to exit 2 ("norm 1.0000055664551364
+    # deviates"), 1e200 too ("norm must be finite, got norm inf"). The
+    # warning prints the true norm, inf where it overflows, and numpy warns
+    # of nothing.
+    @pytest.mark.parametrize("x,norm", [
+        (1e-155, "1.414213562373095e-155"), (1e-160, "1.414213562373095e-160"),
+        (1e200, "1.414213562373095e+200"), (1.7e308, "inf"),
+    ], ids=["1e-155", "1e-160", "1e200", "1.7e308"])
+    def test_subnormal_squares_normalize_as_their_power_of_two_multiple(self, capsys, x, norm):
         flags = ("solve", "--model", "qg-u1", "--gamma", "0.5", "--theta-a", "1",
                  "--theta-b", "0.3", "--format", "csv", "--initial")
-        code, out, _ = run(capsys, *flags, f"{tiny!r},0,{tiny!r},0,0,0,0,0")
-        big = tiny * 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *flags, f"{x!r},0,{x!r},0,0,0,0,0")
+        big = x * (2.0**600 if x < 1.0 else 2.0**-600)
         assert code == 0
+        assert err == f"warning: initial state norm {norm} deviates from 1; normalizing\n"
         assert out == run(capsys, *flags, f"{big!r},0,{big!r},0,0,0,0,0")[1]
 
 

@@ -35,14 +35,18 @@ class TestConstructors:
             assert v.tobytes() == state_vector([1, 0, 1j, 0], normalize=True).tobytes()
         assert state_norm([tiny, 0, 0, 0]) == (tiny * 2.0**600, 2.0**600)
 
-    # nonzero squares that are subnormal: the vector is scaled as above, so
-    # it normalizes to the bits of its multiple by 2**600
-    @pytest.mark.parametrize("tiny", [1e-155, 1e-160, 2.0**-512],
-                             ids=["1e-155", "1e-160", "2**-512"])
-    def test_state_vector_normalizes_subnormal_squares(self, tiny):
-        amps = np.array([tiny, 0, 1j * tiny / 3, 0])
+    # nonzero squares that are subnormal, or finite amplitudes whose squares
+    # overflow (1e200 used to be rejected: "got norm inf"): the vector is
+    # scaled by 2**600 or 2**-600, so it normalizes to the bits of that
+    # multiple
+    @pytest.mark.parametrize("x", [1e-155, 1e-160, 2.0**-512, 1e200, 1.7e308],
+                             ids=["1e-155", "1e-160", "2**-512", "1e200", "1.7e308"])
+    def test_state_vector_normalizes_subnormal_squares(self, x):
+        scale = 2.0**600 if x < 1.0 else 2.0**-600
+        amps = np.array([x, 0, 1j * x / 3, 0])
         v = state_vector(amps, normalize=True)
-        assert v.tobytes() == state_vector(amps * 2.0**600, normalize=True).tobytes()
+        assert state_norm(amps)[1] == scale
+        assert v.tobytes() == state_vector(amps * scale, normalize=True).tobytes()
 
     def test_accepted_vectors_are_not_rescaled(self):
         for amps in ([1, 2j, 0.5, -1], [1e-150, 0, 0, 3e-151], [3, 4, 0, 0]):
@@ -55,8 +59,7 @@ class TestConstructors:
         ([np.nan, 0, 0, 0], False),
         ([np.nan, 0, 1, 0], True),
         ([np.inf, 0, 0, 0], True),
-        ([1e308, 0, 1e308, 0], True),  # finite amplitudes, overflowing norm
-    ], ids=["nan", "nan-normalize", "inf", "overflow"])
+    ], ids=["nan", "nan-normalize", "inf"])
     def test_state_vector_rejects_non_finite(self, amps, normalize):
         with pytest.raises(ValueError, match="finite"):
             state_vector(amps, normalize=normalize)

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import idm_accel_exact, idm_entry_max_rule
 from qgdrive import scenario_sim as sim
+
+# IDM's standard constants (Treiber, Hennecke & Helbing 2000), written out
+# so that the oracle pins the module's values too
+IDM = dict(T=1.5, s0=2.0, a=1.5, b=2.0)
 
 
 def mid_merging():
@@ -31,18 +35,19 @@ class TestConfig:
             sim.builtin_scenario("intersection")
 
     def test_overrides_apply(self):
-        cfg = sim.builtin_scenario("merging", horizon=10, dt=0.2)
+        cfg = sim.builtin_scenario("merging", horizon=10, idm_v0=12.0)
         assert cfg.horizon == 10
-        assert cfg.dt == 0.2
+        assert cfg.idm_v0 == 12.0
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            sim.builtin_scenario("merging", dt=0.0)
+            sim.builtin_scenario("merging", idm_v0=-25.0)
         with pytest.raises(ValueError):
             sim.builtin_scenario("merging", horizon=0)
 
-    # each case: (bad sampling range, bad dt / a_nominal); a_nominal = 0
-    # divides by zero in idm_entry_decision, a negative one swaps the actions
+    # each case: (bad sampling range, bad a_nominal / idm_v0); a_nominal = 0
+    # divides by zero in idm_entry_decision, a negative one swaps the
+    # actions, and IDM divides by idm_v0
     @pytest.mark.parametrize("bad", [
         pytest.param(((2.0, 1.0), 0.0), id="bad0"),
         pytest.param(((math.nan, 1.0), math.nan), id="bad1"),
@@ -50,20 +55,19 @@ class TestConfig:
         pytest.param(((-math.inf, 0.0), -2.0), id="bad3"),
     ])
     @pytest.mark.parametrize("field", [
-        "ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range", "dt", "a_nominal",
+        "ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range", "a_nominal", "idm_v0",
     ])
     def test_sampling_ranges_validated(self, field, bad):
         value = bad[0] if field.endswith("_range") else bad[1]
         with pytest.raises(ValueError, match=field):
             sim.builtin_scenario("merging", **{field: value})
 
-    # horizon=10.5 used to fail inside range() mid-run; a NaN or negative
-    # vehicle length read cr = 0, a NaN lane offset a NaN mean headway; the
-    # truthy decision_replay="false" turned replay on (CG_EPD's roundabout
-    # cr read 0.725 instead of 0.245 at 200 episodes, seed 7)
+    # horizon=10.5 used to fail inside range() mid-run; a NaN lane offset
+    # read a NaN mean headway; the truthy decision_replay="false" turned
+    # replay on (CG_EPD's roundabout cr read 0.725 instead of 0.245 at 200
+    # episodes, seed 7)
     @pytest.mark.parametrize("field,bad", [
         ("horizon", 10.5), ("horizon", True), ("horizon", -3),
-        ("vehicle_length", math.nan), ("vehicle_length", -5.0), ("vehicle_length", 0.0),
         ("merge_point", math.nan), ("section_end", math.inf),
         ("lane_offset", math.nan), ("pass_clearance", -math.inf),
         ("decision_replay", "false"), ("decision_replay", 0), ("decision_replay", None),
@@ -127,9 +131,9 @@ class TestSampling:
         assert [x.hex() for x in (ev.s, ev.v, iv.s, iv.v)] == [x.hex() for x in want]
 
 
-def first_step(ev, iv, ev_action=0, iv_action=1, **overrides):
+def first_step(ev, iv, ev_action=0, iv_action=1):
     """Trace point after one step of a merging episode."""
-    cfg = sim.builtin_scenario("merging", **overrides)
+    cfg = sim.builtin_scenario("merging")
     return sim.run_episode(cfg, ev, iv, ev_action, iv_action, record_trace=True).trace[0]
 
 
@@ -143,16 +147,17 @@ class TestKinematics:
         assert p.ev_s == pytest.approx(12.0)
         assert p.ev_v == 20.0
 
+    # one DT = 0.1 s step at a_nominal = 2 m/s^2
     def test_acceleration_step(self):
-        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 10.0), iv_action=0, dt=0.5)
-        assert p.iv_v == pytest.approx(11.0)
-        assert p.iv_s == pytest.approx(5.25)
+        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 10.0), iv_action=0)
+        assert p.iv_v == pytest.approx(10.2)
+        assert p.iv_s == pytest.approx(1.01)
 
     def test_braking_clamps_at_standstill(self):
-        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 1.0), dt=1.0)
+        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 0.1))
         assert p.iv_v == 0.0
         # the vehicle stops inside the step; it advances half the free run
-        assert p.iv_s == pytest.approx(0.5)
+        assert p.iv_s == pytest.approx(0.005)
 
     def test_stopped_vehicle_stays_put_under_braking(self):
         cfg = sim.builtin_scenario("merging")
@@ -178,8 +183,8 @@ class TestKinematics:
 
 class TestGeometry:
     def test_collision_same_lane_only(self):
-        # stationary vehicles: a collision is a center distance below the
-        # 5 m half-sum of lengths, on the same lane
+        # stationary vehicles: a collision is a center distance below
+        # VEHICLE_LENGTH, 5 m, on the same lane
         cfg = sim.builtin_scenario("merging")
         iv = sim.VehicleState("main", 100.0, 0.0)
 
@@ -195,10 +200,11 @@ class TestGeometry:
         assert {p.headway for p in ramp.trace} == {0.0}
 
     @pytest.mark.parametrize("length,collides", [(7.0, True), (5.0, False)])
-    def test_collision_gap_is_the_configured_vehicle_length(self, length, collides):
+    def test_collision_gap_is_VEHICLE_LENGTH(self, monkeypatch, length, collides):
         # stationary vehicles 6 m apart on the main lane: they overlap only
-        # when the scenario's vehicles are longer than 6 m
-        cfg = sim.builtin_scenario("merging", vehicle_length=length)
+        # when VEHICLE_LENGTH, which run_episode reads per call, exceeds 6 m
+        monkeypatch.setattr(sim, "VEHICLE_LENGTH", length)
+        cfg = sim.builtin_scenario("merging")
         ev, iv = sim.VehicleState("main", 106.0, 0.0), sim.VehicleState("main", 100.0, 0.0)
         assert sim.run_episode(cfg, ev, iv, 0, 1).collided is collides
 
@@ -211,93 +217,64 @@ class TestGeometry:
 
 class TestDriverModels:
     def test_idm_free_road_settles_at_target_speed(self):
-        p = sim.IdmParams()
-        assert sim.idm_accel(p.v0, None, 0.0, p) == pytest.approx(0.0)
-        assert sim.idm_accel(0.0, None, 0.0, p) == pytest.approx(p.a)
+        assert sim.idm_accel(25.0, None, 0.0, 25.0) == pytest.approx(0.0)
+        assert sim.idm_accel(0.0, None, 0.0, 25.0) == pytest.approx(IDM["a"])
 
     def test_idm_close_gap_brakes(self):
-        p = sim.IdmParams()
-        assert sim.idm_accel(20.0, 5.0, 20.0, p) < -1.0
+        assert sim.idm_accel(20.0, 5.0, 20.0, 25.0) < -1.0
 
     # idm_accel is the only home of the 0.1 m floor: callers pass a gap as
     # it is, negative (overlapping) ones included
     @pytest.mark.parametrize("gap", [-3.0, 0.05, 0.1])
     def test_idm_emergency_floor(self, gap):
-        p = sim.IdmParams()
-        assert sim.idm_accel(20.0, gap, 0.0, p) == -4.0 * p.b
-
-    # b = 0 divided by zero and a < 0 took sqrt of a negative, both deep
-    # inside run_episode
-    @pytest.mark.parametrize("field,bad", [
-        ("v0", 0.0), ("a", -1.0), ("b", 0.0),
-        ("s0", -1.0), ("T", math.inf),
-    ])
-    def test_idm_params_validated(self, field, bad):
-        with pytest.raises(ValueError, match=rf"^{field} must"):
-            sim.IdmParams(**{field: bad})
+        assert sim.idm_accel(20.0, gap, 0.0, 25.0) == -4.0 * IDM["b"]
 
     # both IDM paths are the documented chain of IEEE operations, bit for
-    # bit, so no result depends on the platform's pow
-    @pytest.mark.parametrize("p", [sim.IdmParams(), sim.IdmParams(v0=10.0, s0=0.0, T=0.0)],
-                             ids=["highway", "roundabout-no-jam"])
-    def test_idm_is_the_correctly_rounded_chain(self, p):
+    # bit, so no result depends on the platform's pow; once per builtin
+    # row's idm_v0
+    @pytest.mark.parametrize("v0", [25.0, 10.0], ids=["highway", "roundabout"])
+    def test_idm_is_the_correctly_rounded_chain(self, v0):
         rng = np.random.default_rng(16)
         n = 4000
-        v = rng.uniform(0.0, 1.6 * p.v0, n)           # v > v0 included
+        v = rng.uniform(0.0, 1.6 * v0, n)             # v > v0 included
         gap = rng.uniform(-2.0, 60.0, n)              # <= 0.1 m included
         gap[:40] = 0.1
         v_lead = rng.uniform(0.0, 35.0, n)
         lead = rng.random(n) < 0.5                    # the rest: free road
         args = [(vi, gi if li else None, wi)
                 for vi, gi, wi, li in zip(v.tolist(), gap.tolist(), v_lead.tolist(), lead.tolist())]
-        want = [idm_accel_exact(*a, p).hex() for a in args]
-        assert [sim.idm_accel(*a, p).hex() for a in args] == want
-        assert [x.hex() for x in sim.idm_accel_lanes(v, gap, v_lead, lead, p).tolist()] == want
-        assert (v > p.v0).sum() > 500 and (lead & (gap <= 0.1)).sum() > 40
-
-    # a*b = 1e-340 is 0.0 in floats, so 2*sqrt(a*b) was 0 and idm_accel
-    # raised ZeroDivisionError once a leader was given
-    @pytest.mark.parametrize("a,b", [(1e-170, 1e-170), (5e-324, 0.5)])
-    def test_idm_params_reject_an_underflowing_a_times_b(self, a, b):
-        with pytest.raises(ValueError, match=r"^a\*b must be positive"):
-            sim.IdmParams(a=a, b=b)
-        assert sim.IdmParams(a=a, b=1.0).two_sqrt_ab > 0.0
+        want = [idm_accel_exact(*a, v0, **IDM).hex() for a in args]
+        assert [sim.idm_accel(*a, v0).hex() for a in args] == want
+        assert [x.hex() for x in sim.idm_accel_lanes(v, gap, v_lead, lead, v0).tolist()] == want
+        assert (v > v0).sum() > 500 and (lead & (gap <= 0.1)).sum() > 40
 
     # hand-picked corners of the chain, each against the exact oracle
-    @pytest.mark.parametrize("v,gap,v_lead,params", [
-        (1e308, 50.0, 1.7e308, dict(T=10.0)),       # v*T = inf, closing = -inf: NaN dynamic
-        (1e308, None, 0.0, {}),                     # (v/v0)^4 overflows on free road
-        (20.0, 30.0, 1e300, {}),                    # a far faster leader: dynamic < 0
-        (20.0, 30.0, 20.0 + 1.5 * 2 * math.sqrt(3.0), dict(s0=0.0)),  # dynamic about 0
-        (20.0, 30.0, 25.0, dict(a=1e200, b=1e200)),  # 2*sqrt(a*b) overflows to inf
-        (-0.0, 5e-324, 3.0, {}),                    # signed zero speed, subnormal gap
-        (5e-324, 0.2, -1e308, dict(v0=5e-324)),     # subnormal v0
+    @pytest.mark.parametrize("v,gap,v_lead,v0", [
+        (1.5e308, 50.0, 1.7e308, 25.0),             # v*T = inf, closing = -inf: NaN dynamic
+        (1e308, None, 0.0, 25.0),                   # (v/v0)^4 overflows on free road
+        (20.0, 30.0, 1e300, 25.0),                  # a far faster leader: dynamic < 0
+        (20.0, 30.0, 20.0 + 1.5 * 2 * math.sqrt(3.0), 25.0),  # dynamic about 0
+        (-0.0, 5e-324, 3.0, 25.0),                  # signed zero speed, subnormal gap
+        (5e-324, 0.2, -1e308, 5e-324),              # subnormal v0
     ], ids=["nan-dynamic", "free-overflow", "fast-leader", "dynamic-near-zero",
-            "infinite-denominator", "zero-speed", "subnormal-v0"])
-    def test_idm_corners_match_the_exact_chain(self, v, gap, v_lead, params):
-        p = sim.IdmParams(**params)
-        want = idm_accel_exact(v, gap, v_lead, p).hex()
-        assert sim.idm_accel(v, gap, v_lead, p).hex() == want
+            "zero-speed", "subnormal-v0"])
+    def test_idm_corners_match_the_exact_chain(self, v, gap, v_lead, v0):
+        want = idm_accel_exact(v, gap, v_lead, v0, **IDM).hex()
+        assert sim.idm_accel(v, gap, v_lead, v0).hex() == want
         lanes = [np.array([x]) for x in (v, 1.0 if gap is None else gap, v_lead, gap is not None)]
         with np.errstate(over="ignore", invalid="ignore"):
-            assert sim.idm_accel_lanes(*lanes, p).item().hex() == want
+            assert sim.idm_accel_lanes(*lanes, v0).item().hex() == want
 
-    # any valid IdmParams, any finite speeds and gaps: near-zero, subnormal
-    # and huge values overflow and underflow inside the chain, and a leader
+    # any positive v0, any finite speeds and gaps: near-zero, subnormal and
+    # huge values overflow and underflow inside the chain, and a leader
     # faster than the EV makes IDM's dynamic term negative, where
     # `x if x > 0.0 else 0.0` stands for max(0.0, x)
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_idm_is_the_correctly_rounded_chain_for_any_input(self, data):
         finite = st.floats(allow_nan=False, allow_infinity=False)
-        positive = st.one_of(st.floats(0.5, 40.0), st.floats(min_value=0.0, exclude_min=True,
-                                                               allow_infinity=False))
-        non_negative = st.one_of(st.just(0.0), st.floats(0.0, 5.0), positive)
-        fields = dict(v0=positive, T=non_negative, s0=non_negative, a=positive, b=positive)
-        try:
-            p = sim.IdmParams(**{name: data.draw(s, label=name) for name, s in fields.items()})
-        except ValueError:
-            assume(False)       # only an underflowing a*b is drawn invalid
+        v0 = data.draw(st.one_of(st.floats(0.5, 40.0), st.floats(
+            min_value=0.0, exclude_min=True, allow_infinity=False)), label="v0")
         speed = st.one_of(st.floats(-1.0, 45.0), finite)
         v = data.draw(speed, label="v")
         v_lead = data.draw(st.one_of(
@@ -307,15 +284,11 @@ class TestDriverModels:
         ), label="v_lead")
         gap = data.draw(st.one_of(st.none(), st.just(0.1), st.floats(-5.0, 0.1),
                                   st.floats(0.1, 200.0), finite), label="gap")
-        want = idm_accel_exact(v, gap, v_lead, p).hex()
-        assert sim.idm_accel(v, gap, v_lead, p).hex() == want
+        want = idm_accel_exact(v, gap, v_lead, v0, **IDM).hex()
+        assert sim.idm_accel(v, gap, v_lead, v0).hex() == want
         lanes = [np.array([x]) for x in (v, 1.0 if gap is None else gap, v_lead, gap is not None)]
         with np.errstate(over="ignore", invalid="ignore"):  # huge v overflows (v/v0)^4
-            assert sim.idm_accel_lanes(*lanes, p).item().hex() == want
-
-    def test_idm_zero_jam_distance_and_headway_allowed(self):
-        p = sim.IdmParams(s0=0.0, T=0.0)
-        assert sim.idm_accel(20.0, 20.0, 20.0, p) == pytest.approx(p.a * (1.0 - 0.8 ** 4))
+            assert sim.idm_accel_lanes(*lanes, v0).item().hex() == want
 
     def test_mobil_rejects_unsafe_cut_in(self):
         assert not sim.mobil_decide(0.0, 2.0, 0.0, -sim.MOBIL_B_SAFE - 0.1)
@@ -353,20 +326,20 @@ class TestDriverModels:
     def test_entry_core_is_the_max_rule(self, data):
         cfg = sim.builtin_scenario("roundabout", **data.draw(st.fixed_dictionaries({}, optional={
             "merge_point": st.floats(100.0, 200.0), "lane_offset": st.floats(-150.0, 0.0),
-            "vehicle_length": st.floats(0.5, 10.0), "a_nominal": st.floats(0.1, 5.0)})))
+            "a_nominal": st.floats(0.1, 5.0)})))
         conflict = cfg.merge_point + cfg.lane_offset
         line = cfg.merge_point
         # a NaN is drawn on purpose: `c if c > x else x` must keep it as max does
         anything = st.one_of(st.just(math.nan), st.floats(allow_infinity=False))
         ev_s = data.draw(st.one_of(
             st.floats(line - 30.0, line),                           # before the yield line
-            st.floats(line, line + 2 * cfg.vehicle_length),         # past it: d floors at 0
-            st.just(line + cfg.vehicle_length), anything), label="ev_s")
+            st.floats(line, line + 2 * sim.VEHICLE_LENGTH),         # past it: d floors at 0
+            st.just(line + sim.VEHICLE_LENGTH), anything), label="ev_s")
         ev_v = data.draw(st.one_of(st.floats(0.0, 15.0), anything), label="ev_v")
         iv_v = data.draw(st.one_of(
             st.floats(-1.0, 0.1), st.just(0.1), st.floats(0.1, 15.0), anything), label="iv_v")
         tau_ev = ((-ev_v + math.sqrt(ev_v * ev_v + 2.0 * cfg.a_nominal * max(
-            line - ev_s + cfg.vehicle_length, 0.0))) / cfg.a_nominal
+            line - ev_s + sim.VEHICLE_LENGTH, 0.0))) / cfg.a_nominal
                   if math.isfinite(ev_s) and math.isfinite(ev_v) else 0.0)
         iv_s_choices = [st.floats(conflict - 60.0, conflict),       # approaching
                         st.floats(conflict, conflict + 30.0),       # already past
@@ -376,7 +349,7 @@ class TestDriverModels:
             iv_s_choices.append(st.integers(-4, 4).map(
                 lambda k: at_boundary + k * math.ulp(at_boundary)))
         iv_s = data.draw(st.one_of(iv_s_choices), label="iv_s")
-        want = idm_entry_max_rule(cfg, ev_s, ev_v, iv_s, iv_v, sim.T_ACCEPT)
+        want = idm_entry_max_rule(cfg, ev_s, ev_v, iv_s, iv_v, sim.T_ACCEPT, sim.VEHICLE_LENGTH)
         assert sim.idm_entry_core(cfg, "approach", ev_s, ev_v, iv_s, iv_v) == want
 
 
@@ -481,7 +454,7 @@ class TestEpisodes:
         r = sim.run_episode(cfg, ev, iv, 0, 1)
         assert r.completed
         assert r.completed_at is not None
-        assert 0.0 <= r.completed_at <= cfg.horizon * cfg.dt
+        assert 0.0 <= r.completed_at <= cfg.horizon * sim.DT
 
     def test_trace_disabled_by_default(self):
         cfg = sim.builtin_scenario("merging")
@@ -494,7 +467,7 @@ class TestEpisodes:
         r = sim.run_episode(cfg, ev, iv, 0, 1, record_trace=True)
         assert len(r.trace) == r.steps_run
         first = r.trace[0]
-        assert first.t == pytest.approx(cfg.dt)
+        assert first.t == pytest.approx(sim.DT)
         assert first.headway >= 0.0
 
     def test_collision_step_in_trace_but_not_headway_mean(self):
@@ -517,7 +490,7 @@ class TestEpisodes:
         assert len(lines) == 1 + r.steps_run
         cells = lines[1].split(",")
         assert cells[1] in ("approach", "inside")
-        assert float(cells[0]) == pytest.approx(cfg.dt)
+        assert float(cells[0]) == pytest.approx(sim.DT)
 
     def test_trace_csv_requires_trace(self, tmp_path):
         cfg = sim.builtin_scenario("roundabout")
@@ -700,14 +673,14 @@ class TestBatchedKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["merging", "roundabout"]),
-           dt=st.floats(0.01, 0.5),
+           idm_v0=st.floats(1.0, 40.0),
            a_nominal=st.floats(0.1, 6.0),
            horizon=st.integers(1, 200),
            pass_clearance=st.floats(-10.0, 40.0),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_run_episode_on_drawn_configs(self, kind, dt, a_nominal, horizon,
+    def test_matches_run_episode_on_drawn_configs(self, kind, idm_v0, a_nominal, horizon,
                                                   pass_clearance, seed):
-        cfg = sim.builtin_scenario(kind, dt=dt, a_nominal=a_nominal, horizon=horizon,
+        cfg = sim.builtin_scenario(kind, idm_v0=idm_v0, a_nominal=a_nominal, horizon=horizon,
                                    pass_clearance=pass_clearance)
         rng = np.random.default_rng(seed)
         assert_kernel_matches_run_episode(cfg, [sim.sample_initial(cfg, rng) for _ in range(8)])
@@ -726,7 +699,7 @@ class TestBatchedKernel:
         emergency = sim.run_episode(cfg, sim.VehicleState("ramp", 124.0, 20.0),
                                     sim.VehicleState("main", 149.04, 20.0), 0, 0,
                                     record_trace=True)
-        assert emergency.trace[1].ev_v == 20.0 - 4.0 * cfg.idm.b * cfg.dt
+        assert emergency.trace[1].ev_v == 20.0 - 4.0 * IDM["b"] * sim.DT
         assert emergency.trace[2].ev_v == 0.0
 
     def test_empty_and_rejected_lanes(self):
@@ -739,25 +712,18 @@ class TestBatchedKernel:
             sim.run_episodes(cfg, [(ev, dataclasses.replace(iv, lane="ramp"), 0, 1)])
 
     def test_lane_idm_is_idm_accel_bit_for_bit(self):
-        p = sim.IdmParams()
+        v0 = 25.0
         rng = np.random.default_rng(2024)
         n = 10_000
-        v = rng.uniform(0.0, 1.6 * p.v0, n)           # v > v0 included
+        v = rng.uniform(0.0, 1.6 * v0, n)             # v > v0 included
         gap = rng.uniform(-2.0, 60.0, n)              # <= 0.1 m included
         gap[:50] = 0.1
         v_lead = rng.uniform(0.0, 35.0, n)
         lead = rng.random(n) < 0.7                    # the rest: free road
-        got = sim.idm_accel_lanes(v, gap, v_lead, lead, p)
+        got = sim.idm_accel_lanes(v, gap, v_lead, lead, v0)
         want = np.array([
-            sim.idm_accel(vi, gi if li else None, wi, p)
+            sim.idm_accel(vi, gi if li else None, wi, v0)
             for vi, gi, wi, li in zip(v.tolist(), gap.tolist(), v_lead.tolist(), lead.tolist())
         ])
         assert (~lead).sum() > 2000 and (lead & (gap <= 0.1)).sum() > 50
         assert got.tobytes() == want.tobytes()
-
-    def test_idm_denominator_is_computed_once_per_parameter_set(self):
-        p = sim.IdmParams(a=1.2, b=3.0)
-        assert p.two_sqrt_ab == 2.0 * math.sqrt(1.2 * 3.0)
-        assert p.two_sqrt_ab is p.two_sqrt_ab
-        assert p == sim.IdmParams(a=1.2, b=3.0)
-        assert "two_sqrt_ab" not in [f.name for f in dataclasses.fields(p)]
