@@ -278,10 +278,11 @@ def load_game(path) -> TwoPlayerGame:
 
     Required keys: label_a0, label_a1, label_b0, label_b1, ua, ub. The ua/ub
     values are four finite reals, row-major (s00 s01 s10 s11), space or
-    comma separated. An optional non-empty 'name' key labels the game.
+    comma separated. An optional 'name' key labels the game. The name and
+    the four labels must not be empty.
     """
     fields = read_key_values(path, {
-        "label_a0": str, "label_a1": str, "label_b0": str, "label_b1": str,
+        **dict.fromkeys(("label_a0", "label_a1", "label_b0", "label_b1"), _non_empty),
         "ua": _payoff_table, "ub": _payoff_table,
     }, {"name": _non_empty})
     return TwoPlayerGame(

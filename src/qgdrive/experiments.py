@@ -7,9 +7,9 @@ decision uniform, then any policy-internal draws (a uniform QG_G4's opponent
 gate, then the replay draws). The replay draws are one block of
 2*(horizon - 1) uniforms, taken with one `random(k)` call, which equals k
 scalar draws bit for bit; without replay nothing is drawn after the gate.
-A uniform QG_G4 reads its own block, drawn after its gate from a copy of
-the stream, so when the gate fixes its law (see below) it skips that block
-without moving any other draw.
+A uniform QG_G4 reads its own block, drawn right after its gate, and the
+others share the one after the two uniforms; so a gate that fixes its law
+(see below) skips that block without moving any other draw.
 
 The loop is episode-major: a comparison derives episode i's stream and
 draws its initial states and both decision uniforms once, and every policy
@@ -19,23 +19,20 @@ it, or in what order; run_monte_carlo is the one-policy view of the same
 loop.
 
 The episodes go in chunks of _CHUNK, each in three passes. Pass 1 goes
-episode by episode, draws as above, and lets every held policy take its
-joint action. Without replay every policy is held for the whole episode.
-Under decision replay a game policy is held in an episode whose law is
-fixed (_fixed_law): P(A=0) and the drawn EV action's conditional are exactly
-0.0 or 1.0, so no replayed uniform can change its decision. That is QG_G4[Z]
-and a uniform QG_G4 whose gate is X, Y, Z or I. Pass 2 integrates the
-chunk's distinct held (episode, joint action) pairs, at most four per
+episode by episode, draws as above, and decides each (episode, policy)
+once with episode_decision. Without replay every policy is held for the
+whole episode. Under decision replay a game policy is held in an episode
+whose law is fixed (_fixed_law): P(A=0) and the drawn EV action's
+conditional are exactly 0.0 or 1.0, so no replayed uniform can change its
+decision. That is QG_G4[Z] and a uniform QG_G4 whose gate is X, Y, Z or I.
+Every other (episode, policy) replays, in pass 1: run_episode's scalar
+loop with a replay callback, since a replayed path depends on its own
+decisions and so is neither shared nor batched. This is the explicit
+scalar path; run_episode's docstring says why it stays. Pass 2 integrates
+the chunk's distinct held (episode, joint action) pairs, at most four per
 episode however many policies run, in one scenario_sim.run_episodes call.
-Pass 3 goes episode-major: each held policy reads its stored result through
-run_episode's `shared` lookup, and each replayed policy continues the
-episode's stream from the point after the two shared uniforms, kept as the
-generator state in pass 1. Every replayed policy without a gate draw reads
-the episode's one replay block; a uniform QG_G4 draws its gate and then a
-block of its own from a copy of the stream. A replayed (episode, policy)
-runs run_episode's scalar loop with a replay callback: a replayed path
-depends on its own decisions, so it is neither shared nor batched. This is
-the explicit scalar path; run_episode's docstring says why it stays.
+Pass 3 goes episode-major: each held policy reads its stored result
+through run_episode's `shared` lookup, and every result is tallied.
 
 Game-backed policies act by sampling their joint outcome distribution: the
 EV action comes from the policy's EV marginal, the IV action from the
@@ -79,9 +76,8 @@ from .quantum_game import (
 from .scenario_sim import (
     ScenarioConfig,
     builtin_scenario,
-    idm_entry_core,
+    check_lanes,
     idm_entry_decision,
-    mobil_merge_core,
     mobil_merge_decision,
     run_episode,
     run_episodes,
@@ -213,57 +209,46 @@ def _fixed_law(dist: "OutcomeDistribution | None") -> bool:
     return p_ev0 == 0.0 and p_iv0_ev1 in (0.0, 1.0)
 
 
-def _episode_law(dists, rng):
-    """The law a game policy plays in an episode: `dists` itself, or for a
-    uniform QG_G4 (a tuple of gate laws) the row of the gate drawn from
-    `rng`."""
-    if isinstance(dists, tuple):
-        return dists[int(rng.integers(len(dists)))]
-    return dists
-
-
 def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=None):
-    """Episode-start (EV action, IV action), and under decision replay the
-    episode's replay callback `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (EV
-    action, IV action)`, for `dists` from policy_distributions.
+    """Episode-start (EV action, IV action), and the episode's replay
+    callback `(on_entry, ev_s, ev_v, iv_s, iv_v) -> (EV action, IV action)`
+    or None if the episode is held, for `dists` from policy_distributions.
 
     The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
-    then draws its opponent gate from `rng`. `uniforms` is the episode's
+    then draws its opponent gate from `rng`, and IDM/MOBIL check the lanes
+    of `ev` and `iv` and apply their rule. `uniforms` is the episode's
     replay block: the 2*(horizon - 1) uniforms that follow the shared two in
-    the episode stream, drawn with one `random(k)` call. Without it (held
-    decisions) the callback is None and nothing more is drawn. Each callback
-    call reads the block's next two uniforms for a game policy, keeping the
-    gate, or the next one, the IV's, for IDM/MOBIL, which decide with their
-    rule's raw-float core (run_episode has checked the lanes). A uniform
-    QG_G4 draws its gate first, so it reads a block of its own, drawn from
-    `rng` after the gate. run_comparison asks for a callback only when the
-    policy's law for the episode is not fixed (_fixed_law): a fixed law's
-    callback would repeat the start decision, so its episode is held.
+    the episode stream, drawn with one `random(k)` call. Without it, and
+    for a fixed law (_fixed_law), whose replays would repeat the start, the
+    callback is None and nothing more is drawn. Each callback call reads
+    the block's next two uniforms for a game policy, or the next one, the
+    IV's, for IDM/MOBIL, whose rule reads the state run_episode has
+    checked. A uniform QG_G4 draws its gate first, so it reads a block of
+    its own, drawn from `rng` after the gate.
     """
     if dists is None:
-        mobil = policy.name == "MOBIL"
-        pick = mobil_merge_decision if mobil else idm_entry_decision
-        start = pick(scenario, ev, iv), (0 if u_iv < 0.5 else 1)
+        rule = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
+        start = (rule(scenario, check_lanes(scenario, ev, iv), ev.s, ev.v, iv.s, iv.v),
+                 0 if u_iv < 0.5 else 1)
         if uniforms is None:
             return start, None
-        core = mobil_merge_core if mobil else idm_entry_core
         u_next = iter(uniforms).__next__
 
-        def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
-            return (core(scenario, ev_lane, ev_s, ev_v, iv_s, iv_v),
+        def replay(on_entry, ev_s, ev_v, iv_s, iv_v):
+            return (rule(scenario, on_entry, ev_s, ev_v, iv_s, iv_v),
                     0 if u_next() < 0.5 else 1)
 
         return start, replay
-    dist = _episode_law(dists, rng)
-    if isinstance(dists, tuple) and uniforms is not None:
-        uniforms = rng.random(len(uniforms)).tolist()
+    dist = dists[int(rng.integers(len(dists)))] if isinstance(dists, tuple) else dists
     thresholds = dist.thresholds
     start = _sample_joint(thresholds, u_ev, u_iv)
-    if uniforms is None:
+    if uniforms is None or _fixed_law(dist):
         return start, None
+    if dist is not dists:  # its gate comes before its block
+        uniforms = rng.random(len(uniforms)).tolist()
     u_next = iter(uniforms).__next__
 
-    def replay(ev_lane, ev_s, ev_v, iv_s, iv_v):
+    def replay(on_entry, ev_s, ev_v, iv_s, iv_v):
         return _sample_joint(thresholds, u_next(), u_next())
 
     return start, replay
@@ -297,17 +282,14 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     the wrong scenario, is rejected before anything runs.
 
     The episodes go in chunks of _CHUNK, each in three passes: (1) episode
-    by episode, draw as the contract says and let every held policy take
-    its joint action; (2) integrate the chunk's distinct held (episode,
-    joint action) pairs in one run_episodes call and store each result in
-    its episode's `shared` dict; (3) make one run_episode call per
-    (episode, policy), in that order, and tally it. A held policy's call
-    returns the stored result. A replayed one runs run_episode's scalar
-    loop with its own replay callback, which reads the episode's block of
-    replay uniforms, redrawn from the episode's stream state kept in pass 1,
-    and decides at fixed thresholds (a game policy) or with its rule's
-    raw-float core (IDM/MOBIL); the module docstring says which policies are
-    held. Why pass 3 goes through run_episode is stated in run_episode's.
+    by episode, draw as the contract says and decide each policy once with
+    episode_decision; a held policy keeps its joint action, and a replayed
+    one runs run_episode's scalar loop with its callback and keeps the
+    result; (2) integrate the chunk's distinct held (episode, joint action)
+    pairs in one run_episodes call; (3) episode-major, read each held
+    result through run_episode's `shared` lookup, and tally every (episode,
+    policy). Why the lookup goes through run_episode is stated in
+    run_episode's docstring.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:
@@ -318,55 +300,53 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         if labels[i] in labels[:i]:
             raise ValueError(f"policy {labels[i]} is given more than once")
     scenario = config.scenario
-    replay = scenario.decision_replay
     n = config.episodes
     dists = [policy_distributions(spec, config.game) for spec in specs]
+    # a block is drawn only if a policy can replay: not every law is fixed
+    replay = scenario.decision_replay and not all(
+        isinstance(d, OutcomeDistribution) and _fixed_law(d) for d in dists)
     outcomes = [Counter() for _ in specs]
     headway_totals = [0.0] * len(specs)
     k = 2 * (scenario.horizon - 1)
-    stream = np.random.default_rng(0)   # replays continue an episode's stream here
+    stream = np.random.default_rng(0)
 
     def tally(j, result):
         outcomes[j][result.outcome] += 1
         headway_totals[j] += result.mean_headway
 
     for start in range(0, n, _CHUNK):
-        # pass 1: the contract's draws, then every held policy's joint
-        # action (None for a replayed one); only a uniform QG_G4 draws
-        # further (its gate), and a label appears once, so the policies can
-        # share `rng`, and the replay block starts at `state`
-        episodes = []
+        # pass 1: the contract's draws and one decision per policy: a held
+        # joint action, or None and the replayed result. Only a uniform
+        # QG_G4 draws further (its gate, then its own block), and a label
+        # appears once, so the policies can share `rng`
+        episodes, replayed = [], []
         for i in range(start, min(start + _CHUNK, n)):
             rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
-            state = rng.bit_generator.state if replay else None
+            if replay:  # the block after the shared two, from a copy of the stream
+                stream.bit_generator.state = rng.bit_generator.state
+            block = stream.random(k).tolist() if replay else None
             joints = []
             for spec, d in zip(specs, dists):
-                law = _episode_law(d, rng)
-                joints.append(None if replay and not _fixed_law(law) else
-                              episode_decision(spec, scenario, law, None,
-                                               ev0, iv0, u_ev, u_iv)[0])
-            episodes.append((ev0, iv0, u_ev, u_iv, state, joints))
+                joint, decide = episode_decision(spec, scenario, d, rng, ev0, iv0,
+                                                 u_ev, u_iv, block)
+                if decide is not None:
+                    replayed.append(run_episode(scenario, ev0, iv0, *joint, decide=decide))
+                    joint = None
+                joints.append(joint)
+            episodes.append((ev0, iv0, joints))
         # pass 2: each distinct held (episode, joint action), integrated once
         results = iter(run_episodes(scenario, (
-            (ev0, iv0, *joint) for ev0, iv0, *_, joints in episodes
+            (ev0, iv0, *joint) for ev0, iv0, joints in episodes
             for joint in dict.fromkeys(joints) if joint is not None)))
-        # pass 3: every (episode, policy) reads its stored result, or
-        # replays; a uniform QG_G4 re-draws its gate, then its own block
-        for ev0, iv0, u_ev, u_iv, state, joints in episodes:
+        # pass 3: every held (episode, policy) reads its stored result, and
+        # every (episode, policy) is tallied
+        replayed = iter(replayed)
+        for ev0, iv0, joints in episodes:
             shared = {joint: next(results) for joint in dict.fromkeys(joints)
                       if joint is not None}
-            if None in joints:
-                stream.bit_generator.state = state
-                block = stream.random(k).tolist()
             for j, joint in enumerate(joints):
-                if joint is not None:
-                    tally(j, run_episode(scenario, ev0, iv0, *joint, shared=shared))
-                    continue
-                if isinstance(dists[j], tuple):  # its gate comes before its block
-                    stream.bit_generator.state = state
-                (a_ev, a_iv), decide = episode_decision(
-                    specs[j], scenario, dists[j], stream, ev0, iv0, u_ev, u_iv, block)
-                tally(j, run_episode(scenario, ev0, iv0, a_ev, a_iv, decide=decide))
+                tally(j, next(replayed) if joint is None else
+                      run_episode(scenario, ev0, iv0, *joint, shared=shared))
     return tuple(
         MetricsSummary(
             scenario=scenario.kind,
@@ -448,7 +428,8 @@ def load_experiment_config(path) -> tuple[list[PolicySpec], MonteCarloConfig]:
     Recognized keys: scenario.kind, episodes (positive), master_seed
     (non-negative), policy.name, and optionally policy.assumed_gate and
     decision_replay (true or false, default false). '#' starts a comment.
-    A value the builder would reject is rejected at its line.
+    A value the builder would reject is rejected at its line, a baseline on
+    the other scenario at its policy.name.
     """
     values = read_key_values(
         path,
@@ -458,6 +439,12 @@ def load_experiment_config(path) -> tuple[list[PolicySpec], MonteCarloConfig]:
         {"policy.assumed_gate": lambda gate: PolicySpec("QG_G4", gate).assumed_gate,
          "decision_replay": _true_or_false},
     )
-    return comparison(values["scenario.kind"], [values["policy.name"]], values["episodes"],
-                      values["master_seed"], values.get("policy.assumed_gate"),
-                      values.get("decision_replay"), f"{path}: policy.assumed_gate")
+    specs, config = comparison(
+        values["scenario.kind"], [values["policy.name"]], values["episodes"],
+        values["master_seed"], values.get("policy.assumed_gate"),
+        values.get("decision_replay"), f"{path}: policy.assumed_gate")
+    try:
+        _check_compatible(specs[0], config.scenario)
+    except ValueError as e:
+        raise ValueError(f"{path}: policy.name: {e}") from None
+    return specs, config

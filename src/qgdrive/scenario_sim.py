@@ -258,28 +258,21 @@ def mobil_decide(
     return gain > MOBIL_THRESHOLD
 
 
-def mobil_merge_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> int:
+def mobil_merge_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev_v: float,
+                         iv_s: float, iv_v: float) -> int:
     """MOBIL-style one-shot merge decision on the merging scenario.
 
     Staying on the ramp means eventually braking for the section end;
     merging puts the EV ahead of or behind the IV on the main lane. Returns
-    action 0 (Merge) or 1 (NotMerge). Checks the scenario and the lanes,
-    then decides with mobil_merge_core.
+    action 0 (Merge) or 1 (NotMerge). on_entry is check_lanes' flag, whether
+    the EV is still on the ramp, for lanes the caller has checked.
     """
     if config.kind != "merging":
         raise ValueError("MOBIL merge decision applies to the merging scenario only")
-    check_lanes(config, ev, iv)
-    return mobil_merge_core(config, ev.lane, ev.s, ev.v, iv.s, iv.v)
-
-
-def mobil_merge_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: float,
-                     iv_s: float, iv_v: float) -> int:
-    """mobil_merge_decision on raw floats, for vehicles already on checked
-    lanes (the IV on its own lane, so its shared-path position is iv_s)."""
     v0 = config.idm_v0
     ego_a_old = idm_accel(ev_v, config.section_end - ev_s - VEHICLE_LENGTH, 0.0, v0)
 
-    ev_c = ev_s + config.lane_offset if ev_lane == EV_LANE_START[config.kind] else ev_s
+    ev_c = ev_s + config.lane_offset if on_entry else ev_s
     if iv_s > ev_c:
         # IV would be the EV's leader after the change
         gap = iv_s - ev_c - VEHICLE_LENGTH
@@ -293,25 +286,18 @@ def mobil_merge_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: fl
     return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new) else 1
 
 
-def idm_entry_decision(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> int:
+def idm_entry_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev_v: float,
+                       iv_s: float, iv_v: float) -> int:
     """Gap-acceptance entry decision for the roundabout baseline.
 
     Enter (action 0) when the circulating vehicle has already passed the
     conflict point, or arrives at constant speed at least T_ACCEPT seconds
-    after the EV would clear it when accelerating. Otherwise yield. Checks
-    the scenario and the lanes, then decides with idm_entry_core.
+    after the EV would clear it when accelerating. Otherwise yield. The
+    arguments are mobil_merge_decision's (on_entry is not read);
+    `c if c > x else x` is max(x, c), keeping x on a tie or a NaN.
     """
     if config.kind != "roundabout":
         raise ValueError("IDM entry decision applies to the roundabout scenario only")
-    check_lanes(config, ev, iv)
-    return idm_entry_core(config, ev.lane, ev.s, ev.v, iv.s, iv.v)
-
-
-def idm_entry_core(config: ScenarioConfig, ev_lane: str, ev_s: float, ev_v: float,
-                   iv_s: float, iv_v: float) -> int:
-    """idm_entry_decision on raw floats, for vehicles already on checked
-    lanes; ev_lane is not read (it keeps mobil_merge_core's signature).
-    `c if c > x else x` is max(x, c), keeping x on a tie or a NaN."""
     conflict = config.merge_point + config.lane_offset
     iv_dist = conflict - iv_s
     if iv_dist <= 0.0:
@@ -390,7 +376,7 @@ def run_episode(
     below VEHICLE_LENGTH (a collision) or after config.horizon steps.
     Vehicles off the scenario's lanes are rejected (check_lanes).
     Given a decide callback
-    `(ev_lane, ev_s, ev_v, iv_s, iv_v) -> (ev_action, iv_action)`, the joint
+    `(on_entry, ev_s, ev_v, iv_s, iv_v) -> (ev_action, iv_action)`, the joint
     decision is re-taken from the current state at every step until the EV
     reaches _FOLLOW; the result then records the last commanded pair. The
     IV's step terms a*DT and 0.5*a*DT*DT are looked up per commanded action
@@ -414,8 +400,8 @@ def run_episode(
     Once that pin counts outcomes instead, the lookup belongs in the loop,
     `shared` can go, and replay can move to a batched kernel.
     The lanes are checked here once, so a replay callback decides on the
-    raw floats it is given (a per-episode block of uniforms against fixed
-    thresholds, or idm_entry_core/mobil_merge_core). The loop also records
+    state it is given (uniforms against fixed thresholds, or a driver rule
+    on on_entry and the raw floats). The loop also records
     traces, and it is the reference run_episodes is tested against.
     """
     if shared is not None:
@@ -461,7 +447,7 @@ def run_episode(
 
     for steps in range(1, config.horizon + 1):
         if phase != _FOLLOW and decide is not None and steps > 1:
-            ev_action, iv_action = decide(ev_lane, ev_s, ev_v, iv_s, iv_v)
+            ev_action, iv_action = decide(on_entry, ev_s, ev_v, iv_s, iv_v)
             iv_dv, iv_ds = iv_terms[iv_action]
             phase = _GO if ev_action == 0 else _YIELD
 

@@ -67,3 +67,30 @@ def test_traced_sweep_keeps_the_selftest_pins(probe, tmp_path):
     for name in ("quantum_game.strategy_unitary", "quantum_game.outcome_probabilities",
                  "classical_game.expected_payoff"):
         assert calls[name] > 0, name
+
+
+def test_probe_counts_every_driver_decision(probe, monkeypatch):
+    # the probe counts the rule wherever it is called: the start decisions
+    # and every decision a replay callback re-takes
+    from qgdrive import classical_game, experiments, scenario_sim
+
+    replayed = []
+    real = experiments.episode_decision
+
+    def deciding(*args):
+        start, decide = real(*args)
+
+        def counted(*state):
+            replayed.append(state)
+            return decide(*state)
+
+        return start, counted
+
+    monkeypatch.setattr(experiments, "episode_decision", deciding)
+    episodes = 5
+    config = experiments.MonteCarloConfig(
+        scenario_sim.builtin_scenario("roundabout", decision_replay=True),
+        classical_game.builtin_game("roundabout"), episodes, 7)
+    experiments.run_comparison([experiments.PolicySpec("idm")], config)
+    assert replayed
+    assert probe.stats()["calls"]["scenario_sim.idm_entry_decision"] == episodes + len(replayed)

@@ -232,6 +232,18 @@ class TestLoadGame:
         with pytest.raises(ValueError, match=f"g.game:7: {match}"):
             cg.load_game(path)
 
+    # an empty label used to load and print as `s01 (/y)` in equilibria
+    @pytest.mark.parametrize("key", ["label_a0", "label_a1", "label_b0", "label_b1"])
+    def test_empty_label_rejected(self, tmp_path, key):
+        path = tmp_path / "g.game"
+        lines = ["label_a0 = x", "label_a1 = y", "label_b0 = x", "label_b1 = y",
+                 "ua = 1 2 3 4", "ub = 4 3 2 1"]
+        n = [line.split()[0] for line in lines].index(key)
+        lines[n] = f"{key} ="
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"g.game:{n + 1}: {key}: must not be empty"):
+            cg.load_game(path)
+
     @pytest.mark.parametrize("payoffs", ["nan 1 2 3", "1 inf 2 3", "1 2 -inf 3"])
     def test_non_finite_payoff_rejected(self, tmp_path, payoffs):
         path = tmp_path / "g.game"

@@ -409,7 +409,7 @@ class TestSimulate:
         )
         code, _, err = run(capsys, "simulate", "--config", str(conf))
         assert code == 2
-        assert "merging-only" in err
+        assert f"error: {conf}: policy.name: MOBIL is a merging-only" in err
 
     def test_gate_without_qg_g4_is_usage_error(self, capsys, tmp_path):
         # no policy would read the gate, from the flag or from the file key

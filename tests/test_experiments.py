@@ -154,10 +154,14 @@ class TestJointSampling:
         u_ev, u_iv = (0.5, 0.5) if data is None else (data.draw(uniform), data.draw(uniform))
         want = inverse_cdf_joint(p, u_ev, u_iv)
         assert ex._sample_joint(dist.thresholds, u_ev, u_iv) == want
-        # the start decision and a replayed one read the same thresholds
+        # the start decision and a replayed one read the same thresholds;
+        # a fixed law gets no replay callback
         start, replay = ex.episode_decision(ex.PolicySpec("cg-ms"), builtin_scenario("merging"),
                                             dist, None, None, None, u_ev, u_iv, [u_ev, u_iv])
-        assert start == replay("ramp", 110.0, 20.0, 105.0, 20.0) == want
+        assert start == want
+        assert (replay is None) == ex._fixed_law(dist)
+        if replay is not None:
+            assert replay(True, 110.0, 20.0, 105.0, 20.0) == want
 
     def test_uniform_gate_drawn_after_decision_uniforms(self):
         # the gate index must come from the third draw so the first two
@@ -178,12 +182,17 @@ class TestJointSampling:
     def test_controller_requires_states(self):
         # a controller decides from the initial states, which must be on the
         # scenario's lanes
-        scenario = builtin_scenario("merging")
-        ev = VehicleState("ramp", 110.0, 20.0)
-        iv = VehicleState("ramp", 105.0, 20.0)
-        with pytest.raises(ValueError, match="IV lane"):
-            ex.episode_decision(ex.PolicySpec("MOBIL"), scenario, None,
-                                ex.episode_rng(0, 0), ev, iv, 0.5, 0.5)
+        for policy, kind, ev, iv, match in (
+            ("MOBIL", "merging", ("ramp", 110.0, 20.0), ("ramp", 105.0, 20.0), "IV lane 'ramp'"),
+            ("MOBIL", "merging", ("bogus", 110.0, 20.0), ("main", 105.0, 20.0), "EV lane 'bogus'"),
+            ("IDM", "roundabout", ("ramp", 120.0, 6.0), ("inside", 5.0, 8.0), "EV lane 'ramp'"),
+            ("IDM", "roundabout", ("approach", 120.0, 6.0), ("approach", 5.0, 8.0),
+             "IV lane 'approach'"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                ex.episode_decision(ex.PolicySpec(policy), builtin_scenario(kind), None,
+                                    ex.episode_rng(0, 0), VehicleState(*ev), VehicleState(*iv),
+                                    0.5, 0.5)
 
 
 class TestRuns:
@@ -245,15 +254,14 @@ class TestRuns:
     @pytest.mark.parametrize("kind,replay", [("merging", False), ("roundabout", True)],
                              ids=["merging", "roundabout-replay"])
     def test_held_decisions_share_integrations(self, kind, replay, monkeypatch):
-        # group each run_episode result by episode (the ev0 object it ran from)
-        episodes = []
+        # group each run_episode result by episode (the ev0 object it ran
+        # from), whatever order the calls come in
+        episodes = {}
         real = ex.run_episode
 
         def recording(config, ev0, iv0, a_ev, a_iv, **kwargs):
             result = real(config, ev0, iv0, a_ev, a_iv, **kwargs)
-            if not episodes or episodes[-1][0] is not ev0:
-                episodes.append((ev0, []))
-            episodes[-1][1].append(((a_ev, a_iv), result))
+            episodes.setdefault(id(ev0), (ev0, []))[1].append(((a_ev, a_iv), result))
             return result
 
         monkeypatch.setattr(ex, "run_episode", recording)
@@ -264,7 +272,7 @@ class TestRuns:
         )
         ex.run_comparison(policies, cfg)
         assert len(episodes) == 40
-        for _, calls in episodes:
+        for _, calls in episodes.values():
             assert len(calls) == len(policies)
             objects = {id(result) for _, result in calls}
             if replay:
@@ -276,7 +284,8 @@ class TestRuns:
     @pytest.mark.parametrize("kind", ["roundabout", "merging"])
     def test_replay_checks_lanes_once_per_episode_and_start(self, kind, monkeypatch):
         # run_episode checks each (episode, policy) once and the IDM/MOBIL
-        # start decision once per episode; a replayed decision checks nothing
+        # start decision once per episode; a replayed decision checks
+        # nothing, and the rule takes the start and every replayed decision
         counts = Counter()
 
         def counting(name, fn):
@@ -285,20 +294,30 @@ class TestRuns:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scenario_sim, "check_lanes",
-                            counting("check_lanes", scenario_sim.check_lanes))
+        real_decision = ex.episode_decision
+
+        def deciding(policy, *args):
+            start, decide = real_decision(policy, *args)
+            if policy.name in ("IDM", "MOBIL"):
+                decide = counting("decide", decide)
+            return start, decide
+
+        for module in (scenario_sim, ex):
+            monkeypatch.setattr(module, "check_lanes", counting("check_lanes", module.check_lanes))
         monkeypatch.setattr(ex, "run_episode", counting("run_episode", ex.run_episode))
+        monkeypatch.setattr(ex, "episode_decision", deciding)
         controller = "mobil" if kind == "merging" else "idm"
-        start = ex.mobil_merge_decision if kind == "merging" else ex.idm_entry_decision
-        monkeypatch.setattr(ex, start.__name__, counting("start", start))
+        rule = ex.mobil_merge_decision if kind == "merging" else ex.idm_entry_decision
+        monkeypatch.setattr(ex, rule.__name__, counting("rule", rule))
         policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", controller]
         cfg = ex.MonteCarloConfig(
             builtin_scenario(kind, decision_replay=True), builtin_game(kind), 40, 7
         )
         ex.run_comparison([ex.PolicySpec(p, "uniform") for p in policies], cfg)
         assert counts["run_episode"] == 40 * len(policies)
-        assert counts["start"] == 40
-        assert counts["check_lanes"] == counts["run_episode"] + counts["start"]
+        assert counts["check_lanes"] == counts["run_episode"] + 40
+        assert counts["decide"] > 0
+        assert counts["rule"] == 40 + counts["decide"]
 
     @pytest.mark.parametrize("chunk", [1, 7, 50])
     def test_chunk_size_does_not_move_the_summaries(self, chunk, monkeypatch):
@@ -467,7 +486,15 @@ class TestFixedLaws:
         ev0, iv0 = scenario_sim.sample_initial(scenario, rng)
         u_ev, u_iv = rng.random(2).tolist()
         block = rng.random(2 * (scenario.horizon - 1)).tolist()
-        start, decide = ex.episode_decision(spec, scenario, law, None, ev0, iv0, u_ev, u_iv, block)
+        start, callback = ex.episode_decision(spec, scenario, law, None, ev0, iv0, u_ev, u_iv,
+                                              block)
+        assert callback is None
+        # the callback a fixed law would get, as any other game policy's
+        u_next = iter(block).__next__
+
+        def decide(*state):
+            return ex._sample_joint(law.thresholds, u_next(), u_next())
+
         replayed = scenario_sim.run_episode(scenario, ev0, iv0, *start, record_trace=True,
                                             decide=decide)
         held = scenario_sim.run_episode(scenario, ev0, iv0, *start, record_trace=True)
@@ -485,7 +512,7 @@ class TestFixedLaws:
             return real_many(config, batch)
 
         def one(config, ev0, iv0, a_ev, a_iv, **kwargs):
-            calls.append((ev0, "shared" in kwargs))
+            calls.append((ev0, (a_ev, a_iv), "shared" in kwargs))
             return real_one(config, ev0, iv0, a_ev, a_iv, **kwargs)
 
         monkeypatch.setattr(ex, "_CHUNK", chunk)
@@ -497,17 +524,27 @@ class TestFixedLaws:
             builtin_scenario(kind, decision_replay=True), builtin_game(kind), 40, 7
         )
         ex.run_comparison([ex.PolicySpec(p, "uniform") for p in policies], cfg)
-        # each episode's gate, drawn as the contract says
+        # each episode's gate, drawn as the contract says, and the joint
+        # action the uniform QG_G4 holds when the gate fixes its law
+        rows = ex.policy_distributions(ex.PolicySpec("qg-g4", "uniform"), cfg.game)
         starts, fixed = [], []
         for i in range(40):
             rng = ex.episode_rng(7, i)
             starts.append(scenario_sim.sample_initial(cfg.scenario, rng)[0])
-            rng.random(2)
-            fixed.append(GATE_ORDER[int(rng.integers(5))] is not QuantumGate.HADAMARD)
-        assert 0 < sum(fixed) < 40
+            u_ev, u_iv = rng.random(2).tolist()
+            gate = int(rng.integers(5))
+            joint = ex._sample_joint(rows[gate].thresholds, u_ev, u_iv)
+            fixed.append(joint if GATE_ORDER[gate] is not QuantumGate.HADAMARD else None)
+        assert 0 < sum(f is not None for f in fixed) < 40
         assert [lane[0] for lane in lanes] == [ev0 for ev0, f in zip(starts, fixed) if f]
-        assert [ev0 for ev0, _ in calls] == [ev0 for ev0 in starts for _ in policies]
-        assert [held for _, held in calls] == [f and p == "qg-g4" for f in fixed for p in policies]
+        # one call per (episode, policy), and only the fixed gates' held
+        by_episode = {}
+        for ev0, joint, held in calls:
+            by_episode.setdefault(ev0, []).append(joint if held else None)
+        assert list(by_episode) == starts
+        assert [sorted(j for j in joints if j) for joints in by_episode.values()] == [
+            [f] if f else [] for f in fixed]
+        assert {len(joints) for joints in by_episode.values()} == {len(policies)}
 
 
 class TestReports:

@@ -306,20 +306,24 @@ class TestDriverModels:
         ev = sim.VehicleState("ramp", 110.0, 20.0)
         far_back = sim.VehicleState("main", 20.0, 20.0)
         ahead = sim.VehicleState("main", 135.0, 20.0)
-        assert sim.mobil_merge_decision(cfg, ev, far_back) == 0
-        assert sim.mobil_merge_decision(cfg, ev, ahead) == 1
+        for iv, want in ((far_back, 0), (ahead, 1)):
+            on_entry = sim.check_lanes(cfg, ev, iv)
+            assert sim.mobil_merge_decision(cfg, on_entry, ev.s, ev.v, iv.s, iv.v) == want
         with pytest.raises(ValueError):
-            sim.mobil_merge_decision(sim.builtin_scenario("roundabout"), ev, far_back)
+            sim.mobil_merge_decision(sim.builtin_scenario("roundabout"), True,
+                                     ev.s, ev.v, far_back.s, far_back.v)
 
     def test_entry_decision_directions(self):
         cfg = sim.builtin_scenario("roundabout")
         ev = sim.VehicleState("approach", 120.0, 6.0)
-        assert sim.idm_entry_decision(cfg, ev, sim.VehicleState("inside", 60.0, 8.0)) == 0
-        assert sim.idm_entry_decision(cfg, ev, sim.VehicleState("inside", 45.0, 10.0)) == 1
+        for iv, want in ((sim.VehicleState("inside", 60.0, 8.0), 0),
+                         (sim.VehicleState("inside", 45.0, 10.0), 1)):
+            on_entry = sim.check_lanes(cfg, ev, iv)
+            assert sim.idm_entry_decision(cfg, on_entry, ev.s, ev.v, iv.s, iv.v) == want
         with pytest.raises(ValueError):
-            sim.idm_entry_decision(sim.builtin_scenario("merging"), ev, ev)
+            sim.idm_entry_decision(sim.builtin_scenario("merging"), True, ev.s, ev.v, ev.s, ev.v)
 
-    # idm_entry_core spells its two floors as comparisons; the max-spelled
+    # idm_entry_decision spells its two floors as comparisons; the max-spelled
     # rule in tests/oracles.py is the reference, NaN and ties included
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -350,7 +354,7 @@ class TestDriverModels:
                 lambda k: at_boundary + k * math.ulp(at_boundary)))
         iv_s = data.draw(st.one_of(iv_s_choices), label="iv_s")
         want = idm_entry_max_rule(cfg, ev_s, ev_v, iv_s, iv_v, sim.T_ACCEPT, sim.VEHICLE_LENGTH)
-        assert sim.idm_entry_core(cfg, "approach", ev_s, ev_v, iv_s, iv_v) == want
+        assert sim.idm_entry_decision(cfg, True, ev_s, ev_v, iv_s, iv_v) == want
 
 
 
@@ -373,19 +377,21 @@ class TestLanes:
             sim.run_episode(cfg, ev, iv, 0, 1)
 
     def test_decisions_reject_vehicles_off_the_lanes(self):
+        # the rules take the lane phase that check_lanes returns, so the
+        # lane check is what stands between them and an off-lane vehicle
         merging = sim.builtin_scenario("merging")
         ev = sim.VehicleState("ramp", 110.0, 20.0)
         with pytest.raises(ValueError, match="IV lane 'ramp'"):
-            sim.mobil_merge_decision(merging, ev, sim.VehicleState("ramp", 105.0, 20.0))
+            sim.check_lanes(merging, ev, sim.VehicleState("ramp", 105.0, 20.0))
         with pytest.raises(ValueError, match="EV lane 'bogus'"):
-            sim.mobil_merge_decision(merging, dataclasses.replace(ev, lane="bogus"),
-                                     sim.VehicleState("main", 105.0, 20.0))
+            sim.check_lanes(merging, dataclasses.replace(ev, lane="bogus"),
+                            sim.VehicleState("main", 105.0, 20.0))
         roundabout = sim.builtin_scenario("roundabout")
         ev, iv = mid_roundabout()
         with pytest.raises(ValueError, match="EV lane 'ramp'"):
-            sim.idm_entry_decision(roundabout, dataclasses.replace(ev, lane="ramp"), iv)
+            sim.check_lanes(roundabout, dataclasses.replace(ev, lane="ramp"), iv)
         with pytest.raises(ValueError, match="IV lane 'approach'"):
-            sim.idm_entry_decision(roundabout, ev, dataclasses.replace(iv, lane="approach"))
+            sim.check_lanes(roundabout, ev, dataclasses.replace(iv, lane="approach"))
 
     def test_ev_on_the_target_lane_is_accepted(self):
         for kind, make in (("merging", mid_merging), ("roundabout", mid_roundabout)):
@@ -591,20 +597,20 @@ class TestDecisionReplay:
         ev, iv = mid_roundabout()
         seen_phases = []
 
-        def decide(ev_lane, ev_s, ev_v, iv_s, iv_v):
-            seen_phases.append(ev_lane)
+        def decide(on_entry, ev_s, ev_v, iv_s, iv_v):
+            seen_phases.append(on_entry)
             return 0, 0
 
         r = sim.run_episode(cfg, ev, iv, 0, 0, decide=decide)
         assert seen_phases
-        assert set(seen_phases) == {"approach"}
+        assert set(seen_phases) == {True}
 
     def test_replay_sees_current_states(self):
         cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
         positions = []
 
-        def decide(ev_lane, ev_s, ev_v, iv_s, iv_v):
+        def decide(on_entry, ev_s, ev_v, iv_s, iv_v):
             positions.append(ev_s)
             return 1, 1
 
