@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = add_verb("simulate", "seeded Monte Carlo policy comparison")
     p_sim.add_argument("--scenario", help="merging or roundabout")
     p_sim.add_argument("--policies",
-                       help="comma-separated: cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,idm,mobil")
+                       help="comma-separated: " + ",".join(
+                           name.lower().replace("_", "-") for name in experiments.POLICIES))
     p_sim.add_argument("--episodes", type=int, help="episodes per policy (default 10000)")
     p_sim.add_argument("--seed", type=int, help="master seed (default 0)")
     p_sim.add_argument("--assumed-gate",

@@ -34,18 +34,18 @@ episode however many policies run, in one scenario_sim.run_episodes call.
 Pass 3 goes episode-major: each held policy reads its stored result
 through run_episode's `shared` lookup, and every result is tallied.
 
-Game-backed policies act by sampling their joint outcome distribution: the
-EV action comes from the policy's EV marginal, the IV action from the
-distribution conditioned on that EV action, each by comparing a uniform
-with the distribution's fixed inverse-CDF thresholds (computed once per
-distribution and run, and read by the start and every replayed decision).
-Only CG-EPD and the two QG-U1 presets have a uniform IV conditional, which
-reduces to an independent 50/50 IV draw shared across policies. CG-MS and
-QG-G4 do not: QG_G4[Z]'s distribution is (0, 1, 0, 0), so its IV
-decelerates in every episode, and each of the uniform opponent model's five
-gate distributions fixes the IV's action given the EV's. IDM/MOBIL compute
-the EV action deterministically from the sampled initial states; their IV
-stays on the 50/50 draw.
+Each policy is one row of POLICIES: the scenario it runs on and what
+decides for it. Game-backed policies act by sampling their joint outcome
+distribution: the EV action comes from the policy's EV marginal, the IV
+action from the distribution conditioned on that EV action, each by
+comparing a uniform with the distribution's fixed inverse-CDF thresholds
+(computed once per distribution and run, and read by the start and every
+replayed decision). Only CG-EPD and the two QG-U1 presets have a uniform IV
+conditional, which reduces to an independent 50/50 IV draw shared across
+policies. CG-MS and QG-G4 do not: QG_G4[Z]'s law is (0, 1, 0, 0), so its
+IV decelerates in every episode, and each of the uniform opponent model's
+five gate laws fixes the IV's action given the EV's. IDM/MOBIL's rule
+computes the EV action from the state; their IV stays on the 50/50 draw.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .classical_game import (
 )
 from .quantum_game import (
     GATE_ORDER,
+    QuantumGate,
     as_gate,
     play,
     preset,
@@ -84,28 +85,45 @@ from .scenario_sim import (
     sample_initial,
 )
 
-POLICY_NAMES = ("CG_EPD", "CG_MS", "QG_U1_1", "QG_U1_2", "QG_G4", "IDM", "MOBIL")
+# Report name -> (the one scenario kind the policy runs on, or None for both;
+# what decides for it): a game policy's law builder, (game, assumed_gate) ->
+# OutcomeDistribution or policy_distributions' tuple, or a driver baseline's
+# rule, (scenario, on_entry, ev_s, ev_v, iv_s, iv_v) -> EV action. The lambdas
+# look their functions up at call time, so a tracer that swaps them sees each call.
+POLICIES = {
+    "CG_EPD": (None, lambda game, gate: cg_epd_distribution()),
+    "CG_MS": (None, lambda game, gate: cg_ms_distribution(game)),
+    "QG_U1_1": (None, lambda game, gate: play(preset("QG_U1_1"))),
+    "QG_U1_2": (None, lambda game, gate: play(preset("QG_U1_2"))),
+    "QG_G4": (None, lambda game, gate: (
+        tuple(play(preset("QG_G4", g)) for g in GATE_ORDER) if gate == "uniform"
+        else play(preset("QG_G4", gate)))),
+    "IDM": ("roundabout", lambda *state: idm_entry_decision(*state)),
+    "MOBIL": ("merging", lambda *state: mobil_merge_decision(*state)),
+}
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """A named policy; assumed_gate configures QG-G4's opponent model:
-    a single gate letter (default 'Z') or 'uniform' for a per-episode
-    uniform draw over the five gates."""
+    """A POLICIES row by name; assumed_gate configures QG-G4's opponent
+    model: a single gate, as a letter or a QuantumGate (default 'Z'), or
+    'uniform' for a per-episode uniform draw over the five gates."""
 
     name: str
-    assumed_gate: str = "Z"
+    assumed_gate: "str | QuantumGate" = "Z"
 
     def __post_init__(self):
+        gate = self.assumed_gate
+        if not isinstance(self.name, str) or not isinstance(gate, (str, QuantumGate)):
+            raise ValueError(f"a policy takes a str name and a str or QuantumGate assumed_gate, "
+                             f"got {self.name!r} and {gate!r}")
         canon = self.name.strip().upper().replace("-", "_")
         object.__setattr__(self, "name", canon)
-        if canon not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {self.name!r}; expected one of {POLICY_NAMES}")
-        gate = self.assumed_gate.strip()
-        if gate.lower() == "uniform":
-            object.__setattr__(self, "assumed_gate", "uniform")
-        else:
-            object.__setattr__(self, "assumed_gate", as_gate(gate).value)
+        if canon not in POLICIES:
+            raise ValueError(f"unknown policy {self.name!r}; expected one of {tuple(POLICIES)}")
+        gate = gate.strip() if isinstance(gate, str) else gate
+        uniform = isinstance(gate, str) and gate.lower() == "uniform"
+        object.__setattr__(self, "assumed_gate", "uniform" if uniform else as_gate(gate).value)
 
     def label(self) -> str:
         """Report label; QG_G4 carries its opponent-gate model."""
@@ -153,31 +171,22 @@ def wilson_halfwidth(successes: int, n: int) -> float:
 
 
 def _check_compatible(policy: PolicySpec, scenario: ScenarioConfig) -> None:
-    if policy.name == "MOBIL" and scenario.kind != "merging":
-        raise ValueError("MOBIL is a merging-only baseline; it has no lane change to decide here")
-    if policy.name == "IDM" and scenario.kind != "roundabout":
-        raise ValueError("the IDM gap-acceptance baseline applies to the roundabout only")
+    kind = POLICIES[policy.name][0]
+    if kind not in (None, scenario.kind):
+        raise ValueError(f"{policy.name} is a {kind}-only baseline; "
+                         f"it has no decision to take on the {scenario.kind} scenario")
 
 
 def policy_distributions(policy: PolicySpec, game: TwoPlayerGame):
-    """Outcome distribution(s) backing a game policy, or None for IDM/MOBIL.
+    """Outcome distribution(s) backing a game policy, from its POLICIES
+    row's law builder, or None for a driver baseline (IDM/MOBIL).
 
     Returns a single OutcomeDistribution for fixed policies, or a tuple of
     five (one per opponent gate, GATE_ORDER) for QG_G4 with the uniform
     opponent model.
     """
-    name = policy.name
-    if name == "CG_EPD":
-        return cg_epd_distribution()
-    if name == "CG_MS":
-        return cg_ms_distribution(game)
-    if name in ("QG_U1_1", "QG_U1_2"):
-        return play(preset(name))
-    if name == "QG_G4":
-        if policy.assumed_gate == "uniform":
-            return tuple(play(preset(name, g)) for g in GATE_ORDER)
-        return play(preset(name, policy.assumed_gate))
-    return None
+    kind, decide = POLICIES[policy.name]
+    return None if kind else decide(game, policy.assumed_gate)
 
 
 def _sample_joint(thresholds: tuple, u_ev: float, u_iv: float) -> tuple[int, int]:
@@ -192,17 +201,14 @@ def _sample_joint(thresholds: tuple, u_ev: float, u_iv: float) -> tuple[int, int
     return 1, (0 if u_iv < p_iv0_ev1 else 1)
 
 
-def _fixed_law(dist: "OutcomeDistribution | None") -> bool:
+def _fixed_law(dist: OutcomeDistribution) -> bool:
     """Whether _sample_joint takes one joint action from `dist` at every pair
     of uniforms: P(A=0) is exactly 0.0 or 1.0, and so is the conditional
     threshold of the one EV action that can be drawn. A uniform u in [0, 1)
     is always below 1.0 and never below 0.0, so a replayed decision under
     such a law repeats the start decision, and the replayed episode is the
     held one. A threshold just below 1.0 (QG_U1_1's P(A=0) is
-    0.9999999999999998) is not fixed; neither is IDM/MOBIL (None), which
-    decides from the state."""
-    if dist is None:
-        return False
+    0.9999999999999998) is not fixed."""
     p_ev0, p_iv0_ev0, p_iv0_ev1 = dist.thresholds
     if p_ev0 == 1.0:
         return p_iv0_ev0 in (0.0, 1.0)
@@ -227,7 +233,7 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
     its own, drawn from `rng` after the gate.
     """
     if dists is None:
-        rule = mobil_merge_decision if policy.name == "MOBIL" else idm_entry_decision
+        rule = POLICIES[policy.name][1]
         start = (rule(scenario, check_lanes(scenario, ev, iv), ev.s, ev.v, iv.s, iv.v),
                  0 if u_iv < 0.5 else 1)
         if uniforms is None:
@@ -302,9 +308,6 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     scenario = config.scenario
     n = config.episodes
     dists = [policy_distributions(spec, config.game) for spec in specs]
-    # a block is drawn only if a policy can replay: not every law is fixed
-    replay = scenario.decision_replay and not all(
-        isinstance(d, OutcomeDistribution) and _fixed_law(d) for d in dists)
     outcomes = [Counter() for _ in specs]
     headway_totals = [0.0] * len(specs)
     k = 2 * (scenario.horizon - 1)
@@ -322,9 +325,9 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         episodes, replayed = [], []
         for i in range(start, min(start + _CHUNK, n)):
             rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
-            if replay:  # the block after the shared two, from a copy of the stream
+            if scenario.decision_replay:  # the block after the shared two, from a copy
                 stream.bit_generator.state = rng.bit_generator.state
-            block = stream.random(k).tolist() if replay else None
+            block = stream.random(k).tolist() if scenario.decision_replay else None
             joints = []
             for spec, d in zip(specs, dists):
                 joint, decide = episode_decision(spec, scenario, d, rng, ev0, iv0,

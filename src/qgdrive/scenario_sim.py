@@ -267,8 +267,6 @@ def mobil_merge_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev
     action 0 (Merge) or 1 (NotMerge). on_entry is check_lanes' flag, whether
     the EV is still on the ramp, for lanes the caller has checked.
     """
-    if config.kind != "merging":
-        raise ValueError("MOBIL merge decision applies to the merging scenario only")
     v0 = config.idm_v0
     ego_a_old = idm_accel(ev_v, config.section_end - ev_s - VEHICLE_LENGTH, 0.0, v0)
 
@@ -296,8 +294,6 @@ def idm_entry_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev_v
     arguments are mobil_merge_decision's (on_entry is not read);
     `c if c > x else x` is max(x, c), keeping x on a tie or a NaN.
     """
-    if config.kind != "roundabout":
-        raise ValueError("IDM entry decision applies to the roundabout scenario only")
     conflict = config.merge_point + config.lane_offset
     iv_dist = conflict - iv_s
     if iv_dist <= 0.0:

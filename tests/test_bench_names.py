@@ -69,7 +69,11 @@ def test_traced_sweep_keeps_the_selftest_pins(probe, tmp_path):
         assert calls[name] > 0, name
 
 
-def test_probe_counts_every_driver_decision(probe, monkeypatch):
+@pytest.mark.parametrize("kind,name,rule", [
+    ("roundabout", "idm", "idm_entry_decision"),
+    ("merging", "mobil", "mobil_merge_decision"),
+], ids=["roundabout-idm", "merging-mobil"])
+def test_probe_counts_every_driver_decision(probe, monkeypatch, kind, name, rule):
     # the probe counts the rule wherever it is called: the start decisions
     # and every decision a replay callback re-takes
     from qgdrive import classical_game, experiments, scenario_sim
@@ -89,8 +93,20 @@ def test_probe_counts_every_driver_decision(probe, monkeypatch):
     monkeypatch.setattr(experiments, "episode_decision", deciding)
     episodes = 5
     config = experiments.MonteCarloConfig(
-        scenario_sim.builtin_scenario("roundabout", decision_replay=True),
-        classical_game.builtin_game("roundabout"), episodes, 7)
-    experiments.run_comparison([experiments.PolicySpec("idm")], config)
+        scenario_sim.builtin_scenario(kind, decision_replay=True),
+        classical_game.builtin_game(kind), episodes, 7)
+    experiments.run_comparison([experiments.PolicySpec(name)], config)
     assert replayed
-    assert probe.stats()["calls"]["scenario_sim.idm_entry_decision"] == episodes + len(replayed)
+    assert probe.stats()["calls"][f"scenario_sim.{rule}"] == episodes + len(replayed)
+
+
+@pytest.mark.parametrize("name,gate,plays", [("qg-u1-1", "Z", 1), ("qg-g4", "uniform", 5)])
+def test_probe_counts_every_law_played(probe, name, gate, plays):
+    # experiments.POLICIES reaches quantum_game.play through experiments' own
+    # name, so a law built once per run is counted once per circuit played
+    from qgdrive import classical_game, experiments, scenario_sim
+
+    config = experiments.MonteCarloConfig(
+        scenario_sim.builtin_scenario("merging"), classical_game.builtin_game("merging"), 3, 7)
+    experiments.run_comparison([experiments.PolicySpec(name, gate)], config)
+    assert probe.stats()["calls"]["quantum_game.play"] == plays

@@ -330,13 +330,18 @@ class TestSimulate:
         )
         assert code == 2
 
-    def test_incompatible_policy_rejected_before_running(self, capsys):
+    @pytest.mark.parametrize("scenario,policy,message", [
+        ("roundabout", "mobil", "MOBIL is a merging-only"),
+        ("merging", "idm", "IDM is a roundabout-only"),
+    ], ids=["roundabout-mobil", "merging-idm"])
+    def test_incompatible_policy_rejected_before_running(self, capsys, scenario, policy,
+                                                         message):
         code, _, err = run(
-            capsys, "simulate", "--scenario", "roundabout",
-            "--policies", "mobil", "--episodes", "10",
+            capsys, "simulate", "--scenario", scenario,
+            "--policies", policy, "--episodes", "10",
         )
         assert code == 2
-        assert "merging-only" in err
+        assert message in err
 
     def test_repeated_policy_rejected(self, capsys):
         code, _, err = run(

@@ -31,12 +31,21 @@ class TestPolicySpec:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             ex.PolicySpec("QG_U2")
+        for name in (None, 3, QuantumGate.PAULI_Z):
+            with pytest.raises(ValueError, match="str name"):
+                ex.PolicySpec(name)
 
     def test_assumed_gate_normalized(self):
         assert ex.PolicySpec("QG_G4", "z").assumed_gate == "Z"
         assert ex.PolicySpec("QG_G4", "Uniform").assumed_gate == "uniform"
+        # the enum, as as_gate and preset take it
+        assert ex.PolicySpec("QG_G4", QuantumGate.PAULI_Z) == ex.PolicySpec("QG_G4", "Z")
+        assert ex.PolicySpec("QG_G4", QuantumGate.HADAMARD).label() == "QG_G4[H]"
         with pytest.raises(ValueError):
             ex.PolicySpec("QG_G4", "Q")
+        for gate in (None, 4, ("Z",)):
+            with pytest.raises(ValueError, match="QuantumGate assumed_gate"):
+                ex.PolicySpec("QG_G4", gate)
 
     def test_label_carries_opponent_model(self):
         assert ex.PolicySpec("QG_G4").label() == "QG_G4[Z]"
@@ -453,7 +462,6 @@ class TestFixedLaws:
         assert ex._fixed_law(law("QG_G4", "Z"))
         assert not ex._fixed_law(law("CG_EPD"))
         assert not ex._fixed_law(law("CG_MS"))
-        assert not ex._fixed_law(None)                 # IDM/MOBIL decide from the state
         # QG_U1_1's P(A=0) lies just below 1.0, and its IV conditional is 0.5
         u11 = law("QG_U1_1")
         assert u11.thresholds[0] == 0.9999999999999998

@@ -1,6 +1,7 @@
 """Every ```python block in README.md runs as written, every `qgdrive`
-command line in its shell blocks parses with the CLI's own parser, and the
-package's top level exports the Library example's imports."""
+command line in its shell blocks parses with the CLI's own parser, the
+package's top level exports the Library example's imports, and the
+"Policy names:" list is experiments.POLICIES."""
 
 import re
 import shlex
@@ -10,7 +11,7 @@ from types import ModuleType
 import pytest
 
 import qgdrive
-from qgdrive import cli
+from qgdrive import cli, experiments
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -49,3 +50,10 @@ def test_top_level_exports_the_library_imports():
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert public == {name.strip() for name in imported.split(",") if name.strip()}
     assert len(public) == 10 and qgdrive.__version__
+
+
+def test_policy_names_are_the_policy_table():
+    # a new POLICIES row cannot land without its README name
+    listed = re.search(r"^Policy names: (.*?), each at most once", TEXT, re.S | re.M).group(1)
+    names = re.findall(r"`([^`]+)`", listed)
+    assert names == [name.lower().replace("_", "-") for name in experiments.POLICIES]
