@@ -18,7 +18,11 @@ import numpy as np
 
 class DegenerateGameError(ValueError):
     """Mixed-strategy denominator is zero: player payoffs cannot support an
-    interior indifference point."""
+    interior indifference point. Both denominators are reported."""
+
+    def __init__(self, den_p: float, den_q: float):
+        super().__init__(f"degenerate payoff structure: denominators ({den_p}, {den_q})")
+        self.den_p, self.den_q = den_p, den_q
 
 
 class NoInteriorEquilibriumError(ValueError):
@@ -153,9 +157,7 @@ def mixed_strategy(game: TwoPlayerGame) -> MixedStrategy:
     den_p = ua[0][0] - ua[0][1] - ua[1][0] + ua[1][1]
     den_q = ub[0][0] - ub[0][1] - ub[1][0] + ub[1][1]
     if den_p == 0.0 or den_q == 0.0:
-        raise DegenerateGameError(
-            f"degenerate payoff structure: denominators ({den_p}, {den_q})"
-        )
+        raise DegenerateGameError(den_p, den_q)
     p = (ua[1][1] - ua[0][1]) / den_p
     q = (ub[1][1] - ub[1][0]) / den_q
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):

@@ -4,16 +4,17 @@ Four verbs: `equilibria` (classical solution of a 2x2 game), `solve` (one
 model configuration to an outcome distribution), `sweep` (parameter grids
 to CSV), `simulate` (seeded Monte Carlo comparison to a report file).
 
-Exit codes: 0 success; 2 rejected input (an argparse usage error, or any
-ValueError, which is how the library and CliError reject a flag, file or
-value); 1 runtime failure (an OSError such as an unwritable output path,
-or any other exception). `main` is the only place that maps errors to exit
-codes. Long flags must be spelled in full. File outputs are byte-identical
-across repeated runs with the same flags and seed. Angles accept radians
-or pi-fraction literals ('pi/2', '3pi/4'); `--initial` accepts 'equal', a
-basis label, or eight comma-separated re/im-interleaved amplitude
-components, auto-normalized. The environment variable QGDRIVE_OUTPUT_DIR
-overrides the default output directory.
+Exit codes: 0 success; 2 rejected input (an argparse usage error, a flag
+the chosen --model or --config does not read or a missing one it needs,
+each named, or any other ValueError, which is how the library and CliError
+reject a file or value); 1 runtime failure (an OSError such as an
+unwritable output path, or any other exception). `main` alone maps errors
+to exit codes. Long flags must be spelled in full. File outputs are
+byte-identical across repeated runs with the same flags and seed. Angles
+accept radians or pi-fraction literals ('pi/2', '3pi/4'); `--initial`
+accepts 'equal', a basis label, or eight comma-separated re/im-interleaved
+amplitude components, auto-normalized. The environment variable
+QGDRIVE_OUTPUT_DIR overrides the default output directory.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import astuple, replace
 import numpy as np
 
 from . import classical_game, experiments, quantum_game
-from .classical_game import NoInteriorEquilibriumError
+from .classical_game import DegenerateGameError, NoInteriorEquilibriumError
 
 OUTPUT_DIR_ENV = "QGDRIVE_OUTPUT_DIR"
 
@@ -39,6 +40,28 @@ class CliError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Flag parsing helpers
+
+def typed_flags(dests) -> str:
+    """argparse dests as typed, listed: ['gamma', 'theta_a'] -> '--gamma and --theta-a'."""
+    flags = ["--" + dest.replace("_", "-") for dest in dests]
+    return " and ".join(filter(None, (", ".join(flags[:-1]), flags[-1])))
+
+
+def reject_flags(args, dests, mode: str) -> None:
+    """Reject, naming each, the given flags among dests: mode does not read
+    them. Such flags default to None, so one given at its default is rejected
+    too and the mode that reads it keeps its own default (sweep_u1's grid,
+    simulate's episodes and seed, experiments.comparison's gate and replay)."""
+    given = [dest for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise CliError(f"{mode} does not read {typed_flags(given)}")
+
+
+def require_flags(args, dests, mode: str) -> None:
+    """Name every flag in dests when mode lacks one of them."""
+    if any(getattr(args, dest) is None for dest in dests):
+        raise CliError(f"{mode} needs {typed_flags(dests)}")
+
 
 _PI_RE = re.compile(
     r"^\s*(-)?\s*(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
@@ -131,6 +154,9 @@ def cmd_equilibria(args) -> int:
         ms = classical_game.mixed_strategy(game)
     except NoInteriorEquilibriumError as e:
         print(f"no interior mixed equilibrium: p = {e.p!r}, q = {e.q!r}")
+    except DegenerateGameError as e:
+        zero = " and ".join(n for n, d in (("p", e.den_p), ("q", e.den_q)) if d == 0.0)
+        print(f"no interior mixed equilibrium: zero denominator for {zero}")
     else:
         print(f"mixed strategy: p = {ms.p!r} (B plays {game.actions_b[0]}), "
               f"q = {ms.q!r} (A plays {game.actions_a[0]})")
@@ -147,41 +173,28 @@ def _solve_config(args) -> quantum_game.QuantumGameConfig:
     """The configuration the flags select: the model's preset (qg-u1 has
     none) with every given flag replacing its field."""
     model = args.model
-    gate_flags = args.gate_a is not None or args.gate_b is not None
-    angle_flags = any(
-        v is not None for v in (args.theta_a, args.phi_a, args.theta_b, args.phi_b)
-    )
-    if model == "qg-g4":
-        if angle_flags:
-            raise CliError("theta/phi flags apply to the qg-u1 models only")
-        if args.gate_b is None:
-            raise CliError("qg-g4 needs --gate-b (H, X, Y, Z or I)")
-    elif gate_flags:
-        raise CliError("gate flags apply to the qg-g4 model only")
-    if model == "qg-u1" and None in (args.gamma, args.theta_a, args.theta_b):
-        raise CliError("qg-u1 needs --gamma, --theta-a and --theta-b")
+    reject_flags(args, ("theta_a", "phi_a", "theta_b", "phi_b") if model == "qg-g4"
+                 else ("gate_a", "gate_b"), model)
+    needs = {"qg-g4": ("gate_b",), "qg-u1": ("gamma", "theta_a", "theta_b")}.get(model, ())
+    require_flags(args, needs, model)
     given = {}
     if args.gamma is not None:
         given["gamma"] = parse_angle(args.gamma)
-    gate_b = None
-    if model == "qg-g4":
-        if args.gate_a:
-            given["strategy_a"] = quantum_game.as_gate(args.gate_a)
-        gate_b = quantum_game.as_gate(args.gate_b)
-    else:
-        for side, theta, phi in (("a", args.theta_a, args.phi_a), ("b", args.theta_b, args.phi_b)):
-            if phi is not None and theta is None:
-                raise CliError(f"--phi-{side} needs --theta-{side}")
-            if theta is not None:
-                given["strategy_" + side] = quantum_game.StrategyU(
-                    parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
-                )
+    if args.gate_a:
+        given["strategy_a"] = quantum_game.as_gate(args.gate_a)
+    for side, theta, phi in (("a", args.theta_a, args.phi_a), ("b", args.theta_b, args.phi_b)):
+        if phi is not None:
+            require_flags(args, ("theta_" + side,), typed_flags(["phi_" + side]))
+        if theta is not None:
+            given["strategy_" + side] = quantum_game.StrategyU(
+                parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
+            )
     if args.initial:
         given["initial"] = parse_initial_flag(args.initial)
     if model == "qg-u1":
         given.setdefault("initial", quantum_game.equal_superposition())
         return quantum_game.QuantumGameConfig(**given)
-    return replace(quantum_game.preset(model, gate_b), **given)
+    return replace(quantum_game.preset(model, args.gate_b), **given)
 
 
 def cmd_solve(args) -> int:
@@ -217,19 +230,13 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-# qg-u1 grid flags; argparse leaves them None so that qg-g4 can reject them
-# and sweep_u1 keeps its own defaults
 _U1_GRID_FLAGS = ("mode", "gamma_points", "theta_points")
 
 
 def cmd_sweep(args) -> int:
+    reject_flags(args, ("gamma",) if args.model == "qg-u1" else _U1_GRID_FLAGS, args.model)
     grid = {name: getattr(args, name) for name in _U1_GRID_FLAGS
             if getattr(args, name) is not None}
-    if args.model == "qg-u1" and args.gamma is not None:
-        raise CliError("--gamma applies to the qg-g4 model only; qg-u1 sweeps gamma")
-    if args.model == "qg-g4" and grid:
-        given = ", ".join("--" + name.replace("_", "-") for name in grid)
-        raise CliError(f"{given} apply to the qg-u1 model only")
     game = resolve_game(args)
     initial = parse_initial_flag(args.initial) if args.initial else None
     if args.model == "qg-u1":
@@ -259,24 +266,15 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-# the flags an experiment file replaces; argparse leaves each None unless
-# given, so that --config can reject it, the flag path can fill the episodes
-# and seed defaults, and experiments.comparison keeps the gate's and replay's
 _CONFIG_REPLACES = ("scenario", "policies", "episodes", "seed", "assumed_gate",
                     "decision_replay")
 
 
 def _simulate_setup(args):
     if args.config:
-        given = [name for name in _CONFIG_REPLACES if getattr(args, name) is not None]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise CliError(f"--config replaces {flags}; do not combine them")
+        reject_flags(args, _CONFIG_REPLACES, "--config")
         return experiments.load_experiment_config(args.config)
-    if not args.scenario:
-        raise CliError("--scenario is required (or use --config)")
-    if not args.policies:
-        raise CliError("--policies is required (or use --config)")
+    require_flags(args, ("scenario", "policies"), "simulate without --config")
     return experiments.comparison(
         args.scenario, [name for name in args.policies.split(",") if name.strip()],
         10000 if args.episodes is None else args.episodes,

@@ -140,7 +140,7 @@ def parse_initial_state(spec) -> np.ndarray:
     """Initial-state from 'equal', a basis label, or 4 complex amplitudes.
 
     Raw amplitude input (any nonzero norm) is normalized; named forms are
-    exact. Used by the CLI and config loaders.
+    exact. Used by the CLI's --initial and the tests.
     """
     if isinstance(spec, str):
         if spec.lower() == "equal":
@@ -149,16 +149,16 @@ def parse_initial_state(spec) -> np.ndarray:
     return state_vector(np.asarray(spec, dtype=np.complex128).reshape(-1), normalize=True)
 
 
-def _check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not 0.0 <= g <= GAMMA_MAX + 1e-12:
-        raise ValueError(f"gamma must lie in [0, pi/2], got {gamma!r}")
-    return g
+def _check_angle(name: str, value, top: float, top_text: str) -> float:
+    """value as a float; it must lie in [0, top] within 1e-12, and NaN does not."""
+    if not 0.0 <= value <= top + 1e-12:
+        raise ValueError(f"{name} must lie in [0, {top_text}], got {value!r}")
+    return float(value)
 
 
 def entangler(gamma: float) -> np.ndarray:
     """J in closed form; no matrix exponential is evaluated."""
-    g = _check_gamma(gamma)
+    g = _check_angle("gamma", gamma, GAMMA_MAX, "pi/2")
     c = math.cos(g / 2.0)
     s = math.sin(g / 2.0)
     return np.array((
@@ -177,10 +177,8 @@ class StrategyU:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= THETA_MAX + 1e-12:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi <= PHI_MAX + 1e-12:
-            raise ValueError(f"phi must lie in [0, pi/2], got {self.phi!r}")
+        _check_angle("theta", self.theta, THETA_MAX, "pi")
+        _check_angle("phi", self.phi, PHI_MAX, "pi/2")
 
 
 def strategy_unitary(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -211,7 +209,7 @@ class QuantumGameConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "initial", state_vector(self.initial))
-        _check_gamma(self.gamma)
+        _check_angle("gamma", self.gamma, GAMMA_MAX, "pi/2")
         a_cont = isinstance(self.strategy_a, StrategyU)
         b_cont = isinstance(self.strategy_b, StrategyU)
         if a_cont != b_cont:

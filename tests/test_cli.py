@@ -114,15 +114,28 @@ class TestEquilibria:
         assert code == 2
         assert "unknown" in err
 
+    # a zero indifference denominator is a finding about the game, like p or q
+    # outside [0, 1], not a rejected file
     def test_degenerate_game_file(self, capsys, tmp_path):
         path = tmp_path / "constant.game"
         path.write_text(
             "label_a0 = x\nlabel_a1 = y\nlabel_b0 = x\nlabel_b1 = y\n"
             "ua = 2 2 2 2\nub = 2 2 2 2\n"
         )
-        code, _, err = run(capsys, "equilibria", "--game-file", str(path))
-        assert code == 2
-        assert "degenerate" in err.lower()
+        code, out, err = run(capsys, "equilibria", "--game-file", str(path))
+        assert (code, err) == (0, "")
+        assert "no interior mixed equilibrium: zero denominator for p and q\n" in out
+
+    def test_one_zero_denominator_is_named(self, capsys, tmp_path):
+        path = tmp_path / "coordination.game"
+        path.write_text(
+            "label_a0 = L\nlabel_a1 = R\nlabel_b0 = U\nlabel_b1 = D\n"
+            "ua = 1 1 1 1\nub = 2 0 0 2\n"
+        )
+        code, out, err = run(capsys, "equilibria", "--game-file", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("pure Nash equilibria: s00 (L/U), s11 (R/D)\n"
+                            "no interior mixed equilibrium: zero denominator for p\n")
 
     def test_non_finite_payoff_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nan.game"
@@ -216,6 +229,16 @@ class TestSolve:
             capsys, "solve", "--model", "qg-g4", "--gate-b", "Z", "--theta-a", "1"
         )
         assert code == 2
+
+    # each flag the model does not read is named, and no other
+    @pytest.mark.parametrize("argv,message", [
+        ("--model qg-g4 --gate-b Z --theta-a 1 --phi-b 0.2",
+         "qg-g4 does not read --theta-a and --phi-b"),
+        ("--model qg-u1-1 --gate-a X", "qg-u1-1 does not read --gate-a"),
+    ], ids=["g4-angles", "u1-1-gate-a"])
+    def test_other_models_flags_are_named(self, capsys, argv, message):
+        code, _, err = run(capsys, "solve", *argv.split())
+        assert (code, err) == (2, f"error: {message}\n")
 
     def test_out_of_range_angle(self, capsys):
         code, _, err = run(
@@ -445,11 +468,13 @@ class TestSimulate:
                    *(["--decision-replay"] if replay else []), "--out", str(by_flags))[0] == 0
         assert by_file.read_bytes() == by_flags.read_bytes()
 
-    # a flag given at its default value is still rejected
+    # a flag given at its default value is still rejected, and each given
+    # flag is named
     @pytest.mark.parametrize("flag", [
         ["--scenario", "merging"], ["--policies", "cg-epd"], ["--episodes", "500"],
         ["--seed", "0"], ["--assumed-gate", "uniform"], ["--decision-replay"],
-    ], ids=lambda flag: flag[0])
+        ["--seed", "0", "--decision-replay"],
+    ], ids=lambda flag: " ".join(f for f in flag if f.startswith("--")))
     def test_config_excludes_flags(self, capsys, tmp_path, flag):
         conf = tmp_path / "exp.conf"
         conf.write_text(
@@ -459,6 +484,7 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(conf), *flag)
         assert code == 2
         assert flag[0] in err
+        assert all(f in err for f in flag if f.startswith("--"))
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "no.conf"))
