@@ -17,12 +17,14 @@ import numpy as np
 
 
 class DegenerateGameError(ValueError):
-    """Mixed-strategy denominator is zero: player payoffs cannot support an
-    interior indifference point. Both denominators are reported."""
+    """A mixed-strategy denominator is zero, so there is no unique
+    indifference point. Both fractions num / den are reported: where den is
+    zero, a zero num means that player is indifferent whatever the other
+    plays, and a nonzero one that an action strictly dominates."""
 
-    def __init__(self, den_p: float, den_q: float):
+    def __init__(self, den_p: float, den_q: float, num_p: float, num_q: float):
         super().__init__(f"degenerate payoff structure: denominators ({den_p}, {den_q})")
-        self.den_p, self.den_q = den_p, den_q
+        self.den_p, self.den_q, self.num_p, self.num_q = den_p, den_q, num_p, num_q
 
 
 class NoInteriorEquilibriumError(ValueError):
@@ -156,10 +158,10 @@ def mixed_strategy(game: TwoPlayerGame) -> MixedStrategy:
     ua, ub = game.payoff_a, game.payoff_b
     den_p = ua[0][0] - ua[0][1] - ua[1][0] + ua[1][1]
     den_q = ub[0][0] - ub[0][1] - ub[1][0] + ub[1][1]
+    num_p, num_q = ua[1][1] - ua[0][1], ub[1][1] - ub[1][0]
     if den_p == 0.0 or den_q == 0.0:
-        raise DegenerateGameError(den_p, den_q)
-    p = (ua[1][1] - ua[0][1]) / den_p
-    q = (ub[1][1] - ub[1][0]) / den_q
+        raise DegenerateGameError(den_p, den_q, num_p, num_q)
+    p, q = num_p / den_p, num_q / den_q
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise NoInteriorEquilibriumError(p, q)
     return MixedStrategy(p=p, q=q)

@@ -12,8 +12,8 @@ unwritable output path, or any other exception). `main` alone maps errors
 to exit codes. Long flags must be spelled in full. File outputs are
 byte-identical across repeated runs with the same flags and seed. Angles
 accept radians or pi-fraction literals ('pi/2', '3pi/4'); `--initial`
-accepts 'equal', a basis label, or eight comma-separated re/im-interleaved
-amplitude components, auto-normalized. The environment variable
+takes parse_initial_flag's grammar. A flag is given when it appears, so an
+empty value is read and rejected like any other. The environment variable
 QGDRIVE_OUTPUT_DIR overrides the default output directory.
 """
 
@@ -88,10 +88,13 @@ def parse_angle(text: str) -> float:
 
 
 def parse_initial_flag(text: str) -> np.ndarray:
-    """'equal', a basis label, or 8 comma-separated re/im components."""
+    """'equal', a basis label, or 8 comma-separated re/im components; the
+    named forms are exact, the components are normalized."""
     s = text.strip()
     if "," not in s:
-        return quantum_game.parse_initial_state(s)
+        if s.lower() == "equal":
+            return quantum_game.equal_superposition()
+        return quantum_game.basis_state(s)
     parts = s.split(",")
     if len(parts) != 8:
         raise CliError(
@@ -102,9 +105,7 @@ def parse_initial_flag(text: str) -> np.ndarray:
     except ValueError:
         raise CliError(f"non-numeric component in initial state {text!r}") from None
     amps = [complex(comps[2 * i], comps[2 * i + 1]) for i in range(4)]
-    if not any(amps):
-        raise CliError("initial state must have nonzero norm")
-    state = quantum_game.parse_initial_state(amps)
+    state = quantum_game.state_vector(amps, normalize=True)
     n, scale = quantum_game.state_norm(amps)
     nrm = float(n) / scale  # the vector's norm; inf once its square overflows
     if abs(nrm - 1.0) > 1e-6:
@@ -116,7 +117,7 @@ def parse_initial_flag(text: str) -> np.ndarray:
 
 
 def resolve_game(args) -> classical_game.TwoPlayerGame:
-    if getattr(args, "game_file", None):
+    if args.game_file is not None:
         return classical_game.load_game(args.game_file)
     return classical_game.builtin_game(args.game)
 
@@ -128,7 +129,7 @@ def file_stem(game: classical_game.TwoPlayerGame) -> str:
 
 def output_path(explicit: "str | None", default_name: str) -> str:
     """--out wins; otherwise default_name under QGDRIVE_OUTPUT_DIR or cwd."""
-    if explicit:
+    if explicit is not None:
         return explicit
     base = os.environ.get(OUTPUT_DIR_ENV, "")
     return os.path.join(base, default_name) if base else default_name
@@ -155,8 +156,17 @@ def cmd_equilibria(args) -> int:
     except NoInteriorEquilibriumError as e:
         print(f"no interior mixed equilibrium: p = {e.p!r}, q = {e.q!r}")
     except DegenerateGameError as e:
-        zero = " and ".join(n for n, d in (("p", e.den_p), ("q", e.den_q)) if d == 0.0)
-        print(f"no interior mixed equilibrium: zero denominator for {zero}")
+        fractions = (("p", e.num_p, e.den_p), ("q", e.num_q, e.den_q))
+        dominant = [n for n, num, den in fractions if den == 0.0 and num != 0.0]
+        sets = [f"{n} in [0, 1]" if den == 0.0 else f"{n} = {num / den!r}"
+                for n, num, den in fractions]
+        if dominant:
+            print(f"no interior mixed equilibrium: zero denominator for {' and '.join(dominant)}")
+        elif all(den == 0.0 or 0.0 <= num / den <= 1.0 for _, num, den in fractions):
+            print(f"mixed equilibria: every pair with {sets[0]} (B plays {game.actions_b[0]}) "
+                  f"and {sets[1]} (A plays {game.actions_a[0]})")
+        else:
+            print(f"no interior mixed equilibrium: {sets[0]}, {sets[1]}")
     else:
         print(f"mixed strategy: p = {ms.p!r} (B plays {game.actions_b[0]}), "
               f"q = {ms.q!r} (A plays {game.actions_a[0]})")
@@ -180,7 +190,7 @@ def _solve_config(args) -> quantum_game.QuantumGameConfig:
     given = {}
     if args.gamma is not None:
         given["gamma"] = parse_angle(args.gamma)
-    if args.gate_a:
+    if args.gate_a is not None:
         given["strategy_a"] = quantum_game.as_gate(args.gate_a)
     for side, theta, phi in (("a", args.theta_a, args.phi_a), ("b", args.theta_b, args.phi_b)):
         if phi is not None:
@@ -189,7 +199,7 @@ def _solve_config(args) -> quantum_game.QuantumGameConfig:
             given["strategy_" + side] = quantum_game.StrategyU(
                 parse_angle(theta), parse_angle(phi) if phi is not None else 0.0
             )
-    if args.initial:
+    if args.initial is not None:
         given["initial"] = parse_initial_flag(args.initial)
     if model == "qg-u1":
         given.setdefault("initial", quantum_game.equal_superposition())
@@ -238,7 +248,7 @@ def cmd_sweep(args) -> int:
     grid = {name: getattr(args, name) for name in _U1_GRID_FLAGS
             if getattr(args, name) is not None}
     game = resolve_game(args)
-    initial = parse_initial_flag(args.initial) if args.initial else None
+    initial = parse_initial_flag(args.initial) if args.initial is not None else None
     if args.model == "qg-u1":
         result = quantum_game.sweep_u1(game, initial=initial, **grid)
         path = output_path(args.out, f"sweep_u1_{file_stem(game)}_{result.mode}.csv")
@@ -271,12 +281,12 @@ _CONFIG_REPLACES = ("scenario", "policies", "episodes", "seed", "assumed_gate",
 
 
 def _simulate_setup(args):
-    if args.config:
+    if args.config is not None:
         reject_flags(args, _CONFIG_REPLACES, "--config")
         return experiments.load_experiment_config(args.config)
     require_flags(args, ("scenario", "policies"), "simulate without --config")
     return experiments.comparison(
-        args.scenario, [name for name in args.policies.split(",") if name.strip()],
+        args.scenario, args.policies.split(","),
         10000 if args.episodes is None else args.episodes,
         0 if args.seed is None else args.seed,
         args.assumed_gate, args.decision_replay, "--assumed-gate")

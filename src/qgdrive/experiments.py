@@ -18,21 +18,9 @@ policy's row therefore does not depend on which other policies run beside
 it, or in what order; run_monte_carlo is the one-policy view of the same
 loop.
 
-The episodes go in chunks of _CHUNK, each in three passes. Pass 1 goes
-episode by episode, draws as above, and decides each (episode, policy)
-once with episode_decision. Without replay every policy is held for the
-whole episode. Under decision replay a game policy is held in an episode
-whose law is fixed (_fixed_law): P(A=0) and the drawn EV action's
-conditional are exactly 0.0 or 1.0, so no replayed uniform can change its
-decision. That is QG_G4[Z] and a uniform QG_G4 whose gate is X, Y, Z or I.
-Every other (episode, policy) replays, in pass 1: run_episode's scalar
-loop with a replay callback, since a replayed path depends on its own
-decisions and so is neither shared nor batched. This is the explicit
-scalar path; run_episode's docstring says why it stays. Pass 2 integrates
-the chunk's distinct held (episode, joint action) pairs, at most four per
-episode however many policies run, in one scenario_sim.run_episodes call.
-Pass 3 goes episode-major: each held policy reads its stored result
-through run_episode's `shared` lookup, and every result is tallied.
+The episodes go in chunks of _CHUNK, each in three passes (decide, integrate
+the held joint actions in one batch, tally); run_comparison's docstring
+states them and which (episode, policy) pairs are held under replay.
 
 Each policy is one row of POLICIES: the scenario it runs on and what
 decides for it. Game-backed policies act by sampling their joint outcome
@@ -287,15 +275,24 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     policy. Each report label may appear once; a repeat, like a policy on
     the wrong scenario, is rejected before anything runs.
 
-    The episodes go in chunks of _CHUNK, each in three passes: (1) episode
-    by episode, draw as the contract says and decide each policy once with
-    episode_decision; a held policy keeps its joint action, and a replayed
-    one runs run_episode's scalar loop with its callback and keeps the
-    result; (2) integrate the chunk's distinct held (episode, joint action)
-    pairs in one run_episodes call; (3) episode-major, read each held
-    result through run_episode's `shared` lookup, and tally every (episode,
-    policy). Why the lookup goes through run_episode is stated in
-    run_episode's docstring.
+    The episodes go in chunks of _CHUNK, each in three passes.
+    (1) Episode by episode, draw as the contract says and decide each
+    (episode, policy) once with episode_decision. Without replay every
+    policy is held for the whole episode. Under decision replay a game
+    policy is held in an episode whose law is fixed (_fixed_law): P(A=0)
+    and the drawn EV action's conditional are exactly 0.0 or 1.0, so no
+    replayed uniform can change its decision. That is QG_G4[Z] and a
+    uniform QG_G4 whose gate is X, Y, Z or I. Every other (episode, policy)
+    replays here, through run_episode's scalar loop with its replay
+    callback, since a replayed path depends on its own decisions and so is
+    neither shared nor batched; it keeps its result.
+    (2) Integrate the chunk's distinct held (episode, joint action) pairs,
+    at most four per episode however many policies run, in one
+    scenario_sim.run_episodes call.
+    (3) Episode-major, read each held result through run_episode's `shared`
+    lookup, and tally every (episode, policy). Why the scalar path stays
+    and the lookup goes through run_episode is stated in run_episode's
+    docstring.
     """
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:

@@ -136,19 +136,6 @@ def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
     return v
 
 
-def parse_initial_state(spec) -> np.ndarray:
-    """Initial-state from 'equal', a basis label, or 4 complex amplitudes.
-
-    Raw amplitude input (any nonzero norm) is normalized; named forms are
-    exact. Used by the CLI's --initial and the tests.
-    """
-    if isinstance(spec, str):
-        if spec.lower() == "equal":
-            return equal_superposition()
-        return basis_state(spec)
-    return state_vector(np.asarray(spec, dtype=np.complex128).reshape(-1), normalize=True)
-
-
 def _check_angle(name: str, value, top: float, top_text: str) -> float:
     """value as a float; it must lie in [0, top] within 1e-12, and NaN does not."""
     if not 0.0 <= value <= top + 1e-12:

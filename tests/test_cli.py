@@ -2,9 +2,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from qgdrive import cli
+from qgdrive import cli, quantum_game
 
 GAME_FILE = (
     "label_a0 = x\nlabel_a1 = y\nlabel_b0 = x\nlabel_b1 = y\n"
@@ -42,6 +43,7 @@ class TestInitialFlag:
     def test_named_forms(self):
         assert cli.parse_initial_flag("equal")[0] == pytest.approx(0.5)
         assert cli.parse_initial_flag("s01")[1] == 1.0
+        assert np.array_equal(cli.parse_initial_flag("s10"), quantum_game.basis_state(2))
 
     def test_raw_components_normalized(self, capsys):
         v = cli.parse_initial_flag("1,0,1,0,0,0,0,0")
@@ -58,7 +60,7 @@ class TestInitialFlag:
             cli.parse_initial_flag("1,0,0,0")
 
     def test_zero_vector(self):
-        with pytest.raises(cli.CliError):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
             cli.parse_initial_flag("0,0,0,0,0,0,0,0")
 
     # np.linalg.norm reads 0 for these; solve used to exit 2 with "cannot
@@ -115,7 +117,8 @@ class TestEquilibria:
         assert "unknown" in err
 
     # a zero indifference denominator is a finding about the game, like p or q
-    # outside [0, 1], not a rejected file
+    # outside [0, 1], not a rejected file; every profile of the constant game
+    # is an equilibrium
     def test_degenerate_game_file(self, capsys, tmp_path):
         path = tmp_path / "constant.game"
         path.write_text(
@@ -124,17 +127,32 @@ class TestEquilibria:
         )
         code, out, err = run(capsys, "equilibria", "--game-file", str(path))
         assert (code, err) == (0, "")
-        assert "no interior mixed equilibrium: zero denominator for p and q\n" in out
+        assert ("mixed equilibria: every pair with p in [0, 1] (B plays x) "
+                "and q in [0, 1] (A plays x)\n") in out
 
-    def test_one_zero_denominator_is_named(self, capsys, tmp_path):
+    @staticmethod
+    def equilibria_of(capsys, tmp_path, ua):
         path = tmp_path / "coordination.game"
         path.write_text(
             "label_a0 = L\nlabel_a1 = R\nlabel_b0 = U\nlabel_b1 = D\n"
-            "ua = 1 1 1 1\nub = 2 0 0 2\n"
+            f"ua = {ua}\nub = 2 0 0 2\n"
         )
-        code, out, err = run(capsys, "equilibria", "--game-file", str(path))
+        return run(capsys, "equilibria", "--game-file", str(path))
+
+    # a zero denominator over a zero numerator: A is indifferent whatever B
+    # plays, so each p in [0, 1] with B's indifference point is an equilibrium
+    def test_one_zero_denominator_is_named(self, capsys, tmp_path):
+        code, out, err = self.equilibria_of(capsys, tmp_path, "1 1 1 1")
         assert (code, err) == (0, "")
         assert out.endswith("pure Nash equilibria: s00 (L/U), s11 (R/D)\n"
+                            "mixed equilibria: every pair with p in [0, 1] (B plays U) "
+                            "and q = 0.5 (A plays L)\n")
+
+    # over a nonzero numerator A's action 0 strictly dominates: there is none
+    def test_dominant_action_rules_out_interior(self, capsys, tmp_path):
+        code, out, err = self.equilibria_of(capsys, tmp_path, "2 2 1 1")
+        assert (code, err) == (0, "")
+        assert out.endswith("pure Nash equilibria: s00 (L/U)\n"
                             "no interior mixed equilibrium: zero denominator for p\n")
 
     def test_non_finite_payoff_is_usage_error(self, capsys, tmp_path):
@@ -239,6 +257,19 @@ class TestSolve:
     def test_other_models_flags_are_named(self, capsys, argv, message):
         code, _, err = run(capsys, "solve", *argv.split())
         assert (code, err) == (2, f"error: {message}\n")
+
+    # from s00 at (0, pi) and gamma = pi/4 the circuit splits the two pure
+    # equilibria evenly: each player expects 7, the correlated equilibrium's
+    def test_s00_traffic_light(self, capsys):
+        code, out, _ = run(capsys, "solve", "--model", "qg-u1", "--game", "merging",
+                           "--initial", "s00", "--gamma", "pi/4", "--theta-a", "0",
+                           "--theta-b", "pi")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2:] == ["E[u_A] = 7.0", "E[u_B] = 7.0"]
+        probs = dict(line.strip().split(" = ") for line in lines[1:5])
+        assert abs(float(probs["P(s01)"]) - 0.5) <= 1e-15
+        assert abs(float(probs["P(s10)"]) - 0.5) <= 1e-15
 
     def test_out_of_range_angle(self, capsys):
         code, _, err = run(
@@ -535,3 +566,28 @@ class TestTopLevel:
         assert code == 2
         assert "unrecognized arguments" in err
         assert not (tmp_path / "X").exists()
+
+    # a flag is given whenever it appears: an empty value is read and
+    # rejected like any other, not taken for the flag's default
+    @pytest.mark.parametrize("argv,code,err", [
+        (["solve", "--model", "qg-g4", "--gate-b", "Z", "--gate-a", ""], 2,
+         "unknown gate ''"),
+        (["solve", "--model", "qg-u1-1", "--initial", ""], 2, "unknown basis state ''"),
+        (["sweep", "--model", "qg-g4", "--initial", ""], 2, "unknown basis state ''"),
+        (["solve", "--model", "qg-u1-1", "--game-file", ""], 2, "error: : no such file\n"),
+        (["equilibria", "--game-file", ""], 2, "error: : no such file\n"),
+        (["simulate", "--config", ""], 2, "error: : no such file\n"),
+        (["simulate", "--scenario", "merging", "--policies", "cg-epd,", "--episodes", "5"], 2,
+         "unknown policy ''"),
+        (["simulate", "--scenario", "merging", "--policies", "", "--episodes", "5"], 2,
+         "unknown policy ''"),
+        (["sweep", "--model", "qg-g4", "--out", ""], 1, "No such file or directory: ''"),
+    ], ids=["solve-gate-a", "solve-initial", "sweep-initial", "solve-game-file",
+            "equilibria-game-file", "simulate-config", "simulate-policies-trailing-comma",
+            "simulate-policies", "sweep-out"])
+    def test_empty_value_is_read(self, capsys, tmp_path, monkeypatch, argv, code, err):
+        monkeypatch.chdir(tmp_path)
+        got_code, out, got_err = run(capsys, *argv)
+        assert got_code == code
+        assert err in got_err
+        assert out == "" and not list(tmp_path.iterdir())

@@ -28,7 +28,7 @@ def sweep_csv(mode, gamma_points=3, theta_points=3, initial=None):
 
 # a start with no symmetry, swept on a 21x17 grid: with unequal sizes a
 # mix-up of the gamma and theta axes shows
-ASYMMETRIC = quantum_game.parse_initial_state([1, 2j, 0.5, -1])
+ASYMMETRIC = quantum_game.state_vector([1, 2j, 0.5, -1], normalize=True)
 
 
 def gate_table_csv(kind, gamma):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgdrive import clinalg, quantum_game as qg
-from qgdrive.classical_game import TwoPlayerGame, expected_payoff, merging_game, write_csv
+from qgdrive.classical_game import (
+    TwoPlayerGame, builtin_game, cg_epd_distribution, expected_payoff, merging_game,
+    pure_nash_equilibria, write_csv,
+)
 
 from oracles import is_unitary, kron2, mv, random_state
 
@@ -97,9 +100,8 @@ class TestStates:
         for i, label in enumerate(qg.BASIS_LABELS):
             assert qg.basis_state(label)[i] == 1.0
 
-    def test_parse_named_and_raw(self):
-        assert np.array_equal(qg.parse_initial_state("s10"), qg.basis_state(2))
-        v = qg.parse_initial_state([1, 1, 1, 1])
+    def test_raw_amplitudes_normalize(self):
+        v = qg.state_vector([1, 1, 1, 1], normalize=True)
         assert np.allclose(v, 0.5)
 
     def test_product_state_ordering(self):
@@ -211,7 +213,7 @@ class TestFinalState:
             qg.outcome_probabilities(np.full(shape, 0.5))
 
     def test_stacked_measurement_matches_each_state(self):
-        psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
+        psi0 = qg.state_vector([1, 2j, 0.5, -1], normalize=True)
         moves = [(qg.gate_matrix(ga), qg.gate_matrix(gb))
                  for ga in qg.GATE_ORDER for gb in qg.GATE_ORDER]
         states = qg.final_states(psi0, 0.7, moves)
@@ -233,6 +235,17 @@ class TestFinalState:
             qg.equal_superposition(), gamma, qg.StrategyU(ta), qg.StrategyU(tb),
         ))
         assert abs(sum(dist.as_tuple()) - 1.0) < 1e-9
+
+    # from s00 at (theta_A, theta_B) = (0, pi) the final state is
+    # -cos(gamma)|01> - i sin(gamma)|10>: a gamma-weighted mixture of the two
+    # pure equilibria that never contests
+    @given(st.floats(min_value=0.0, max_value=qg.GAMMA_MAX, allow_nan=False))
+    def test_s00_at_0_pi_is_a_correlation_device(self, gamma):
+        law = qg.play(qg.QuantumGameConfig(
+            qg.basis_state("s00"), gamma, qg.StrategyU(0.0), qg.StrategyU(math.pi),
+        )).as_tuple()
+        want = (0.0, math.cos(gamma) ** 2, math.sin(gamma) ** 2, 0.0)
+        assert all(abs(a - b) <= 1e-15 for a, b in zip(law, want))
 
 
 # Fixed points of the maximally entangled gate game from the s10 start.
@@ -281,7 +294,7 @@ class TestGateTable:
     )
     def test_gate_table_matches_single_point_solver(self, gamma):
         game = merging_game()
-        psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
+        psi0 = qg.state_vector([1, 2j, 0.5, -1], normalize=True)
         table = qg.sweep_g4(game, initial=psi0, gamma=gamma)
         for i, ga in enumerate(qg.GATE_ORDER):
             for k, gb in enumerate(qg.GATE_ORDER):
@@ -334,6 +347,25 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset 'qg-u2'"):
             qg.preset("qg-u2")
 
+    # every law simulate plays is the product of two independent classical
+    # mixed strategies: a correlated preset would show here
+    @pytest.mark.parametrize("name,gate", [
+        ("QG_U1_1", None), ("QG_U1_2", None), *(("QG_G4", g.value) for g in qg.GATE_ORDER),
+    ], ids=["QG_U1_1", "QG_U1_2", *(f"QG_G4-{g.value}" for g in qg.GATE_ORDER)])
+    def test_preset_law_is_a_product_law(self, name, gate):
+        p00, p01, p10, p11 = qg.play(qg.preset(name, gate)).as_tuple()
+        assert abs(p00 * p11 - p01 * p10) <= 1e-30
+
+    @pytest.mark.parametrize("kind", ["merging", "roundabout"])
+    def test_g4_z_law_is_the_pure_equilibrium_s01(self, kind):
+        assert (0, 1) in pure_nash_equilibria(builtin_game(kind))
+        law = qg.play(qg.preset("QG_G4", "Z")).as_tuple()
+        assert all(abs(a - b) <= 1e-30 for a, b in zip(law, (0.0, 1.0, 0.0, 0.0)))
+
+    def test_u1_2_law_is_cg_epd(self):
+        law = qg.play(qg.preset("QG_U1_2")).as_tuple()
+        assert all(abs(a - b) <= 1e-30 for a, b in zip(law, cg_epd_distribution().as_tuple()))
+
 
 def sweep_rows(result):
     """A sweep's columns read back as one SweepRow per grid point."""
@@ -352,7 +384,7 @@ class TestSweep:
     def test_rows_match_single_point_solver(self):
         # every row, both modes, bit for bit, from a start with no symmetry
         game = merging_game()
-        psi0 = qg.parse_initial_state([1, 2j, 0.5, -1])
+        psi0 = qg.state_vector([1, 2j, 0.5, -1], normalize=True)
         for mode in qg.SWEEP_MODES:
             result = qg.sweep_u1(game, mode=mode, initial=psi0, gamma_points=5, theta_points=5)
             for row in sweep_rows(result):
