@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from numbers import Real
 
 import numpy as np
@@ -203,9 +204,9 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     try:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
-        raise ValueError(f"{path}: no such file") from None
+        raise ValueError(f"{str(path)!r}: no such file") from None
     except OSError as e:
-        raise ValueError(f"{path}: cannot read: {e.strerror}") from None
+        raise ValueError(f"{str(path)!r}: cannot read: {e.strerror}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -235,17 +236,45 @@ def _require_int(name: str, value, lo: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {lo}, got {value!r}")
 
 
-def write_csv(path, header, rows) -> None:
+# rows per write(): joining a whole 151x151 sweep into one string would
+# hold about 8 MB more at the peak
+_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header, columns) -> None:
     """Write a header line and one line per row of comma-separated cells.
 
-    UTF-8 with LF line ends; each cell is written as its str(), which for a
-    float is its shortest round-trip repr. Rows are written as they are
-    drawn from `rows`, which may be any iterable.
+    `columns` holds one sequence per header field, all of one length (no
+    columns at all is no rows). UTF-8 with LF line ends; each cell is
+    written as its str(), which for a float is its shortest round-trip
+    repr. A float64 ndarray column is spelled once per distinct value and
+    gathered back into row order: values are told apart by their bits, not
+    by float equality, so 0.0 and -0.0 stay apart and a NaN matches itself.
+    Every cell is spelled before the file is opened, so a column count or
+    length that does not fit raises ValueError and makes no file. The
+    header is written first, then the rows in blocks of _BLOCK_ROWS lines.
     """
+    cells = [_spelled(column) for column in columns]
+    if cells and len(cells) != len(header):
+        raise ValueError(f"{len(cells)} columns for {len(header)} header fields")
+    rows = max(map(len, cells), default=0)
+    for name, column in zip(header, cells):
+        if len(column) < rows:
+            raise ValueError(f"column {name!r} has {len(column)} cells, not {rows}")
+    lines = map(",".join, zip(*cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
+
+
+def _spelled(column) -> list:
+    """str() of each cell; of a float64 ndarray, once per distinct bit pattern."""
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+        return list(map(str, column))
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    words = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
+    return words[inverse].tolist()
 
 
 def _check_payoffs(table):

@@ -373,7 +373,7 @@ def emit_report(summaries, path, fmt: str = "csv") -> None:
     fractions, not percent. An unknown fmt raises ValueError before the file
     is opened."""
     if fmt == "csv":
-        write_csv(path, REPORT_FIELDS, map(astuple, summaries))
+        write_csv(path, REPORT_FIELDS, zip(*map(astuple, summaries)))
     elif fmt == "json":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             json.dump([asdict(s) for s in summaries], fh, indent=2)

@@ -365,31 +365,21 @@ def sweep_g4(
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One line per grid point, one column per SweepRow field.
 
-    A column repeats many of its values (a 151x151 grid has 151 distinct
-    gammas in 22,801 rows), so each distinct value is spelled once and the
-    strings are gathered back into row order. Values are told apart by
-    their bits, not by float equality, so 0.0 and -0.0 stay apart and a NaN
-    matches itself; the bytes are those of str() on every cell. A column
-    that is not float64 raises ValueError naming it, before the file is
-    opened: its bits would be read as float64's.
+    A column that is not float64 raises ValueError naming it, before the
+    file is opened: write_csv would spell its cells by their own str(), so
+    an integer column would read 1 where every float column reads 1.0.
     """
     header = [f.name for f in fields(SweepRow)]
-    write_csv(path, header, zip(*map(_spelled, header, result.columns)))
-
-
-def _spelled(name: str, column: np.ndarray) -> list:
-    """str() of each float64 in column, computed once per distinct value."""
-    if column.dtype != np.float64:
-        raise ValueError(f"sweep column {name!r} must be float64, got {column.dtype}")
-    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    words = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
-    return words[inverse].tolist()
+    for name, column in zip(header, result.columns):
+        if column.dtype != np.float64:
+            raise ValueError(f"sweep column {name!r} must be float64, got {column.dtype}")
+    write_csv(path, header, result.columns)
 
 
 def write_gate_table_csv(table: GateTable, path) -> None:
     """One line per (A gate, B gate) pair, both in GATE_ORDER."""
-    write_csv(path, ("gamma", "gate_a", "gate_b", "eu_a", "eu_b"), (
+    write_csv(path, ("gamma", "gate_a", "gate_b", "eu_a", "eu_b"), zip(*(
         (table.gamma, ga.value, gb.value, table.eu_a[i][k], table.eu_b[i][k])
         for i, ga in enumerate(GATE_ORDER)
         for k, gb in enumerate(GATE_ORDER)
-    ))
+    )))

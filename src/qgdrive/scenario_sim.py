@@ -636,4 +636,4 @@ def write_trace_csv(result: EpisodeResult, path) -> None:
     if not result.trace:
         raise ValueError("episode was run without record_trace=True; no trace to write")
     header = [f.name for f in fields(TracePoint)]
-    write_csv(path, header, map(attrgetter(*header), result.trace))
+    write_csv(path, header, zip(*map(attrgetter(*header), result.trace)))

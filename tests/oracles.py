@@ -24,6 +24,13 @@ def mv(a, v):
     return [sum(a[i][k] * v[k] for k in range(4)) for i in range(4)]
 
 
+def csv_bytes(header, rows):
+    """A CSV file's bytes by plain joins: the header line, then one
+    ",".join(map(str, row)) line per row, each ending in LF, UTF-8."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def random_state(rng):
     """A normalized complex 4-vector with Gaussian components drawn from rng."""
     v = rng.normal(size=4) + 1j * rng.normal(size=4)

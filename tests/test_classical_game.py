@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from qgdrive import classical_game as cg
 
+from oracles import csv_bytes
+
 
 def game_from_tables(ua, ub, name="test game"):
     return cg.TwoPlayerGame(
@@ -262,3 +264,68 @@ class TestLoadGame:
         )
         with pytest.raises(ValueError):
             cg.load_game(path)
+
+    def test_missing_file_is_quoted(self, tmp_path):
+        path = tmp_path / "no.game"
+        with pytest.raises(ValueError, match=re.escape(f"{str(path)!r}: no such file")):
+            cg.load_game(path)
+
+
+class TestWriteCsv:
+    HEADER = ("x", "name", "n")
+
+    @staticmethod
+    def columns(rows):
+        # a float64 column (spelled once per value, 0.5 repeats) and two
+        # spelled per cell
+        return np.arange(rows) // 2 * 0.5, [f"r{i}" for i in range(rows)], list(range(rows))
+
+    @pytest.mark.parametrize("rows", [2, 3, 4, 6])
+    def test_blocks_give_the_oracle_bytes(self, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(cg, "_BLOCK_ROWS", 3)
+        writes = []
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                writes.append(text)
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cg, "open", lambda *a, **k: Counted(open(*a, **k)), raising=False)
+        x, names, ns = self.columns(rows)
+        cg.write_csv(tmp_path / "t.csv", self.HEADER, (x, names, ns))
+        want = csv_bytes(self.HEADER, zip(x.tolist(), names, ns))
+        assert (tmp_path / "t.csv").read_bytes() == want
+        # the header, then every row in blocks of at most three lines
+        blocks = [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
+        assert [w.count("\n") for w in writes] == [1] + blocks
+
+    def test_no_rows(self, tmp_path):
+        for columns in ((), self.columns(0)):
+            cg.write_csv(tmp_path / "t.csv", self.HEADER, columns)
+            assert (tmp_path / "t.csv").read_bytes() == b"x,name,n\n"
+
+    # zip(*columns) would drop the extra cells without a word
+    @pytest.mark.parametrize("lengths,message", [
+        ((3, 2, 1), "column 'name' has 2 cells, not 3"),
+        ((2, 3, 3), "column 'x' has 2 cells, not 3"),
+        ((3, 3, 2), "column 'n' has 2 cells, not 3"),
+    ], ids=["middle", "first", "last"])
+    def test_unequal_columns_name_the_first_short_one(self, lengths, message, tmp_path):
+        columns = [column[:k] for column, k in zip(self.columns(3), lengths)]
+        with pytest.raises(ValueError, match=message):
+            cg.write_csv(tmp_path / "t.csv", self.HEADER, columns)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_column_count_must_match_the_header(self, tmp_path):
+        with pytest.raises(ValueError, match="2 columns for 3 header fields"):
+            cg.write_csv(tmp_path / "t.csv", self.HEADER, self.columns(3)[:2])
+        assert not (tmp_path / "t.csv").exists()

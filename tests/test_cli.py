@@ -172,7 +172,7 @@ class TestEquilibria:
     def test_directory_as_game_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "equilibria", "--game-file", str(tmp_path))
         assert code == 2
-        assert f"{tmp_path}: cannot read" in err
+        assert f"{str(tmp_path)!r}: cannot read" in err
 
 
 class TestSolve:
@@ -525,7 +525,7 @@ class TestSimulate:
     def test_directory_as_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path))
         assert code == 2
-        assert f"{tmp_path}: cannot read" in err
+        assert f"{str(tmp_path)!r}: cannot read" in err
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run(
@@ -574,9 +574,9 @@ class TestTopLevel:
          "unknown gate ''"),
         (["solve", "--model", "qg-u1-1", "--initial", ""], 2, "unknown basis state ''"),
         (["sweep", "--model", "qg-g4", "--initial", ""], 2, "unknown basis state ''"),
-        (["solve", "--model", "qg-u1-1", "--game-file", ""], 2, "error: : no such file\n"),
-        (["equilibria", "--game-file", ""], 2, "error: : no such file\n"),
-        (["simulate", "--config", ""], 2, "error: : no such file\n"),
+        (["solve", "--model", "qg-u1-1", "--game-file", ""], 2, "error: '': no such file\n"),
+        (["equilibria", "--game-file", ""], 2, "error: '': no such file\n"),
+        (["simulate", "--config", ""], 2, "error: '': no such file\n"),
         (["simulate", "--scenario", "merging", "--policies", "cg-epd,", "--episodes", "5"], 2,
          "unknown policy ''"),
         (["simulate", "--scenario", "merging", "--policies", "", "--episodes", "5"], 2,

@@ -3,15 +3,15 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qgdrive import clinalg, quantum_game as qg
 from qgdrive.classical_game import (
     TwoPlayerGame, builtin_game, cg_epd_distribution, expected_payoff, merging_game,
-    pure_nash_equilibria, write_csv,
+    pure_nash_equilibria,
 )
 
-from oracles import is_unitary, kron2, mv, random_state
+from oracles import csv_bytes, is_unitary, kron2, mv, random_state
 
 # ---------------------------------------------------------------------------
 # Loop-based oracle: plain-Python products, no shared code with the engine.
@@ -455,17 +455,20 @@ class TestCsv:
 
     @settings(max_examples=200)
     @given(pools=st.lists(st.lists(_CELLS, min_size=1, max_size=5), min_size=9, max_size=9),
-           picks=st.lists(st.integers(0, 4), max_size=30))
-    def test_sweep_csv_spells_every_cell_as_str(self, pools, picks, tmp_path_factory):
-        # few distinct values per column, so every spelling is reused
+           shared=st.booleans(), picks=st.lists(st.integers(0, 4), max_size=30))
+    @example(pools=[[0.0, -0.0, math.nan]] * 9, shared=True, picks=[0, 1, 2, 2, 1, 0, 4])
+    @example(pools=[[0.0, -0.0, math.nan]] * 9, shared=True, picks=[])
+    @example(pools=[[1.5]] * 9, shared=False, picks=[])
+    def test_sweep_csv_spells_every_cell_as_str(self, pools, shared, picks, tmp_path_factory):
+        # few distinct values per column, so every spelling is reused; with
+        # shared, all nine columns draw from the first pool
         columns = tuple(np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
-                        for pool in pools)
+                        for pool in ([pools[0]] * 9 if shared else pools))
         row = qg.SweepRow(*[0.0] * 9)
         header = [f.name for f in fields(qg.SweepRow)]
-        tmp = tmp_path_factory.mktemp("sweep")
-        qg.write_sweep_csv(qg.SweepResult("equal_thetas", columns, row, row), tmp / "got.csv")
-        write_csv(tmp / "want.csv", header, zip(*(c.tolist() for c in columns)))
-        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+        path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+        qg.write_sweep_csv(qg.SweepResult("equal_thetas", columns, row, row), path)
+        assert path.read_bytes() == csv_bytes(header, zip(*(c.tolist() for c in columns)))
 
     def test_sweep_csv_writes_both_zeros(self, tmp_path):
         signed = np.array([0.0, -0.0, -0.0, 0.0])
@@ -475,8 +478,7 @@ class TestCsv:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert [ln.split(",", 1)[0] for ln in lines[1:]] == ["0.0", "-0.0", "-0.0", "0.0"]
 
-    # unchecked, an int64 column's bits are read as float64's
-    # (np.arange(3) is written as 0.0,5e-324,1e-323)
+    # unchecked, an int64 column would be spelled 0,1,2 beside 1.5
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_sweep_csv_rejects_non_float64_columns(self, dtype, tmp_path):
         row = qg.SweepRow(*[0.0] * 9)
