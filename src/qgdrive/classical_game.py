@@ -195,9 +195,9 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
 
     `required` and `optional` map each allowed key to a converter for its
     value. Errors are ValueErrors: a missing or unreadable file (a directory,
-    no permission), or, naming path:line, a line without '=', a key outside
-    both maps, a repeated key, or a value its converter rejects with
-    ValueError.
+    no permission), naming the path quoted so that an empty one shows as
+    '', or, naming path:line, a line without '=', a key outside both maps,
+    a repeated key, or a value its converter rejects with ValueError.
     """
     fields = {**required, **optional}
     out = {}
