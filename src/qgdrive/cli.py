@@ -6,7 +6,7 @@ to CSV), `simulate` (seeded Monte Carlo comparison to a report file).
 
 Exit codes: 0 success; 2 rejected input (an argparse usage error, a flag
 the chosen --model or --config does not read or a missing one it needs,
-each named, or any other ValueError, which is how the library and CliError
+each named, or any other ValueError, which is how the library and the CLI
 reject a file or value); 1 runtime failure (an OSError such as an
 unwritable output path, or any other exception). `main` alone maps errors
 to exit codes. Long flags must be spelled in full. File outputs are
@@ -34,10 +34,6 @@ from .classical_game import DegenerateGameError, NoInteriorEquilibriumError
 OUTPUT_DIR_ENV = "QGDRIVE_OUTPUT_DIR"
 
 
-class CliError(ValueError):
-    """Usage or config problem found by the CLI itself; exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Flag parsing helpers
 
@@ -54,13 +50,13 @@ def reject_flags(args, dests, mode: str) -> None:
     simulate's episodes and seed, experiments.comparison's gate and replay)."""
     given = [dest for dest in dests if getattr(args, dest) is not None]
     if given:
-        raise CliError(f"{mode} does not read {typed_flags(given)}")
+        raise ValueError(f"{mode} does not read {typed_flags(given)}")
 
 
 def require_flags(args, dests, mode: str) -> None:
     """Name every flag in dests when mode lacks one of them."""
     if any(getattr(args, dest) is None for dest in dests):
-        raise CliError(f"{mode} needs {typed_flags(dests)}")
+        raise ValueError(f"{mode} needs {typed_flags(dests)}")
 
 
 _PI_RE = re.compile(
@@ -77,12 +73,12 @@ def parse_angle(text: str) -> float:
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0.0:
-            raise CliError(f"angle {text!r} divides by zero")
+            raise ValueError(f"angle {text!r} divides by zero")
         return sign * num * math.pi / den
     try:
         return float(text)
     except ValueError:
-        raise CliError(
+        raise ValueError(
             f"cannot parse angle {text!r}; use radians or a pi-fraction like 'pi/2'"
         ) from None
 
@@ -97,13 +93,13 @@ def parse_initial_flag(text: str) -> np.ndarray:
         return quantum_game.basis_state(s)
     parts = s.split(",")
     if len(parts) != 8:
-        raise CliError(
+        raise ValueError(
             f"raw initial state needs 8 components (re,im interleaved), got {len(parts)}"
         )
     try:
         comps = [float(p) for p in parts]
     except ValueError:
-        raise CliError(f"non-numeric component in initial state {text!r}") from None
+        raise ValueError(f"non-numeric component in initial state {text!r}") from None
     amps = [complex(comps[2 * i], comps[2 * i + 1]) for i in range(4)]
     state = quantum_game.state_vector(amps, normalize=True)
     n, scale = quantum_game.state_norm(amps)

@@ -15,8 +15,7 @@ The loop is episode-major: a comparison derives episode i's stream and
 draws its initial states and both decision uniforms once, and every policy
 decides and integrates from those same values (common random numbers). A
 policy's row therefore does not depend on which other policies run beside
-it, or in what order; run_monte_carlo is the one-policy view of the same
-loop.
+it, or in what order.
 
 The episodes go in chunks of _CHUNK, each in three passes (decide, integrate
 the held joint actions in one batch, tally); run_comparison's docstring
@@ -246,13 +245,6 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
         return _sample_joint(thresholds, u_next(), u_next())
 
     return start, replay
-
-
-def run_monte_carlo(policy: PolicySpec, config: MonteCarloConfig) -> MetricsSummary:
-    """Seeded episode loop for one policy: run_comparison on that policy
-    alone, so IDM or MOBIL on the wrong scenario raises ValueError before
-    any episode runs."""
-    return run_comparison([policy], config)[0]
 
 
 # Episodes per kernel call. A chunk's lanes are its distinct held

@@ -327,10 +327,7 @@ class EpisodeResult:
     ev_action: int
     iv_action: int
     outcome: str               # "collision" | "success" | "timeout"
-    collided: bool
-    completed: bool            # EV reached the target lane
     violation: bool            # yield-line overrun while yielding (roundabout)
-    completed_at: "float | None"
     steps_run: int
     mean_headway: float        # mean |common-path separation| over run steps
     trace: tuple[TracePoint, ...]
@@ -339,15 +336,14 @@ class EpisodeResult:
 _GO, _YIELD, _FOLLOW = 0, 1, 2
 
 
-def _episode_result(ev_action, iv_action, collided, violation, completed_at, steps,
+def _episode_result(ev_action, iv_action, collided, completed, violation, steps,
                     headway_sum, trace=()) -> EpisodeResult:
     """The EpisodeResult of an episode that ran `steps` steps, summing the
-    headway of every step but a colliding one: the one assembly of
-    run_episode and run_episodes. Positional, in field order: run_episodes
-    calls it once per lane."""
-    completed = completed_at is not None
+    headway of every step but a colliding one, where `completed` says whether
+    the EV reached the target lane: the one assembly of run_episode and
+    run_episodes. Positional: run_episodes maps it over its lanes."""
     return EpisodeResult(ev_action, iv_action, classify_outcome(collided, completed, violation),
-                         collided, completed, violation, completed_at, steps,
+                         violation, steps,
                          headway_sum / (steps - collided) if steps - collided else 0.0, trace)
 
 
@@ -435,7 +431,7 @@ def run_episode(
     phase = _GO if ev_action == 0 else _YIELD
     collided = False
     violation = False
-    completed_at = None
+    completed = False
     headway_sum = 0.0
     trace: list[TracePoint] = []
     t = 0.0
@@ -459,7 +455,7 @@ def run_episode(
                 on_entry = False
                 ev_s = ev_s + offset
                 ev_common = ev_s
-                completed_at = t
+                completed = True
                 phase = _FOLLOW
 
         # EV acceleration for this step
@@ -490,11 +486,11 @@ def run_episode(
             iv_s += iv_v * dt + iv_ds
         iv_v = iv_v_next
 
-        t += dt
         ev_common = ev_s + offset if on_entry else ev_s
         headway = abs(iv_s - ev_common)
 
         if record_trace:
+            t += dt
             trace.append(TracePoint(
                 t=t, ev_lane=ev_lane, ev_s=ev_s, ev_v=ev_v,
                 iv_lane=iv_lane, iv_s=iv_s, iv_v=iv_v, headway=headway,
@@ -507,7 +503,7 @@ def run_episode(
         # the colliding step is excluded from the headway average
         headway_sum += headway
 
-    return _episode_result(ev_action, iv_action, collided, violation, completed_at, steps,
+    return _episode_result(ev_action, iv_action, collided, completed, violation, steps,
                            headway_sum, tuple(trace))
 
 
@@ -535,11 +531,10 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     the _FOLLOW lanes) and _advance for both vehicles. The results are
     bit-identical to run_episode's because the arrays see the same IEEE
     operations in the same order: IDM's multiplications,
-    `s + (v*DT + 0.5*a*DT*DT)`, one headway sum per lane in step order, and
-    the time as repeated `t += DT`. Where run_episode stops at a collision, a
-    lane is masked, not removed: its counts and flags stop there (its
-    vehicles move on unread), and the loop ends once every lane has
-    collided.
+    `s + (v*DT + 0.5*a*DT*DT)` and one headway sum per lane in step order.
+    Where run_episode stops at a collision, a lane is masked, not removed:
+    its counts and flags stop there (its vehicles move on unread), and the
+    loop ends once every lane has collided.
     """
     lanes = list(lanes)
     if not lanes:
@@ -568,10 +563,8 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     phase = np.where(np.array(ev_actions) == 0, _GO, _YIELD)
     alive = np.ones(n, bool)        # not collided: run_episode's loop still runs
     violation = np.zeros(n, bool)
-    completed_at = np.zeros(n)
     steps_run = np.full(n, config.horizon)
     headway_sum = np.zeros(n)
-    t = 0.0
     on_entry = started              # rebound as lanes change, never written
     # ev_common is ev_s + offset on the entry lane, else ev_s; ev_s + 0.0
     # differs from ev_s only in the sign of a zero, which no comparison,
@@ -595,7 +588,6 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
             ev_s = np.where(change, ev_s + offset, ev_s)
             shift[change] = 0.0
             ev_common = ev_s + shift
-            completed_at[change] = t
             phase[change] = _FOLLOW
 
         # EV acceleration for this step
@@ -608,7 +600,6 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         ev_s, ev_v = _advance(ev_s, ev_v, ev_a)
         iv_s, iv_v = _advance(iv_s, iv_v, iv_a)
 
-        t += DT
         ev_common = ev_s + shift
         headway = np.abs(iv_s - ev_common)
 
@@ -621,14 +612,9 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
                 break
         np.add(headway_sum, headway, out=headway_sum, where=alive)
 
-    return [
-        _episode_result(ev_action, iv_action, collided, overrun, at if done else None,
-                        steps, total)
-        for ev_action, iv_action, collided, done, overrun, at, steps, total in zip(
-            ev_actions, iv_actions, (~alive).tolist(), (started & ~on_entry).tolist(),
-            violation.tolist(), completed_at.tolist(), steps_run.tolist(),
-            headway_sum.tolist())
-    ]
+    return list(map(_episode_result, ev_actions, iv_actions, (~alive).tolist(),
+                    (started & ~on_entry).tolist(), violation.tolist(), steps_run.tolist(),
+                    headway_sum.tolist()))
 
 
 def write_trace_csv(result: EpisodeResult, path) -> None:

@@ -154,7 +154,7 @@ def test_criterion_10_gate_game_policy_properties():
     config = ex.MonteCarloConfig(
         scenario=scenario, game=game, episodes=n, master_seed=MASTER_SEED
     )
-    assert ex.run_monte_carlo(spec_z, config).cr == 0.0
+    assert ex.run_comparison([spec_z], config)[0].cr == 0.0
 
     spec_u = ex.PolicySpec("QG_G4", "uniform")
     rows = ex.policy_distributions(spec_u, game)

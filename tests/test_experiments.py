@@ -207,12 +207,12 @@ class TestJointSampling:
 class TestRuns:
     def test_summary_is_reproducible(self):
         cfg = merging_config()
-        a = ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), cfg)
-        b = ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), cfg)
+        a = ex.run_comparison([ex.PolicySpec("CG_EPD")], cfg)[0]
+        b = ex.run_comparison([ex.PolicySpec("CG_EPD")], cfg)[0]
         assert a == b
 
     def test_rates_are_fractions_and_consistent(self):
-        s = ex.run_monte_carlo(ex.PolicySpec("CG_MS"), merging_config())
+        s = ex.run_comparison([ex.PolicySpec("CG_MS")], merging_config())[0]
         assert 0.0 <= s.cr <= 1.0
         assert 0.0 <= s.sr <= 1.0
         assert s.cr + s.sr <= 1.0 + 1e-12
@@ -223,21 +223,21 @@ class TestRuns:
         # CG-EPD and the flat QG-U1 point share the same outcome law, so
         # under a shared master seed they must replay identical episodes
         cfg = merging_config(episodes=400, seed=13)
-        a = ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), cfg)
-        b = ex.run_monte_carlo(ex.PolicySpec("QG_U1_2"), cfg)
+        a = ex.run_comparison([ex.PolicySpec("CG_EPD")], cfg)[0]
+        b = ex.run_comparison([ex.PolicySpec("QG_U1_2")], cfg)[0]
         assert a.cr == b.cr
         assert a.sr == b.sr
         assert a.mean_headway_m == b.mean_headway_m
 
     def test_assumed_z_never_collides(self):
-        s = ex.run_monte_carlo(ex.PolicySpec("QG_G4"), merging_config())
+        s = ex.run_comparison([ex.PolicySpec("QG_G4")], merging_config())[0]
         assert s.cr == 0.0
         assert s.sr == 1.0
 
     def test_comparison_shares_the_seed(self):
         cfg = merging_config()
         both = ex.run_comparison(["cg-epd", "qg-g4"], cfg)
-        assert both[0] == ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), cfg)
+        assert both[0] == ex.run_comparison([ex.PolicySpec("CG_EPD")], cfg)[0]
         assert both[1].method == "QG_G4[Z]"
 
     @pytest.mark.parametrize("kind,replay", [
@@ -258,7 +258,7 @@ class TestRuns:
         else:
             specs = [*reversed(others), uniform_g4]
         got = ex.run_comparison(specs, cfg)
-        assert got == tuple(ex.run_monte_carlo(spec, cfg) for spec in specs)
+        assert got == tuple(ex.run_comparison([spec], cfg)[0] for spec in specs)
 
     @pytest.mark.parametrize("kind,replay", [("merging", False), ("roundabout", True)],
                              ids=["merging", "roundabout-replay"])
@@ -328,12 +328,24 @@ class TestRuns:
         assert counts["decide"] > 0
         assert counts["rule"] == 40 + counts["decide"]
 
-    @pytest.mark.parametrize("chunk", [1, 7, 50])
-    def test_chunk_size_does_not_move_the_summaries(self, chunk, monkeypatch):
+    # under replay the others read their block from a copy of the stream,
+    # and a uniform QG_G4 (first here) draws its gate and own block from the
+    # stream itself; the held cases keep their bare ids
+    @pytest.mark.parametrize("kind,replay,chunk", [
+        *(pytest.param("merging", False, chunk, id=str(chunk)) for chunk in (1, 7, 50)),
+        *(pytest.param("roundabout", True, chunk, id=f"roundabout-replay-{chunk}")
+          for chunk in (1, 7, 50)),
+    ])
+    def test_chunk_size_does_not_move_the_summaries(self, kind, replay, chunk, monkeypatch):
         # 23 episodes fill no chunk size evenly; 50 holds them all at once
-        policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", ex.PolicySpec("qg-g4", "uniform"),
-                    "mobil"]
-        cfg = merging_config(episodes=23, seed=7)
+        uniform_g4 = ex.PolicySpec("qg-g4", "uniform")
+        if replay:
+            policies = [uniform_g4, "cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "idm"]
+        else:
+            policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", uniform_g4, "mobil"]
+        cfg = ex.MonteCarloConfig(
+            builtin_scenario(kind, decision_replay=replay), builtin_game(kind), 23, 7
+        )
         default = ex.run_comparison(policies, cfg)
         lanes_per_call = []
         real = ex.run_episodes
@@ -357,7 +369,7 @@ class TestRuns:
         def no_run(*args):
             raise AssertionError("a policy ran")
 
-        for name in ("run_monte_carlo", "run_episode", "episode_rng"):
+        for name in ("run_episode", "episode_rng"):
             monkeypatch.setattr(ex, name, no_run)
         with pytest.raises(ValueError, match=r"CG_EPD"):
             ex.run_comparison(["cg-epd", "qg-g4", "CG_EPD"], merging_config())
@@ -371,23 +383,24 @@ class TestRuns:
             builtin_scenario("roundabout"), builtin_game("roundabout"), 10, 0
         )
         with pytest.raises(ValueError, match="MOBIL"):
-            ex.run_monte_carlo(ex.PolicySpec("MOBIL"), round_cfg)
+            ex.run_comparison([ex.PolicySpec("MOBIL")], round_cfg)
 
     def test_scenario_policy_compatibility(self):
         round_cfg = ex.MonteCarloConfig(
             builtin_scenario("roundabout"), builtin_game("roundabout"), 10, 0
         )
         with pytest.raises(ValueError):
-            ex.run_monte_carlo(ex.PolicySpec("MOBIL"), round_cfg)
+            ex.run_comparison([ex.PolicySpec("MOBIL")], round_cfg)
         with pytest.raises(ValueError):
-            ex.run_monte_carlo(ex.PolicySpec("IDM"), merging_config(episodes=10))
+            ex.run_comparison([ex.PolicySpec("IDM")], merging_config(episodes=10))
 
     def test_baselines_run_on_their_scenario(self):
         round_cfg = ex.MonteCarloConfig(
             builtin_scenario("roundabout"), builtin_game("roundabout"), 50, 2
         )
-        assert ex.run_monte_carlo(ex.PolicySpec("IDM"), round_cfg).episodes == 50
-        assert ex.run_monte_carlo(ex.PolicySpec("MOBIL"), merging_config(episodes=50)).method == "MOBIL"
+        assert ex.run_comparison([ex.PolicySpec("IDM")], round_cfg)[0].episodes == 50
+        mobil = ex.run_comparison([ex.PolicySpec("MOBIL")], merging_config(episodes=50))[0]
+        assert mobil.method == "MOBIL"
 
     def test_decision_replay_mode_runs_and_differs(self):
         held = merging_config(episodes=150, seed=9)
@@ -395,9 +408,9 @@ class TestRuns:
             builtin_scenario("merging", decision_replay=True),
             builtin_game("merging"), 150, 9,
         )
-        a = ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), held)
-        b = ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), replay)
-        assert b == ex.run_monte_carlo(ex.PolicySpec("CG_EPD"), replay)
+        a = ex.run_comparison([ex.PolicySpec("CG_EPD")], held)[0]
+        b = ex.run_comparison([ex.PolicySpec("CG_EPD")], replay)[0]
+        assert b == ex.run_comparison([ex.PolicySpec("CG_EPD")], replay)[0]
         assert (a.cr, a.sr) != (b.cr, b.sr)
 
     @pytest.mark.parametrize("kind,replay,episodes,policies,want", [
@@ -442,7 +455,7 @@ class TestRuns:
             builtin_scenario("roundabout", decision_replay=True),
             builtin_game("roundabout"), 80, 4,
         )
-        s = ex.run_monte_carlo(ex.PolicySpec("IDM"), replay)
+        s = ex.run_comparison([ex.PolicySpec("IDM")], replay)[0]
         assert s.episodes == 80
         assert 0.0 <= s.cr <= 1.0
 

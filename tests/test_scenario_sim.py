@@ -192,11 +192,11 @@ class TestGeometry:
             return sim.run_episode(cfg, ev, iv, 0, 1, record_trace=True)
 
         hit = episode(sim.VehicleState("main", 104.0, 0.0))
-        assert hit.collided and hit.steps_run == 1
-        assert not episode(sim.VehicleState("main", 105.0, 0.0)).collided
+        assert hit.outcome == "collision" and hit.steps_run == 1
+        assert episode(sim.VehicleState("main", 105.0, 0.0)).outcome != "collision"
         # the ramp EV at 80 m projects onto the IV's main-lane position
         ramp = episode(sim.VehicleState("ramp", 80.0, 0.0))
-        assert not ramp.collided
+        assert ramp.outcome != "collision"
         assert {p.headway for p in ramp.trace} == {0.0}
 
     @pytest.mark.parametrize("length,collides", [(7.0, True), (5.0, False)])
@@ -206,7 +206,7 @@ class TestGeometry:
         monkeypatch.setattr(sim, "VEHICLE_LENGTH", length)
         cfg = sim.builtin_scenario("merging")
         ev, iv = sim.VehicleState("main", 106.0, 0.0), sim.VehicleState("main", 100.0, 0.0)
-        assert sim.run_episode(cfg, ev, iv, 0, 1).collided is collides
+        assert (sim.run_episode(cfg, ev, iv, 0, 1).outcome == "collision") is collides
 
     def test_classification_precedence(self):
         assert sim.classify_outcome(True, True, False) == "collision"
@@ -395,8 +395,8 @@ class TestLanes:
             on_target = dataclasses.replace(ev, lane=sim.EV_LANE_TARGET[kind])
             assert sim.check_lanes(cfg, ev, iv)
             assert not sim.check_lanes(cfg, on_target, iv)
-            r = sim.run_episode(cfg, on_target, iv, 0, 1)
-            assert r.completed_at is None
+            # already on the target lane, the EV has no lane change to complete
+            assert sim.run_episode(cfg, on_target, iv, 0, 1).outcome == "timeout"
 
 
 MERGING_OUTCOMES = {
@@ -445,17 +445,21 @@ class TestEpisodes:
         cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
         r = sim.run_episode(cfg, ev, iv, 0, 0)
-        assert r.collided and r.outcome == "collision"
+        assert r.outcome == "collision"
         assert r.steps_run <= cfg.horizon
         assert r.ev_action == 0 and r.iv_action == 0
 
     def test_success_records_completion_time(self):
+        # the trace shows when the EV changed lane: once, inside the horizon
         cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
-        r = sim.run_episode(cfg, ev, iv, 0, 1)
-        assert r.completed
-        assert r.completed_at is not None
-        assert 0.0 <= r.completed_at <= cfg.horizon * sim.DT
+        r = sim.run_episode(cfg, ev, iv, 0, 1, record_trace=True)
+        assert r.outcome == "success"
+        lanes = [p.ev_lane for p in r.trace]
+        at = lanes.index(sim.EV_LANE_TARGET["merging"])
+        assert 0 < at < cfg.horizon
+        assert set(lanes[:at]) == {ev.lane}
+        assert set(lanes[at:]) == {sim.EV_LANE_TARGET["merging"]}
 
     def test_trace_disabled_by_default(self):
         cfg = sim.builtin_scenario("merging")
@@ -690,7 +694,7 @@ class TestBatchedKernel:
         cfg = sim.builtin_scenario("merging")
         collide_first, = sim.run_episodes(cfg, [(sim.VehicleState("main", 100.0, 10.0),
                                                  sim.VehicleState("main", 103.0, 12.0), 1, 1)])
-        assert collide_first.collided and collide_first.steps_run == 1
+        assert collide_first.outcome == "collision" and collide_first.steps_run == 1
         assert collide_first.mean_headway == 0.0
         ev, iv = mid_merging()
         slow = sim.run_episode(cfg, dataclasses.replace(ev, v=0.5), iv, 1, 1, record_trace=True)
