@@ -31,9 +31,9 @@ def sweep_csv(mode, gamma_points=3, theta_points=3, initial=None):
 ASYMMETRIC = quantum_game.state_vector([1, 2j, 0.5, -1], normalize=True)
 
 
-def gate_table_csv(kind, gamma):
+def gate_table_csv(kind, gamma, initial=None):
     def write(path):
-        table = quantum_game.sweep_g4(builtin_game(kind), gamma=gamma)
+        table = quantum_game.sweep_g4(builtin_game(kind), initial=initial, gamma=gamma)
         quantum_game.write_gate_table_csv(table, path)
     return write
 
@@ -91,6 +91,10 @@ WRITERS = {
                                 "b763ea76134be257f7eea6b81b943e09c561d9a0088877f96596c0e4b678e263"),
     "gate-table-roundabout-0.3": (gate_table_csv("roundabout", 0.3),
                                   "6be2cef5a5657efad30874a5a6d45b143b9b2ca67092e8410a43a78de5e42425"),
+    # a gate table from a start other than the default s10
+    "gate-table-merging-0.7-asymmetric": (
+        gate_table_csv("merging", 0.7, ASYMMETRIC),
+        "5039419f0bb5d23ae04fd2d194ee3ab1e2c0efbe3bdd2bb4eae7473df91c2db1"),
     "trace-roundabout": (roundabout_trace_csv,
                          "0a6d81627ec545f8784c2986a56857f471d60152a49a4d54f1574148b5334451"),
     "report-csv": (report("csv"),
