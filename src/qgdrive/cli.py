@@ -66,7 +66,7 @@ _PI_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Radians, or a pi-fraction literal like 'pi', '-pi/2', '3pi/4'."""
+    """Radians, or a pi-fraction literal like 'pi', '-pi/2', '3pi/4'; -0 reads as +0.0."""
     m = _PI_RE.match(text)
     if m:
         sign = -1.0 if m.group(1) else 1.0
@@ -74,9 +74,9 @@ def parse_angle(text: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0.0:
             raise ValueError(f"angle {text!r} divides by zero")
-        return sign * num * math.pi / den
+        return sign * num * math.pi / den + 0.0
     try:
-        return float(text)
+        return float(text) + 0.0
     except ValueError:
         raise ValueError(
             f"cannot parse angle {text!r}; use radians or a pi-fraction like 'pi/2'"
@@ -309,6 +309,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+_INITIAL_HELP = "equal, s00..s11, or 8 re/im components (--initial=-1,0,... if the first is < 0)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgdrive",
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = add_verb("solve", "outcome distribution of one configuration")
     add_game_flags(p_solve)
     add_model_flag(p_solve, ("qg-u1", "qg-u1-1", "qg-u1-2", "qg-g4"))
-    p_solve.add_argument("--initial", help="equal, s00..s11, or 8 re/im components")
+    p_solve.add_argument("--initial", help=_INITIAL_HELP)
     p_solve.add_argument("--gamma", help="entanglement angle in [0, pi/2]")
     p_solve.add_argument("--theta-a", help="A rotation angle in [0, pi]")
     p_solve.add_argument("--phi-a", help="A phase angle in [0, pi/2]")
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma-points", type=int, help="qg-u1 gamma grid size (default 101)")
     p_sweep.add_argument("--theta-points", type=int, help="qg-u1 theta grid size (default 101)")
     p_sweep.add_argument("--gamma", help="fixed entanglement angle for qg-g4")
-    p_sweep.add_argument("--initial", help="equal, s00..s11, or 8 re/im components")
+    p_sweep.add_argument("--initial", help=_INITIAL_HELP)
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -14,16 +14,6 @@ import numpy as np
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the A-high-bit ordering: index 2i+k, 2j+l.
-
-    a and b are vectors or matrices of the same rank; each entry is the one
-    product a[i, j] * b[k, l], as in np.kron, without its general-rank setup.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError(f"kron needs two vectors or two matrices, got ranks {a.ndim} and {b.ndim}")
-    if a.ndim == 1:
-        return (a[:, None] * b).reshape(-1)
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """Kronecker product of two 2x2 operators with the A-high-bit ordering:
+    entry (2i+k, 2j+l) is the one product a[i, j] * b[k, l], as in np.kron."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)

@@ -329,17 +329,17 @@ def sweep_u1(
     return SweepResult(mode, columns, argmax, argmin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateTable:
-    """5x5 expected payoffs over the gate set, rows = A's gate, columns =
-    B's gate, both in GATE_ORDER."""
+    """5x5 float64 arrays of expected payoffs over the gate set, rows = A's
+    gate, columns = B's gate, both in GATE_ORDER."""
 
     gamma: float
-    eu_a: tuple[tuple[float, ...], ...]
-    eu_b: tuple[tuple[float, ...], ...]
+    eu_a: np.ndarray
+    eu_b: np.ndarray
 
     def row_a(self, gate: "QuantumGate | str") -> tuple[float, ...]:
-        return self.eu_a[GATE_ORDER.index(as_gate(gate))]
+        return tuple(self.eu_a[GATE_ORDER.index(as_gate(gate))].tolist())
 
 
 def sweep_g4(
@@ -353,9 +353,7 @@ def sweep_g4(
     psi0 = basis_state("s10") if initial is None else state_vector(initial)
     moves = [(_GATE_MATRICES[ga], _GATE_MATRICES[gb]) for ga in GATE_ORDER for gb in GATE_ORDER]
     dist = outcome_probabilities(final_states(psi0, float(gamma), moves))
-    n = len(GATE_ORDER)
-    eu_a, eu_b = (tuple(map(tuple, expected_payoff(dist, game, player).reshape(n, n).tolist()))
-                  for player in "ab")
+    eu_a, eu_b = (expected_payoff(dist, game, player).reshape(5, 5) for player in "ab")
     return GateTable(gamma=float(gamma), eu_a=eu_a, eu_b=eu_b)
 
 
@@ -378,8 +376,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 def write_gate_table_csv(table: GateTable, path) -> None:
     """One line per (A gate, B gate) pair, both in GATE_ORDER."""
-    write_csv(path, ("gamma", "gate_a", "gate_b", "eu_a", "eu_b"), zip(*(
-        (table.gamma, ga.value, gb.value, table.eu_a[i][k], table.eu_b[i][k])
-        for i, ga in enumerate(GATE_ORDER)
-        for k, gb in enumerate(GATE_ORDER)
-    )))
+    letters = [g.value for g in GATE_ORDER]
+    write_csv(path, ("gamma", "gate_a", "gate_b", "eu_a", "eu_b"), (
+        np.full(25, table.gamma), np.repeat(letters, 5), letters * 5,
+        table.eu_a.ravel(), table.eu_b.ravel()))

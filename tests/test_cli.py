@@ -29,7 +29,10 @@ class TestAngles:
 
     def test_plain_radians(self):
         assert cli.parse_angle("1.25") == 1.25
-        assert cli.parse_angle("0") == 0.0
+        # a negative zero reads as +0.0, so it is written as 0.0, not -0.0
+        for text in ("0", "-0", "-0.0", "-0pi"):
+            x = cli.parse_angle(text)
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0, text
 
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -308,6 +311,14 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--model", "qg-g4", "--out", str(out_path))
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 26
+
+    def test_negative_zero_gamma_writes_the_zero_table(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for p, gamma in ((a, "0"), (b, "-0")):
+            assert run(capsys, "sweep", "--model", "qg-g4", "--gamma", gamma,
+                       "--out", str(p))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[1].startswith("0.0,H,H,")
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -108,7 +108,7 @@ class TestStates:
         # A's qubit selects the high bit of the joint index
         qa = np.array([0.0, 1.0])
         qb = np.array([1.0, 0.0])
-        assert np.array_equal(clinalg.kron(qa, qb), qg.basis_state("s10"))
+        assert np.array_equal(np.kron(qa, qb), qg.basis_state("s10"))
 
 
 class TestEntangler:
@@ -296,6 +296,8 @@ class TestGateTable:
         game = merging_game()
         psi0 = qg.state_vector([1, 2j, 0.5, -1], normalize=True)
         table = qg.sweep_g4(game, initial=psi0, gamma=gamma)
+        for eu in (table.eu_a, table.eu_b):
+            assert eu.shape == (5, 5) and eu.dtype == np.float64
         for i, ga in enumerate(qg.GATE_ORDER):
             for k, gb in enumerate(qg.GATE_ORDER):
                 dist = qg.play(qg.QuantumGameConfig(psi0, gamma, ga, gb))

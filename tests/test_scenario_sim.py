@@ -628,6 +628,11 @@ def episode_fields(result):
 JOINTS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def ordered_pair(lo, hi):
+    """(a, b) with lo <= a <= b <= hi: a sampling range inside [lo, hi]."""
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted).map(tuple)
+
+
 def assert_kernel_matches_run_episode(cfg, states):
     lanes = [(ev, iv, *joint) for ev, iv in states for joint in JOINTS]
     got = sim.run_episodes(cfg, lanes)
@@ -676,17 +681,23 @@ class TestBatchedKernel:
         assert_kernel_matches_run_episode(cfg, states)
         assert_kernel_matches_run_episode(dataclasses.replace(cfg, horizon=1), states)
 
+    # the sampling ranges are drawn too, inside bounds well wider than both
+    # scenarios' tuned ranges: a roundabout EV may start past its yield line,
+    # the IV anywhere from 40 m behind to 200 m along its lane, and either
+    # vehicle at any speed up to 35 m/s
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["merging", "roundabout"]),
            idm_v0=st.floats(1.0, 40.0),
            a_nominal=st.floats(0.1, 6.0),
            horizon=st.integers(1, 200),
            pass_clearance=st.floats(-10.0, 40.0),
+           ev_s_range=ordered_pair(60.0, 160.0),
+           ev_v_range=ordered_pair(0.0, 35.0),
+           iv_s_range=ordered_pair(-40.0, 200.0),
+           iv_v_range=ordered_pair(0.0, 35.0),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_run_episode_on_drawn_configs(self, kind, idm_v0, a_nominal, horizon,
-                                                  pass_clearance, seed):
-        cfg = sim.builtin_scenario(kind, idm_v0=idm_v0, a_nominal=a_nominal, horizon=horizon,
-                                   pass_clearance=pass_clearance)
+    def test_matches_run_episode_on_drawn_configs(self, kind, seed, **fields):
+        cfg = sim.builtin_scenario(kind, **fields)
         rng = np.random.default_rng(seed)
         assert_kernel_matches_run_episode(cfg, [sim.sample_initial(cfg, rng) for _ in range(8)])
 
