@@ -230,6 +230,11 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     return out
 
 
+def _finite_real(value) -> bool:
+    """Whether value is a finite real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_int(name: str, value, lo: int) -> None:
     """Raise ValueError unless value is an int (a bool is not) of at least lo."""
     if not (isinstance(value, int) and not isinstance(value, bool) and value >= lo):
@@ -278,16 +283,16 @@ def _spelled(column) -> list:
 
 
 def _check_payoffs(table):
-    """Return table if it is 2x2 with finite real entries, else raise ValueError;
-    the one payoff check, run by TwoPlayerGame and by the game-file reader
-    (which names path:line)."""
+    """Return table if it is 2x2 with _finite_real entries, else raise
+    ValueError; the one payoff check, run by TwoPlayerGame and by the
+    game-file reader (which names path:line)."""
     try:
         square = np.shape(table) == (2, 2)
     except ValueError:  # numpy refuses a ragged table
         square = False
     if not square:
         raise ValueError(f"payoff table must be 2x2, got {table!r}")
-    if not all(isinstance(x, Real) and math.isfinite(x) for row in table for x in row):
+    if not all(_finite_real(x) for row in table for x in row):
         raise ValueError(f"payoffs must be finite reals, got {table!r}")
     return table
 

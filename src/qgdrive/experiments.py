@@ -64,7 +64,6 @@ from .quantum_game import (
 from .scenario_sim import (
     ScenarioConfig,
     builtin_scenario,
-    check_lanes,
     idm_entry_decision,
     mobil_merge_decision,
     run_episode,
@@ -75,8 +74,9 @@ from .scenario_sim import (
 # Report name -> (the one scenario kind the policy runs on, or None for both;
 # what decides for it): a game policy's law builder, (game, assumed_gate) ->
 # OutcomeDistribution or policy_distributions' tuple, or a driver baseline's
-# rule, (scenario, on_entry, ev_s, ev_v, iv_s, iv_v) -> EV action. The lambdas
-# look their functions up at call time, so a tracer that swaps them sees each call.
+# rule, (scenario, ev_s, ev_v, iv_s, iv_v) -> EV action, taken before the EV
+# leaves its entry lane. The lambdas look their functions up at call time, so
+# a tracer that swaps them sees each call.
 POLICIES = {
     "CG_EPD": (None, lambda game, gate: cg_epd_distribution()),
     "CG_MS": (None, lambda game, gate: cg_ms_distribution(game)),
@@ -204,31 +204,30 @@ def _fixed_law(dist: OutcomeDistribution) -> bool:
 
 def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=None):
     """Episode-start (EV action, IV action), and the episode's replay
-    callback `(on_entry, ev_s, ev_v, iv_s, iv_v) -> (EV action, IV action)`
-    or None if the episode is held, for `dists` from policy_distributions.
+    callback `(ev_s, ev_v, iv_s, iv_v) -> (EV action, IV action)` or None
+    if the episode is held, for `dists` from policy_distributions.
 
     The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
-    then draws its opponent gate from `rng`, and IDM/MOBIL check the lanes
-    of `ev` and `iv` and apply their rule. `uniforms` is the episode's
+    then draws its opponent gate from `rng`, and IDM/MOBIL apply their rule
+    to the positions and speeds of `ev` and `iv`. `uniforms` is the episode's
     replay block: the 2*(horizon - 1) uniforms that follow the shared two in
     the episode stream, drawn with one `random(k)` call. Without it, and
     for a fixed law (_fixed_law), whose replays would repeat the start, the
     callback is None and nothing more is drawn. Each callback call reads
     the block's next two uniforms for a game policy, or the next one, the
-    IV's, for IDM/MOBIL, whose rule reads the state run_episode has
-    checked. A uniform QG_G4 draws its gate first, so it reads a block of
-    its own, drawn from `rng` after the gate.
+    IV's, for IDM/MOBIL, whose rule reads the state the callback is given. A
+    uniform QG_G4 draws its gate first, so it reads a block of its own,
+    drawn from `rng` after the gate.
     """
     if dists is None:
         rule = POLICIES[policy.name][1]
-        start = (rule(scenario, check_lanes(scenario, ev, iv), ev.s, ev.v, iv.s, iv.v),
-                 0 if u_iv < 0.5 else 1)
+        start = rule(scenario, ev.s, ev.v, iv.s, iv.v), 0 if u_iv < 0.5 else 1
         if uniforms is None:
             return start, None
         u_next = iter(uniforms).__next__
 
-        def replay(on_entry, ev_s, ev_v, iv_s, iv_v):
-            return (rule(scenario, on_entry, ev_s, ev_v, iv_s, iv_v),
+        def replay(ev_s, ev_v, iv_s, iv_v):
+            return (rule(scenario, ev_s, ev_v, iv_s, iv_v),
                     0 if u_next() < 0.5 else 1)
 
         return start, replay
@@ -241,7 +240,7 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
         uniforms = rng.random(len(uniforms)).tolist()
     u_next = iter(uniforms).__next__
 
-    def replay(on_entry, ev_s, ev_v, iv_s, iv_v):
+    def replay(ev_s, ev_v, iv_s, iv_v):
         return _sample_joint(thresholds, u_next(), u_next())
 
     return start, replay

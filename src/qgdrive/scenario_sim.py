@@ -15,9 +15,10 @@ maneuver state machine:
               Decelerate  brake before the yield line until the IV has
                           passed, then resume under IDM and enter.
 
-Own-path coordinates differ per lane; the shared exit path is the target
-lane's own path, and an entry-lane position projects onto it by adding
-`lane_offset`.
+Every episode starts with the EV on its entry lane and the IV on the lane
+the EV enters. Own-path coordinates differ per lane; the shared exit path is
+the target lane's own path, and an entry-lane position projects onto it by
+adding `lane_offset`.
 run_episode integrates one episode, optionally replaying the decision or
 recording a trace; run_episodes integrates many held-decision episodes at
 once as numpy arrays, with results equal to run_episode's bit for bit.
@@ -36,22 +37,20 @@ from operator import attrgetter
 
 import numpy as np
 
-from .classical_game import _require_int, write_csv
+from .classical_game import _finite_real, _require_int, write_csv
 
 EV_LANE_START = {"merging": "ramp", "roundabout": "approach"}
 EV_LANE_TARGET = {"merging": "main", "roundabout": "inside"}
-IV_LANE = EV_LANE_TARGET    # the IV drives on the lane the EV enters
 
 
 @dataclass(frozen=True, slots=True)
 class VehicleState:
-    lane: str
     s: float        # longitudinal position along own path, m
     v: float        # speed, m/s
 
 
 def _positive(value) -> bool:
-    return math.isfinite(value) and value > 0
+    return _finite_real(value) and value > 0
 
 
 def _require(obj, names, ok, what: str) -> None:
@@ -95,12 +94,14 @@ class ScenarioConfig:
             raise ValueError(f"decision_replay must be True or False, got {self.decision_replay!r}")
         _require(self, ("a_nominal", "idm_v0"), _positive, "finite and positive")
         _require(self, ("merge_point", "section_end", "lane_offset", "pass_clearance"),
-                 math.isfinite, "finite")
+                 _finite_real, "finite")
         for name in ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range"):
-            lo, hi = getattr(self, name)
-            # a finite width implies finite ends; sample_initial scales by it
-            if not (lo <= hi and math.isfinite(hi - lo)):
-                raise ValueError(f"{name} must be finite with lo <= hi, got {(lo, hi)!r}")
+            pair = getattr(self, name)
+            # sample_initial scales by the width, so it must be finite too
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_finite_real, pair)) and pair[0] <= pair[1]
+                    and math.isfinite(pair[1] - pair[0])):
+                raise ValueError(f"{name} must be a finite (lo, hi) with lo <= hi, got {pair!r}")
 
 
 # The builtin scenarios, which builtin_scenario reads: one row of
@@ -156,21 +157,7 @@ def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> tuple[Ve
     ranges = (config.ev_s_range, config.ev_v_range, config.iv_s_range, config.iv_v_range)
     ev_s, ev_v, iv_s, iv_v = [lo + (hi - lo) * u
                               for (lo, hi), u in zip(ranges, rng.random(4).tolist())]
-    return (VehicleState(EV_LANE_START[config.kind], ev_s, ev_v),
-            VehicleState(IV_LANE[config.kind], iv_s, iv_v))
-
-
-def check_lanes(config: ScenarioConfig, ev: VehicleState, iv: VehicleState) -> bool:
-    """Raise ValueError unless the EV is on the scenario's entry or target
-    lane and the IV on its IV lane; return whether the EV is on the entry
-    lane."""
-    kind = config.kind
-    if ev.lane not in (EV_LANE_START[kind], EV_LANE_TARGET[kind]):
-        raise ValueError(f"EV lane {ev.lane!r} is not a {kind} EV lane; expected "
-                         f"{EV_LANE_START[kind]!r} or {EV_LANE_TARGET[kind]!r}")
-    if iv.lane != IV_LANE[kind]:
-        raise ValueError(f"IV lane {iv.lane!r} is not the {kind} IV lane {IV_LANE[kind]!r}")
-    return ev.lane == EV_LANE_START[kind]
+    return VehicleState(ev_s, ev_v), VehicleState(iv_s, iv_v)
 
 
 def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
@@ -258,19 +245,18 @@ def mobil_decide(
     return gain > MOBIL_THRESHOLD
 
 
-def mobil_merge_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev_v: float,
+def mobil_merge_decision(config: ScenarioConfig, ev_s: float, ev_v: float,
                          iv_s: float, iv_v: float) -> int:
-    """MOBIL-style one-shot merge decision on the merging scenario.
+    """MOBIL-style one-shot merge decision for a merging EV still on the ramp.
 
     Staying on the ramp means eventually braking for the section end;
     merging puts the EV ahead of or behind the IV on the main lane. Returns
-    action 0 (Merge) or 1 (NotMerge). on_entry is check_lanes' flag, whether
-    the EV is still on the ramp, for lanes the caller has checked.
+    action 0 (Merge) or 1 (NotMerge).
     """
     v0 = config.idm_v0
     ego_a_old = idm_accel(ev_v, config.section_end - ev_s - VEHICLE_LENGTH, 0.0, v0)
 
-    ev_c = ev_s + config.lane_offset if on_entry else ev_s
+    ev_c = ev_s + config.lane_offset
     if iv_s > ev_c:
         # IV would be the EV's leader after the change
         gap = iv_s - ev_c - VEHICLE_LENGTH
@@ -284,15 +270,15 @@ def mobil_merge_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev
     return 0 if mobil_decide(ego_a_old, ego_a_new, fol_old, fol_new) else 1
 
 
-def idm_entry_decision(config: ScenarioConfig, on_entry: bool, ev_s: float, ev_v: float,
+def idm_entry_decision(config: ScenarioConfig, ev_s: float, ev_v: float,
                        iv_s: float, iv_v: float) -> int:
     """Gap-acceptance entry decision for the roundabout baseline.
 
     Enter (action 0) when the circulating vehicle has already passed the
     conflict point, or arrives at constant speed at least T_ACCEPT seconds
     after the EV would clear it when accelerating. Otherwise yield. The
-    arguments are mobil_merge_decision's (on_entry is not read);
-    `c if c > x else x` is max(x, c), keeping x on a tie or a NaN.
+    arguments are mobil_merge_decision's, approach and circulating-lane
+    positions; `c if c > x else x` is max(x, c), keeping x on a tie or a NaN.
     """
     conflict = config.merge_point + config.lane_offset
     iv_dist = conflict - iv_s
@@ -357,7 +343,8 @@ def run_episode(
     decide=None,
     shared: "dict | None" = None,
 ) -> EpisodeResult:
-    """Integrate one episode under a joint decision.
+    """Integrate one episode under a joint decision from ev0 on the EV's
+    entry lane and iv0 on the lane it enters.
 
     The IV holds its commanded acceleration. The EV is in one of three
     phases: _GO holds its action (constant speed on the ramp, +a_nominal on
@@ -366,18 +353,18 @@ def run_episode(
     lane. The module docstring gives each scenario's maneuvers. The episode
     stops at the first step whose centre distance on the target lane is
     below VEHICLE_LENGTH (a collision) or after config.horizon steps.
-    Vehicles off the scenario's lanes are rejected (check_lanes).
-    Given a decide callback
-    `(on_entry, ev_s, ev_v, iv_s, iv_v) -> (ev_action, iv_action)`, the joint
-    decision is re-taken from the current state at every step until the EV
-    reaches _FOLLOW; the result then records the last commanded pair. The
-    IV's step terms a*DT and 0.5*a*DT*DT are looked up per commanded action
-    (iv_terms, computed once per episode), and IDM reads config.idm_v0.
+    Given a decide callback `(ev_s, ev_v, iv_s, iv_v) -> (ev_action,
+    iv_action)`, the joint decision is re-taken from the current state at
+    every step until the EV reaches _FOLLOW, which every lane change enters,
+    so the EV is on its entry lane at every decision; the result then records
+    the last commanded pair. The IV's step terms a*DT and 0.5*a*DT*DT are
+    looked up per commanded action (iv_terms, computed once per episode),
+    and IDM reads config.idm_v0.
 
     `shared` is a lookup: a dict the caller owns for one (config, ev0, iv0)
     triple, keyed by the joint action and filled from run_episodes.
-    run_episode returns `shared[ev_action, iv_action]`, checking and
-    integrating nothing; a joint action missing from it raises ValueError.
+    run_episode returns `shared[ev_action, iv_action]`, integrating nothing;
+    a joint action missing from it raises ValueError.
     It cannot be combined with `decide` (a replayed path depends on the
     callback's own draws) or with `record_trace` (a stored result carries no
     trace).
@@ -391,10 +378,8 @@ def run_episode(
     replay cannot change its decision; only the other policies replay here.
     Once that pin counts outcomes instead, the lookup belongs in the loop,
     `shared` can go, and replay can move to a batched kernel.
-    The lanes are checked here once, so a replay callback decides on the
-    state it is given (uniforms against fixed thresholds, or a driver rule
-    on on_entry and the raw floats). The loop also records
-    traces, and it is the reference run_episodes is tested against.
+    The loop also records traces, and it is the reference run_episodes is
+    tested against.
     """
     if shared is not None:
         if decide is not None or record_trace:
@@ -406,7 +391,6 @@ def run_episode(
                              f"{(ev_action, iv_action)!r}") from None
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
-    on_entry = check_lanes(config, ev0, iv0)
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
     dt = DT
@@ -417,29 +401,29 @@ def run_episode(
     section_end = config.section_end
     clearance = config.pass_clearance
     length = VEHICLE_LENGTH
-    iv_lane = IV_LANE[config.kind]
+    entry_lane = EV_LANE_START[config.kind]
     target_lane = EV_LANE_TARGET[config.kind]
     go_a = 0.0 if merging else a_nom    # EV acceleration while going
     iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
     # per IV action, its step's speed and position terms a*dt and 0.5*a*dt*dt
     iv_terms = {i: (a * dt, 0.5 * a * dt * dt) for i, a in enumerate((a_nom, iv_a1))}
 
-    ev_s, ev_v, ev_lane = ev0.s, ev0.v, ev0.lane
+    ev_s, ev_v = ev0.s, ev0.v
     iv_s, iv_v = iv0.s, iv0.v
 
     iv_dv, iv_ds = iv_terms[iv_action]
     phase = _GO if ev_action == 0 else _YIELD
+    on_entry = True
     collided = False
     violation = False
-    completed = False
     headway_sum = 0.0
     trace: list[TracePoint] = []
     t = 0.0
-    ev_common = ev_s + offset if on_entry else ev_s
+    ev_common = ev_s + offset
 
     for steps in range(1, config.horizon + 1):
         if phase != _FOLLOW and decide is not None and steps > 1:
-            ev_action, iv_action = decide(on_entry, ev_s, ev_v, iv_s, iv_v)
+            ev_action, iv_action = decide(ev_s, ev_v, iv_s, iv_v)
             iv_dv, iv_ds = iv_terms[iv_action]
             phase = _GO if ev_action == 0 else _YIELD
 
@@ -451,11 +435,9 @@ def run_episode(
                 phase = _FOLLOW
         if on_entry and phase != _YIELD:
             if ev_s >= merge_point and (ev_s <= section_end or not merging):
-                ev_lane = target_lane
                 on_entry = False
                 ev_s = ev_s + offset
                 ev_common = ev_s
-                completed = True
                 phase = _FOLLOW
 
         # EV acceleration for this step
@@ -492,8 +474,8 @@ def run_episode(
         if record_trace:
             t += dt
             trace.append(TracePoint(
-                t=t, ev_lane=ev_lane, ev_s=ev_s, ev_v=ev_v,
-                iv_lane=iv_lane, iv_s=iv_s, iv_v=iv_v, headway=headway,
+                t=t, ev_lane=entry_lane if on_entry else target_lane, ev_s=ev_s, ev_v=ev_v,
+                iv_lane=target_lane, iv_s=iv_s, iv_v=iv_v, headway=headway,
             ))
 
         if not on_entry and headway < length:
@@ -503,7 +485,7 @@ def run_episode(
         # the colliding step is excluded from the headway average
         headway_sum += headway
 
-    return _episode_result(ev_action, iv_action, collided, completed, violation, steps,
+    return _episode_result(ev_action, iv_action, collided, not on_entry, violation, steps,
                            headway_sum, tuple(trace))
 
 
@@ -542,7 +524,6 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     ev0s, iv0s, ev_actions, iv_actions = zip(*lanes)
     if not {*ev_actions, *iv_actions} <= {0, 1}:
         raise ValueError("actions must be 0 or 1")
-    started = np.array([check_lanes(config, ev0, iv0) for ev0, iv0 in zip(ev0s, iv0s)])
     # everything fixed per episode is bound once, outside the step loop
     merging = config.kind == "merging"
     a_nom = config.a_nominal
@@ -565,21 +546,21 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     violation = np.zeros(n, bool)
     steps_run = np.full(n, config.horizon)
     headway_sum = np.zeros(n)
-    on_entry = started              # rebound as lanes change, never written
+    on_entry = np.ones(n, bool)     # rebound as lanes change, never written
     # ev_common is ev_s + offset on the entry lane, else ev_s; ev_s + 0.0
     # differs from ev_s only in the sign of a zero, which no comparison,
     # difference or abs below can see
-    shift = np.where(on_entry, offset, 0.0)
+    shift = np.full(n, offset, dtype=float)
     ev_common = ev_s + shift
     phase_accel = np.array([go_a, -a_nom, 0.0])  # by phase; _FOLLOW's IDM is set per step
 
     for step in range(1, config.horizon + 1):
-        # phase transitions on the current state
+        # phase transitions on the current state; a collided lane is on the
+        # target lane, so in _FOLLOW: it never yields or changes lane again
         yielding = phase == _YIELD
         if not merging:
-            violation |= yielding & alive & (ev_s >= merge_point)
+            violation |= yielding & (ev_s >= merge_point)
         phase[yielding & (iv_s >= ev_common + clearance)] = _FOLLOW
-        # a collided lane is on the target lane, so it never changes lane
         change = on_entry & (phase != _YIELD) & (ev_s >= merge_point)
         if merging:
             change &= ev_s <= section_end
@@ -613,7 +594,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         np.add(headway_sum, headway, out=headway_sum, where=alive)
 
     return list(map(_episode_result, ev_actions, iv_actions, (~alive).tolist(),
-                    (started & ~on_entry).tolist(), violation.tolist(), steps_run.tolist(),
+                    (~on_entry).tolist(), violation.tolist(), steps_run.tolist(),
                     headway_sum.tolist()))
 
 

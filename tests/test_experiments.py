@@ -11,7 +11,7 @@ from qgdrive import experiments as ex
 from qgdrive import scenario_sim
 from qgdrive.classical_game import OutcomeDistribution, builtin_game
 from qgdrive.quantum_game import GATE_ORDER, QuantumGate
-from qgdrive.scenario_sim import VehicleState, builtin_scenario
+from qgdrive.scenario_sim import builtin_scenario
 
 
 def merging_config(episodes=200, seed=5):
@@ -170,7 +170,7 @@ class TestJointSampling:
         assert start == want
         assert (replay is None) == ex._fixed_law(dist)
         if replay is not None:
-            assert replay(True, 110.0, 20.0, 105.0, 20.0) == want
+            assert replay(110.0, 20.0, 105.0, 20.0) == want
 
     def test_uniform_gate_drawn_after_decision_uniforms(self):
         # the gate index must come from the third draw so the first two
@@ -187,21 +187,6 @@ class TestJointSampling:
             u_ev, u_iv = float(twin.random()), float(twin.random())
             gate = int(twin.integers(5))
             assert got == ex._sample_joint(rows[gate].thresholds, u_ev, u_iv)
-
-    def test_controller_requires_states(self):
-        # a controller decides from the initial states, which must be on the
-        # scenario's lanes
-        for policy, kind, ev, iv, match in (
-            ("MOBIL", "merging", ("ramp", 110.0, 20.0), ("ramp", 105.0, 20.0), "IV lane 'ramp'"),
-            ("MOBIL", "merging", ("bogus", 110.0, 20.0), ("main", 105.0, 20.0), "EV lane 'bogus'"),
-            ("IDM", "roundabout", ("ramp", 120.0, 6.0), ("inside", 5.0, 8.0), "EV lane 'ramp'"),
-            ("IDM", "roundabout", ("approach", 120.0, 6.0), ("approach", 5.0, 8.0),
-             "IV lane 'approach'"),
-        ):
-            with pytest.raises(ValueError, match=match):
-                ex.episode_decision(ex.PolicySpec(policy), builtin_scenario(kind), None,
-                                    ex.episode_rng(0, 0), VehicleState(*ev), VehicleState(*iv),
-                                    0.5, 0.5)
 
 
 class TestRuns:
@@ -291,10 +276,9 @@ class TestRuns:
                 assert len(objects) == len(joints) <= 4
 
     @pytest.mark.parametrize("kind", ["roundabout", "merging"])
-    def test_replay_checks_lanes_once_per_episode_and_start(self, kind, monkeypatch):
-        # run_episode checks each (episode, policy) once and the IDM/MOBIL
-        # start decision once per episode; a replayed decision checks
-        # nothing, and the rule takes the start and every replayed decision
+    def test_replay_counts_episodes_and_rule_calls(self, kind, monkeypatch):
+        # run_episode runs each (episode, policy) once, and the IDM/MOBIL
+        # rule takes the start and every replayed decision
         counts = Counter()
 
         def counting(name, fn):
@@ -311,8 +295,6 @@ class TestRuns:
                 decide = counting("decide", decide)
             return start, decide
 
-        for module in (scenario_sim, ex):
-            monkeypatch.setattr(module, "check_lanes", counting("check_lanes", module.check_lanes))
         monkeypatch.setattr(ex, "run_episode", counting("run_episode", ex.run_episode))
         monkeypatch.setattr(ex, "episode_decision", deciding)
         controller = "mobil" if kind == "merging" else "idm"
@@ -324,7 +306,6 @@ class TestRuns:
         )
         ex.run_comparison([ex.PolicySpec(p, "uniform") for p in policies], cfg)
         assert counts["run_episode"] == 40 * len(policies)
-        assert counts["check_lanes"] == counts["run_episode"] + 40
         assert counts["decide"] > 0
         assert counts["rule"] == 40 + counts["decide"]
 

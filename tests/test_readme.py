@@ -1,8 +1,14 @@
 """Every ```python block in README.md runs as written, every `qgdrive`
 command line in its shell blocks parses with the CLI's own parser, the
-package's top level exports the Library example's imports, and the
-"Policy names:" list is experiments.POLICIES."""
+package's top level exports the Library example's imports, the
+"Policy names:" list is experiments.POLICIES, and every name the module
+bullets cite is in the code."""
 
+import builtins
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -57,3 +63,32 @@ def test_policy_names_are_the_policy_table():
     listed = re.search(r"^Policy names: (.*?), each at most once", TEXT, re.S | re.M).group(1)
     names = re.findall(r"`([^`]+)`", listed)
     assert names == [name.lower().replace("_", "-") for name in experiments.POLICIES]
+
+
+def _code_names():
+    """Every module, module attribute, dataclass field and function or
+    method parameter in qgdrive."""
+    names = {"qgdrive"}
+    for info in pkgutil.iter_modules(qgdrive.__path__):
+        module = importlib.import_module(f"qgdrive.{info.name}")
+        names.add(info.name)
+        for name, value in vars(module).items():
+            names.add(name)
+            if dataclasses.is_dataclass(value):
+                names.update(f.name for f in dataclasses.fields(value))
+            for fn in (value, *vars(value).values()) if inspect.isclass(value) else (value,):
+                if inspect.isfunction(fn):
+                    names.update(inspect.signature(fn).parameters)
+    return names
+
+
+def test_module_bullets_name_only_code_that_exists():
+    # a deleted function or argument cannot stay in the module map
+    bullets = re.search(r"^Modules under `src/qgdrive/`:\n(.*?)^## ", TEXT, re.S | re.M).group(1)
+    cited = {name for name in re.findall(r"`([^`]+)`", bullets)
+             if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name)}
+    known = _code_names()
+    missing = sorted(name for name in cited
+                     if not all(part in known or hasattr(builtins, part)
+                                for part in name.split(".")))
+    assert len(cited) > 30 and not missing

@@ -14,17 +14,11 @@ IDM = dict(T=1.5, s0=2.0, a=1.5, b=2.0)
 
 
 def mid_merging():
-    return (
-        sim.VehicleState("ramp", 110.0, 20.0),
-        sim.VehicleState("main", 105.0, 20.0),
-    )
+    return sim.VehicleState(110.0, 20.0), sim.VehicleState(105.0, 20.0)
 
 
 def mid_roundabout():
-    return (
-        sim.VehicleState("approach", 120.0, 6.0),
-        sim.VehicleState("inside", 5.0, 8.0),
-    )
+    return sim.VehicleState(120.0, 6.0), sim.VehicleState(5.0, 8.0)
 
 
 class TestConfig:
@@ -39,11 +33,17 @@ class TestConfig:
         assert cfg.horizon == 10
         assert cfg.idm_v0 == 12.0
 
+    # a bool is not a number (a_nominal=True ran episodes at 1 m/s^2), a
+    # range that is not a pair raised "too many values to unpack", and a
+    # string raised TypeError from math.isfinite
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            sim.builtin_scenario("merging", idm_v0=-25.0)
-        with pytest.raises(ValueError):
-            sim.builtin_scenario("merging", horizon=0)
+        for field, bad in (("idm_v0", -25.0), ("horizon", 0), ("a_nominal", True),
+                           ("idm_v0", True), ("lane_offset", False), ("merge_point", True),
+                           ("ev_s_range", (1.0, 2.0, 3.0)), ("iv_v_range", (1.0,)),
+                           ("ev_v_range", 5.0), ("pass_clearance", "10"),
+                           ("iv_s_range", ("0", "1"))):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                sim.builtin_scenario("merging", **{field: bad})
 
     # each case: (bad sampling range, bad a_nominal / idm_v0); a_nominal = 0
     # divides by zero in idm_entry_decision, a negative one swaps the
@@ -53,6 +53,7 @@ class TestConfig:
         pytest.param(((math.nan, 1.0), math.nan), id="bad1"),
         pytest.param(((0.0, math.inf), math.inf), id="bad2"),
         pytest.param(((-math.inf, 0.0), -2.0), id="bad3"),
+        pytest.param(((False, True), True), id="bool"),
     ])
     @pytest.mark.parametrize("field", [
         "ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range", "a_nominal", "idm_v0",
@@ -93,8 +94,6 @@ class TestSampling:
             assert cfg.ev_v_range[0] <= ev.v <= cfg.ev_v_range[1]
             assert cfg.iv_s_range[0] <= iv.s <= cfg.iv_s_range[1]
             assert cfg.iv_v_range[0] <= iv.v <= cfg.iv_v_range[1]
-            assert ev.lane == "ramp"
-            assert iv.lane == "main"
 
     def test_zero_width_ranges_pin_the_draw(self):
         cfg = sim.builtin_scenario(
@@ -137,24 +136,24 @@ def first_step(ev, iv, ev_action=0, iv_action=1):
     return sim.run_episode(cfg, ev, iv, ev_action, iv_action, record_trace=True).trace[0]
 
 
-FAR_RAMP_EV = sim.VehicleState("ramp", 0.0, 0.0)
+FAR_RAMP_EV = sim.VehicleState(0.0, 0.0)
 
 
 class TestKinematics:
     def test_constant_speed_step(self):
         # a merging EV that goes holds its speed on the ramp
-        p = first_step(sim.VehicleState("ramp", 10.0, 20.0), sim.VehicleState("main", 200.0, 0.0))
+        p = first_step(sim.VehicleState(10.0, 20.0), sim.VehicleState(200.0, 0.0))
         assert p.ev_s == pytest.approx(12.0)
         assert p.ev_v == 20.0
 
     # one DT = 0.1 s step at a_nominal = 2 m/s^2
     def test_acceleration_step(self):
-        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 10.0), iv_action=0)
+        p = first_step(FAR_RAMP_EV, sim.VehicleState(0.0, 10.0), iv_action=0)
         assert p.iv_v == pytest.approx(10.2)
         assert p.iv_s == pytest.approx(1.01)
 
     def test_braking_clamps_at_standstill(self):
-        p = first_step(FAR_RAMP_EV, sim.VehicleState("main", 0.0, 0.1))
+        p = first_step(FAR_RAMP_EV, sim.VehicleState(0.0, 0.1))
         assert p.iv_v == 0.0
         # the vehicle stops inside the step; it advances half the free run
         assert p.iv_s == pytest.approx(0.005)
@@ -162,7 +161,7 @@ class TestKinematics:
     def test_stopped_vehicle_stays_put_under_braking(self):
         cfg = sim.builtin_scenario("merging")
         r = sim.run_episode(
-            cfg, FAR_RAMP_EV, sim.VehicleState("main", 3.0, 0.0), 0, 1, record_trace=True
+            cfg, FAR_RAMP_EV, sim.VehicleState(3.0, 0.0), 0, 1, record_trace=True
         )
         assert all(p.iv_v == 0.0 and p.iv_s == 3.0 for p in r.trace)
 
@@ -176,7 +175,7 @@ class TestKinematics:
         # the decelerating IV on the main lane
         cfg = sim.builtin_scenario("merging", a_nominal=a_nominal)
         ev, iv = mid_merging()
-        ev, iv = sim.VehicleState(ev.lane, ev.s, v), sim.VehicleState(iv.lane, iv.s, v)
+        ev, iv = sim.VehicleState(ev.s, v), sim.VehicleState(iv.s, v)
         r = sim.run_episode(cfg, ev, iv, 1, 1, record_trace=True)
         assert all(p.ev_v >= 0.0 and p.iv_v >= 0.0 for p in r.trace)
 
@@ -184,29 +183,35 @@ class TestKinematics:
 class TestGeometry:
     def test_collision_same_lane_only(self):
         # stationary vehicles: a collision is a center distance below
-        # VEHICLE_LENGTH, 5 m, on the same lane
+        # VEHICLE_LENGTH, 5 m, on the same lane. A going EV at the merge
+        # point (ramp 125 m) changes lane at step 1, before it moves, to main
+        # 145 m, and moves 0.0075 m away from the IV behind it in that step
         cfg = sim.builtin_scenario("merging")
-        iv = sim.VehicleState("main", 100.0, 0.0)
+        at_merge = sim.VehicleState(cfg.merge_point, 0.0)
 
-        def episode(ev):
-            return sim.run_episode(cfg, ev, iv, 0, 1, record_trace=True)
+        def episode(ev, iv_s):
+            return sim.run_episode(cfg, ev, sim.VehicleState(iv_s, 0.0), 0, 1, record_trace=True)
 
-        hit = episode(sim.VehicleState("main", 104.0, 0.0))
+        hit = episode(at_merge, 141.0)
         assert hit.outcome == "collision" and hit.steps_run == 1
-        assert episode(sim.VehicleState("main", 105.0, 0.0)).outcome != "collision"
-        # the ramp EV at 80 m projects onto the IV's main-lane position
-        ramp = episode(sim.VehicleState("ramp", 80.0, 0.0))
+        assert hit.trace[0].ev_lane == "main"
+        assert episode(at_merge, 140.0).outcome != "collision"
+        # the ramp EV at 121 m projects onto the IV's main-lane position
+        ramp = episode(sim.VehicleState(121.0, 0.0), 141.0)
         assert ramp.outcome != "collision"
         assert {p.headway for p in ramp.trace} == {0.0}
 
     @pytest.mark.parametrize("length,collides", [(7.0, True), (5.0, False)])
     def test_collision_gap_is_VEHICLE_LENGTH(self, monkeypatch, length, collides):
-        # stationary vehicles 6 m apart on the main lane: they overlap only
-        # when VEHICLE_LENGTH, which run_episode reads per call, exceeds 6 m
+        # stationary vehicles: the EV merges at step 1 to 6 m (and the
+        # 0.0075 m it moves) ahead of the IV, so they overlap only when
+        # VEHICLE_LENGTH, which run_episode reads per call, exceeds 6 m
         monkeypatch.setattr(sim, "VEHICLE_LENGTH", length)
         cfg = sim.builtin_scenario("merging")
-        ev, iv = sim.VehicleState("main", 106.0, 0.0), sim.VehicleState("main", 100.0, 0.0)
-        assert (sim.run_episode(cfg, ev, iv, 0, 1).outcome == "collision") is collides
+        ev, iv = sim.VehicleState(cfg.merge_point, 0.0), sim.VehicleState(139.0, 0.0)
+        r = sim.run_episode(cfg, ev, iv, 0, 1, record_trace=True)
+        assert 6.0 < r.trace[0].headway < 6.01
+        assert (r.outcome == "collision") is collides
 
     def test_classification_precedence(self):
         assert sim.classify_outcome(True, True, False) == "collision"
@@ -302,21 +307,15 @@ class TestDriverModels:
         assert not sim.mobil_decide(0.0, 1.0, 0.0, -4.0)
 
     def test_merge_decision_directions(self):
+        # the IV far back on the main lane, or ahead of the EV's projection
         cfg = sim.builtin_scenario("merging")
-        ev = sim.VehicleState("ramp", 110.0, 20.0)
-        far_back = sim.VehicleState("main", 20.0, 20.0)
-        ahead = sim.VehicleState("main", 135.0, 20.0)
-        for iv, want in ((far_back, 0), (ahead, 1)):
-            on_entry = sim.check_lanes(cfg, ev, iv)
-            assert sim.mobil_merge_decision(cfg, on_entry, ev.s, ev.v, iv.s, iv.v) == want
+        for iv_s, want in ((20.0, 0), (135.0, 1)):
+            assert sim.mobil_merge_decision(cfg, 110.0, 20.0, iv_s, 20.0) == want
 
     def test_entry_decision_directions(self):
         cfg = sim.builtin_scenario("roundabout")
-        ev = sim.VehicleState("approach", 120.0, 6.0)
-        for iv, want in ((sim.VehicleState("inside", 60.0, 8.0), 0),
-                         (sim.VehicleState("inside", 45.0, 10.0), 1)):
-            on_entry = sim.check_lanes(cfg, ev, iv)
-            assert sim.idm_entry_decision(cfg, on_entry, ev.s, ev.v, iv.s, iv.v) == want
+        for iv_s, iv_v, want in ((60.0, 8.0, 0), (45.0, 10.0, 1)):
+            assert sim.idm_entry_decision(cfg, 120.0, 6.0, iv_s, iv_v) == want
 
     # idm_entry_decision spells its two floors as comparisons; the max-spelled
     # rule in tests/oracles.py is the reference, NaN and ties included
@@ -349,55 +348,7 @@ class TestDriverModels:
                 lambda k: at_boundary + k * math.ulp(at_boundary)))
         iv_s = data.draw(st.one_of(iv_s_choices), label="iv_s")
         want = idm_entry_max_rule(cfg, ev_s, ev_v, iv_s, iv_v, sim.T_ACCEPT, sim.VEHICLE_LENGTH)
-        assert sim.idm_entry_decision(cfg, True, ev_s, ev_v, iv_s, iv_v) == want
-
-
-
-class TestLanes:
-    # an EV on an unknown lane used to run to timeout, and an IV on the ramp
-    # moved MOBIL's decision while the episode ignored its lane
-    @pytest.mark.parametrize("kind,ev_lane,iv_lane", [
-        ("merging", "bogus", "main"),
-        ("merging", "ramp", "ramp"),
-        ("merging", "main", "inside"),
-        ("roundabout", "ramp", "inside"),
-        ("roundabout", "approach", "approach"),
-    ])
-    def test_run_episode_rejects_vehicles_off_the_lanes(self, kind, ev_lane, iv_lane):
-        cfg = sim.builtin_scenario(kind)
-        ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
-        ev = dataclasses.replace(ev, lane=ev_lane)
-        iv = dataclasses.replace(iv, lane=iv_lane)
-        with pytest.raises(ValueError, match="lane"):
-            sim.run_episode(cfg, ev, iv, 0, 1)
-
-    def test_decisions_reject_vehicles_off_the_lanes(self):
-        # the rules take the lane phase that check_lanes returns, so the
-        # lane check is what stands between them and an off-lane vehicle
-        merging = sim.builtin_scenario("merging")
-        ev = sim.VehicleState("ramp", 110.0, 20.0)
-        with pytest.raises(ValueError, match="IV lane 'ramp'"):
-            sim.check_lanes(merging, ev, sim.VehicleState("ramp", 105.0, 20.0))
-        with pytest.raises(ValueError, match="EV lane 'bogus'"):
-            sim.check_lanes(merging, dataclasses.replace(ev, lane="bogus"),
-                            sim.VehicleState("main", 105.0, 20.0))
-        roundabout = sim.builtin_scenario("roundabout")
-        ev, iv = mid_roundabout()
-        with pytest.raises(ValueError, match="EV lane 'ramp'"):
-            sim.check_lanes(roundabout, dataclasses.replace(ev, lane="ramp"), iv)
-        with pytest.raises(ValueError, match="IV lane 'approach'"):
-            sim.check_lanes(roundabout, ev, dataclasses.replace(iv, lane="approach"))
-
-    def test_ev_on_the_target_lane_is_accepted(self):
-        for kind, make in (("merging", mid_merging), ("roundabout", mid_roundabout)):
-            cfg = sim.builtin_scenario(kind)
-            ev, iv = make()
-            on_target = dataclasses.replace(ev, lane=sim.EV_LANE_TARGET[kind])
-            assert sim.check_lanes(cfg, ev, iv)
-            assert not sim.check_lanes(cfg, on_target, iv)
-            # already on the target lane, the EV has no lane change to complete
-            assert sim.run_episode(cfg, on_target, iv, 0, 1).outcome == "timeout"
-
+        assert sim.idm_entry_decision(cfg, ev_s, ev_v, iv_s, iv_v) == want
 
 MERGING_OUTCOMES = {
     (0, 0): "collision",
@@ -458,7 +409,7 @@ class TestEpisodes:
         lanes = [p.ev_lane for p in r.trace]
         at = lanes.index(sim.EV_LANE_TARGET["merging"])
         assert 0 < at < cfg.horizon
-        assert set(lanes[:at]) == {ev.lane}
+        assert set(lanes[:at]) == {sim.EV_LANE_START["merging"]}
         assert set(lanes[at:]) == {sim.EV_LANE_TARGET["merging"]}
 
     def test_trace_disabled_by_default(self):
@@ -592,24 +543,28 @@ class TestDecisionReplay:
         assert (r.ev_action, r.iv_action) == (1, 1)
 
     def test_replay_stops_once_the_maneuver_is_underway(self):
+        # decisions are re-taken from step 2 on, so the last one is taken at
+        # step len(seen) + 1: no later than the step whose trace point first
+        # shows the EV on the target lane
         cfg = sim.builtin_scenario("roundabout")
         ev, iv = mid_roundabout()
-        seen_phases = []
+        seen = []
 
-        def decide(on_entry, ev_s, ev_v, iv_s, iv_v):
-            seen_phases.append(on_entry)
+        def decide(ev_s, ev_v, iv_s, iv_v):
+            seen.append(ev_s)
             return 0, 0
 
-        r = sim.run_episode(cfg, ev, iv, 0, 0, decide=decide)
-        assert seen_phases
-        assert set(seen_phases) == {True}
+        r = sim.run_episode(cfg, ev, iv, 0, 0, decide=decide, record_trace=True)
+        changed = [p.ev_lane for p in r.trace].index("inside") + 1
+        assert seen
+        assert len(seen) + 1 <= changed < r.steps_run
 
     def test_replay_sees_current_states(self):
         cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
         positions = []
 
-        def decide(on_entry, ev_s, ev_v, iv_s, iv_v):
+        def decide(ev_s, ev_v, iv_s, iv_v):
             positions.append(ev_s)
             return 1, 1
 
@@ -655,36 +610,39 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("kind", ["merging", "roundabout"])
     def test_matches_run_episode_on_edge_states(self, kind):
+        # an EV at the merge point (the roundabout's yield line) that goes
+        # changes lane at step 1, before it moves, to `at`; each state
+        # reaches its branch under EV action 0
         cfg = sim.builtin_scenario(kind)
         ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
-        entry, target = ev.lane, sim.EV_LANE_TARGET[kind]
         common = ev.s + cfg.lane_offset
+        at = cfg.merge_point + cfg.lane_offset
         states = [
             (ev, iv),
-            (dataclasses.replace(ev, lane=target, s=common), iv),       # EV starts on the target lane
+            (dataclasses.replace(ev, s=cfg.merge_point), iv),           # changes lane at step 1
             (ev, dataclasses.replace(iv, v=0.0)),                       # stopped IV
             (dataclasses.replace(ev, v=0.0), iv),                       # stopped EV
             (dataclasses.replace(ev, v=0.5), iv),                       # a yield brakes it to rest
-            (sim.VehicleState(target, 100.0, 10.0),                     # 0.05 m behind the IV
-             sim.VehicleState(iv.lane, 105.05, 10.0)),
-            (sim.VehicleState(entry, 124.0, 20.0),                      # merges 0.05 m behind the
-             sim.VehicleState(iv.lane, 149.04, 20.0)),                  # IV, brakes to rest
-            (sim.VehicleState(target, 100.0, 10.0),                     # overlap: collision at step 1
-             sim.VehicleState(iv.lane, 103.0, 12.0)),
-            (sim.VehicleState(target, 100.0, 10.0),                     # leader ahead, closing fast
-             sim.VehicleState(iv.lane, 112.0, 2.0)),
+            (sim.VehicleState(cfg.merge_point, 10.0),                   # 0.05 m behind the IV
+             sim.VehicleState(at + 5.05, 10.0)),
+            (sim.VehicleState(124.0, 20.0),                             # merges 0.05 m behind the
+             sim.VehicleState(149.04, 20.0)),                           # IV, brakes to rest
+            (sim.VehicleState(cfg.merge_point, 10.0),                   # overlap: collision at step 1
+             sim.VehicleState(at + 3.0, 12.0)),
+            (sim.VehicleState(cfg.merge_point, 10.0),                   # leader ahead, closing fast
+             sim.VehicleState(at + 12.0, 2.0)),
             (ev, dataclasses.replace(iv, s=common + 40.0)),             # IV already far past
             (dataclasses.replace(ev, s=cfg.section_end + 5.0), iv),     # past the merge section
-            (sim.VehicleState(target, 139.9, 10.0),                     # collides, then crosses
-             sim.VehicleState(iv.lane, 137.0, 10.0)),                   # the yield line
         ]
         assert_kernel_matches_run_episode(cfg, states)
         assert_kernel_matches_run_episode(dataclasses.replace(cfg, horizon=1), states)
 
-    # the sampling ranges are drawn too, inside bounds well wider than both
-    # scenarios' tuned ranges: a roundabout EV may start past its yield line,
-    # the IV anywhere from 40 m behind to 200 m along its lane, and either
-    # vehicle at any speed up to 35 m/s
+    # the sampling ranges and the geometry are drawn too, inside bounds well
+    # wider than both scenarios' tuned rows: an EV may start past its merge
+    # point or yield line, or past a section end that comes before the merge
+    # point, the IV anywhere from 40 m behind to 200 m along its lane, either
+    # vehicle at any speed up to 35 m/s, and the entry lane may project
+    # ahead of or far behind the target lane
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["merging", "roundabout"]),
            idm_v0=st.floats(1.0, 40.0),
@@ -695,6 +653,9 @@ class TestBatchedKernel:
            ev_v_range=ordered_pair(0.0, 35.0),
            iv_s_range=ordered_pair(-40.0, 200.0),
            iv_v_range=ordered_pair(0.0, 35.0),
+           merge_point=st.floats(80.0, 180.0),
+           section_end=st.floats(80.0, 300.0),
+           lane_offset=st.floats(-120.0, 40.0),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_run_episode_on_drawn_configs(self, kind, seed, **fields):
         cfg = sim.builtin_scenario(kind, **fields)
@@ -702,18 +663,30 @@ class TestBatchedKernel:
         assert_kernel_matches_run_episode(cfg, [sim.sample_initial(cfg, rng) for _ in range(8)])
 
     def test_edge_states_reach_the_branches_they_name(self):
+        # the merging edge states, at EV action 0: the EV changes lane at
+        # step 1 from the merge point (ramp 125 m) to main 145 m
         cfg = sim.builtin_scenario("merging")
-        collide_first, = sim.run_episodes(cfg, [(sim.VehicleState("main", 100.0, 10.0),
-                                                 sim.VehicleState("main", 103.0, 12.0), 1, 1)])
+        at_merge = sim.VehicleState(cfg.merge_point, 10.0)
+        collide_first, = sim.run_episodes(cfg, [(at_merge, sim.VehicleState(148.0, 12.0), 0, 1)])
         assert collide_first.outcome == "collision" and collide_first.steps_run == 1
         assert collide_first.mean_headway == 0.0
+        # 0.05 m behind the IV: IDM's emergency brake
+        behind = sim.run_episode(cfg, at_merge, sim.VehicleState(150.05, 10.0), 0, 1,
+                                 record_trace=True)
+        assert behind.trace[0].ev_v == 10.0 - 4.0 * IDM["b"] * sim.DT
+        # a leader 7 m ahead closing at 8 m/s: IDM brakes harder than the
+        # emergency brake, and the speed stays above 0
+        closing = sim.run_episode(cfg, at_merge, sim.VehicleState(157.0, 2.0), 0, 1,
+                                  record_trace=True)
+        a = sim.idm_accel(10.0, 7.0, 2.0, cfg.idm_v0)
+        assert a < -4.0 * IDM["b"] and closing.trace[0].ev_v == 10.0 + a * sim.DT > 0.0
         ev, iv = mid_merging()
         slow = sim.run_episode(cfg, dataclasses.replace(ev, v=0.5), iv, 1, 1, record_trace=True)
         assert slow.trace[2].ev_v == 0.0                  # the yield clamped it to rest
         # merging at step 2 puts the EV 0.05 m behind the IV: IDM's emergency
         # brake, then a clamp to rest
-        emergency = sim.run_episode(cfg, sim.VehicleState("ramp", 124.0, 20.0),
-                                    sim.VehicleState("main", 149.04, 20.0), 0, 0,
+        emergency = sim.run_episode(cfg, sim.VehicleState(124.0, 20.0),
+                                    sim.VehicleState(149.04, 20.0), 0, 0,
                                     record_trace=True)
         assert emergency.trace[1].ev_v == 20.0 - 4.0 * IDM["b"] * sim.DT
         assert emergency.trace[2].ev_v == 0.0
@@ -724,8 +697,6 @@ class TestBatchedKernel:
         assert sim.run_episodes(cfg, []) == []
         with pytest.raises(ValueError, match="actions"):
             sim.run_episodes(cfg, [(ev, iv, 0, 1), (ev, iv, 2, 0)])
-        with pytest.raises(ValueError, match="IV lane"):
-            sim.run_episodes(cfg, [(ev, dataclasses.replace(iv, lane="ramp"), 0, 1)])
 
     def test_lane_idm_is_idm_accel_bit_for_bit(self):
         v0 = 25.0
