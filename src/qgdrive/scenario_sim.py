@@ -489,16 +489,17 @@ def run_episode(
                            headway_sum, tuple(trace))
 
 
-def _advance(s: np.ndarray, v: np.ndarray, a: np.ndarray):
+def _advance(s: np.ndarray, v: np.ndarray, dv: np.ndarray, ds: np.ndarray):
     """run_episode's integration step on arrays: position and speed after DT
-    under acceleration a, where a vehicle that would cross v=0 inside the
-    step brakes to rest exactly."""
-    v_next = v + a * DT
+    under the step terms dv = a*DT and ds = 0.5*a*DT*DT of an acceleration
+    a, where a vehicle that would cross v=0 inside the step brakes to rest
+    exactly, at a = -v/DT; and the mask of the vehicles that did."""
+    v_next = v + dv
     stop = v_next < 0.0
     if np.count_nonzero(stop):
-        a = np.where(stop, -v / DT, a)
+        ds = np.where(stop, 0.5 * (-v / DT) * DT * DT, ds)
         v_next[stop] = 0.0
-    return s + (v * DT + 0.5 * a * DT * DT), v_next
+    return s + (v * DT + ds), v_next, stop
 
 
 def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
@@ -509,14 +510,20 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
 
     The body is run_episode's step loop with every per-episode scalar turned
     into an array over the lanes: one `phase` array of _GO/_YIELD/_FOLLOW,
-    each `if` a mask, idm_accel_lanes on every lane (np.where keeps it for
-    the _FOLLOW lanes) and _advance for both vehicles. The results are
+    each `if` a mask, and idm_accel_lanes on every lane (np.where keeps it
+    for the _FOLLOW lanes). Both vehicles step through _advance, which takes
+    an acceleration's step terms a*DT and 0.5*a*DT*DT: the EV's are computed
+    from its acceleration every step, the IV's held ones once per lane
+    before the loop, as run_episode's iv_terms are, and zeroed once a held
+    brake has stopped the IV, where every later step would clamp it at rest
+    and add +0.0 to its position, as zero terms do. The results are
     bit-identical to run_episode's because the arrays see the same IEEE
     operations in the same order: IDM's multiplications,
     `s + (v*DT + 0.5*a*DT*DT)` and one headway sum per lane in step order.
     Where run_episode stops at a collision, a lane is masked, not removed:
-    its counts and flags stop there (its vehicles move on unread), and the
-    loop ends once every lane has collided.
+    its counts, flags and headway sum are kept from that step (its vehicles
+    and running sum move on unread), and the loop ends once every lane has
+    collided.
     """
     lanes = list(lanes)
     if not lanes:
@@ -541,11 +548,13 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
 
     n = len(lanes)
     iv_a = np.where(np.array(iv_actions) == 0, a_nom, iv_a1)
+    iv_dv, iv_ds = iv_a * DT, 0.5 * iv_a * DT * DT   # run_episode's iv_terms, per lane
     phase = np.where(np.array(ev_actions) == 0, _GO, _YIELD)
     alive = np.ones(n, bool)        # not collided: run_episode's loop still runs
     violation = np.zeros(n, bool)
     steps_run = np.full(n, config.horizon)
     headway_sum = np.zeros(n)
+    hit_sum = np.zeros(n)           # headway_sum at the lane's collision
     on_entry = np.ones(n, bool)     # rebound as lanes change, never written
     # ev_common is ev_s + offset on the entry lane, else ev_s; ev_s + 0.0
     # differs from ev_s only in the sign of a zero, which no comparison,
@@ -578,8 +587,12 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
                                         iv_s > ev_common, v0),
                         phase_accel[phase])
 
-        ev_s, ev_v = _advance(ev_s, ev_v, ev_a)
-        iv_s, iv_v = _advance(iv_s, iv_v, iv_a)
+        ev_s, ev_v, _ = _advance(ev_s, ev_v, ev_a * DT, 0.5 * ev_a * DT * DT)
+        iv_s, iv_v, stop = _advance(iv_s, iv_v, iv_dv, iv_ds)
+        if np.count_nonzero(stop):
+            # a held brake keeps a stopped IV at rest: zero terms, no clamp
+            rest = stop & (iv_dv < 0.0)
+            iv_dv[rest] = iv_ds[rest] = 0.0
 
         ev_common = ev_s + shift
         headway = np.abs(iv_s - ev_common)
@@ -588,14 +601,15 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         if np.count_nonzero(hit):
             # the colliding step is excluded from the headway average
             steps_run[hit] = step
+            hit_sum[hit] = headway_sum[hit]
             alive &= ~hit
             if not np.count_nonzero(alive):
                 break
-        np.add(headway_sum, headway, out=headway_sum, where=alive)
+        headway_sum += headway
 
     return list(map(_episode_result, ev_actions, iv_actions, (~alive).tolist(),
                     (~on_entry).tolist(), violation.tolist(), steps_run.tolist(),
-                    headway_sum.tolist()))
+                    np.where(alive, headway_sum, hit_sum).tolist()))
 
 
 def write_trace_csv(result: EpisodeResult, path) -> None:

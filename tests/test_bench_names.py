@@ -1,5 +1,6 @@
 """Every function bench/probe.py traces must exist in qgdrive, and a
-traced sweep must keep the call counts bench/selftest.py asserts.
+traced sweep or Monte Carlo comparison must keep the call counts
+bench/selftest.py asserts.
 
 The probe skips a name it cannot find and reports it as zero calls, and
 bench/selftest.py runs outside this suite, so a renamed or moved function
@@ -69,6 +70,47 @@ def test_traced_sweep_keeps_the_selftest_pins(probe, tmp_path):
     for name in ("quantum_game.strategy_unitary", "quantum_game.outcome_probabilities",
                  "classical_game.expected_payoff"):
         assert calls[name] > 0, name
+
+
+def _episode_pins(stats):
+    """run_episode's calls, the sum of the outcome counts and distinct_frac,
+    which bench/run.py computes as (calls - shareable + distinct) / calls."""
+    calls = stats["calls"]["scenario_sim.run_episode"]
+    unshared = calls - stats["shareable"] + stats["distinct"]
+    return calls, sum(stats["outcomes"].values()), unshared / calls
+
+
+def test_traced_merging_comparison_keeps_the_selftest_pins(probe, tmp_path):
+    # mirrors bench/selftest.py's mc-merging pins: one run_episode call per
+    # (policy, episode), each tallied once, and policies sharing results
+    from qgdrive import cli
+
+    episodes = 60
+    argv = ["simulate", "--scenario", "merging",
+            "--policies", "cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,mobil",
+            "--episodes", str(episodes), "--seed", "5", "--format", "json",
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    calls, tallied, distinct_frac = _episode_pins(probe.stats())
+    assert calls == tallied == 6 * episodes
+    assert 0 < distinct_frac <= 4 / 6
+
+
+def test_traced_replay_comparison_keeps_the_selftest_pins(probe):
+    # mirrors bench/selftest.py's mc-roundabout-replay pins, on the
+    # comparison bench/replay.py runs: no two calls share a result
+    from qgdrive import classical_game, experiments, scenario_sim
+
+    episodes = 40
+    config = experiments.MonteCarloConfig(
+        scenario_sim.builtin_scenario("roundabout", decision_replay=True),
+        classical_game.builtin_game("roundabout"), episodes, 5)
+    policies = ("cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "idm")
+    experiments.run_comparison([experiments.PolicySpec(p, "uniform") for p in policies],
+                               config)
+    calls, tallied, distinct_frac = _episode_pins(probe.stats())
+    assert calls == tallied == 6 * episodes
+    assert distinct_frac == 1.0
 
 
 @pytest.mark.parametrize("kind,name,rule", [

@@ -612,7 +612,9 @@ class TestBatchedKernel:
     def test_matches_run_episode_on_edge_states(self, kind):
         # an EV at the merge point (the roundabout's yield line) that goes
         # changes lane at step 1, before it moves, to `at`; each state
-        # reaches its branch under EV action 0
+        # reaches its branch under EV action 0, and the two moving IVs theirs
+        # under merging's IV action 1: braked to rest inside the horizon, or
+        # clamped from backing up at step 1 and then held at rest
         cfg = sim.builtin_scenario(kind)
         ev, iv = mid_merging() if kind == "merging" else mid_roundabout()
         common = ev.s + cfg.lane_offset
@@ -621,6 +623,8 @@ class TestBatchedKernel:
             (ev, iv),
             (dataclasses.replace(ev, s=cfg.merge_point), iv),           # changes lane at step 1
             (ev, dataclasses.replace(iv, v=0.0)),                       # stopped IV
+            (ev, dataclasses.replace(iv, v=3.0)),                       # braking IV
+            (ev, dataclasses.replace(iv, v=-1.0)),                      # IV clamped at step 1
             (dataclasses.replace(ev, v=0.0), iv),                       # stopped EV
             (dataclasses.replace(ev, v=0.5), iv),                       # a yield brakes it to rest
             (sim.VehicleState(cfg.merge_point, 10.0),                   # 0.05 m behind the IV
@@ -690,6 +694,14 @@ class TestBatchedKernel:
                                     record_trace=True)
         assert emergency.trace[1].ev_v == 20.0 - 4.0 * IDM["b"] * sim.DT
         assert emergency.trace[2].ev_v == 0.0
+        # IV action 1 brakes the IV from 3 m/s: step 15 would take it below
+        # 0, so it is clamped to rest there and stays put to the horizon
+        braking = sim.run_episode(cfg, ev, dataclasses.replace(iv, v=3.0), 1, 1,
+                                  record_trace=True)
+        before, *rest = braking.trace[13:]
+        assert before.iv_v > 0.0 > before.iv_v - cfg.a_nominal * sim.DT
+        assert braking.steps_run == cfg.horizon
+        assert {(p.iv_v, p.iv_s) for p in rest} == {(0.0, rest[0].iv_s)}
 
     def test_empty_and_rejected_lanes(self):
         cfg = sim.builtin_scenario("merging")
