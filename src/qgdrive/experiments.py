@@ -11,11 +11,14 @@ A uniform QG_G4 reads its own block, drawn right after its gate, and the
 others share the one after the two uniforms; so a gate that fixes its law
 (see below) skips that block without moving any other draw.
 
-The loop is episode-major: a comparison derives episode i's stream and
-draws its initial states and both decision uniforms once, and every policy
-decides and integrates from those same values (common random numbers). A
-policy's row therefore does not depend on which other policies run beside
-it, or in what order.
+The loop is episode-major: a comparison takes each episode's initial states
+and both decision uniforms once, and every policy decides and integrates
+from those same values (common random numbers). A policy's row therefore
+does not depend on which other policies run beside it, or in what order.
+episode_rng derives a whole chunk's streams in one vectorized pass, equal bit
+for bit to numpy's SeedSequence -> PCG64 for each episode; numpy itself is
+the oracle of tests/test_experiments.py's
+test_streams_equal_numpys_seed_sequence_and_pcg64.
 
 The episodes go in chunks of _CHUNK, each in three passes (decide, integrate
 the held joint actions in one batch, tally); run_comparison's docstring
@@ -142,9 +145,118 @@ class MetricsSummary:
     cr_ci95: float          # Wilson 95% halfwidth for cr
 
 
-def episode_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-episode stream keyed by (master_seed, episode index)."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+# Episode streams are numpy's default_rng(SeedSequence(master_seed,
+# spawn_key=(i,))), computed here on whole arrays of episodes: SeedSequence's
+# pool hashing and generate_state(4, uint64) in uint32 words (NumPy NEP 19,
+# numpy/random/bit_generator.pyx), then PCG64's seeding and XSL-RR output
+# with each 128-bit state as (high, low) uint64 halves (O'Neill, PCG,
+# HMC-CS-2014-0905). Every operand is a numpy uint32 or uint64, so the
+# arithmetic wraps and the dtypes do not depend on numpy's casting rules.
+_U32, _U64 = np.uint32, np.uint64
+_LOW32 = 0xFFFFFFFF
+_PCG_MULT = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of a uint32 array, with its running constant."""
+    def hash32(value):
+        nonlocal const
+        value = value ^ _U32(const)
+        const = const * mult & _LOW32
+        value = value * _U32(const)
+        return value ^ (value >> _U32(16))
+
+    return hash32
+
+
+def _mix(x, y):
+    r = _U32(0xCA01F9DD) * x - _U32(0x4973F715) * y
+    return r ^ (r >> _U32(16))
+
+
+def _seed_state(master_seed: int, index: np.ndarray) -> list:
+    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)
+    for each i in the uint64 array `index`, as four uint64 arrays. The run
+    entropy's words are the same for every episode; only the spawn key's
+    differ, one word below 2**32 and two from there on."""
+    hash32 = _hasher(0x43B0D7E5, 0x931E8875)
+    run = [master_seed & _LOW32]
+    while master_seed > _LOW32:
+        master_seed >>= 32
+        run.append(master_seed & _LOW32)
+    words = [np.array([w], _U32) for w in run + [0] * (4 - len(run))]
+    words += [(index & _U64(_LOW32)).astype(_U32), (index >> _U64(32)).astype(_U32)]
+    pool = [hash32(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash32(pool[src]))
+    for w in words[4:-1]:
+        pool = [_mix(p, hash32(w)) for p in pool]
+    wide = index > _U64(_LOW32)
+    pool = [np.where(wide, _mix(p, hash32(words[-1])), p) for p in pool]
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    w32 = [out(pool[k % 4]).astype(_U64) for k in range(8)]
+    return [w32[2 * j] | (w32[2 * j + 1] << _U64(32)) for j in range(4)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state step, state * multiplier + inc mod 2**128, on halves;
+    the low halves' 64x64-bit product is split into 32-bit limbs."""
+    m_hi, m_lo = _PCG_MULT
+    a0, a1 = lo & _U64(_LOW32), lo >> _U64(32)
+    b0, b1 = m_lo & _U64(_LOW32), m_lo >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _U64(_LOW32)) + (p10 & _U64(_LOW32))
+    carry = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    new_lo = lo * m_lo + inc_lo
+    return carry + hi * m_lo + lo * m_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def episode_rng(master_seed: int, index: int, count: "int | None" = None):
+    """Episode `index`'s independent stream, keyed by (master_seed, index):
+    equal bit for bit to numpy's default_rng(SeedSequence(master_seed,
+    spawn_key=(index,))), which tests/test_experiments.py's oracle test
+    checks. index + count must not exceed 2**64.
+
+    With count=None, that episode's Generator at the start of its stream.
+    With a count, the streams of episodes index .. index + count - 1, derived
+    in one vectorized pass: a (count, 6) array of each stream's first six
+    doubles, the contract's ev_s, ev_v, iv_s, iv_v, u_ev and u_iv, and
+    `resume`, where resume(j) sets one reusable Generator to episode
+    index + j's stream just after those six and returns it. The Generator
+    is made at the first resume call, so a run that draws nothing more
+    never loads numpy.random.
+    """
+    _require_int("master_seed", master_seed, 0)
+    n = 1 if count is None else count
+    s0, s1, s2, s3 = _seed_state(master_seed, np.arange(index, index + n, dtype=_U64))
+    # PCG64's seeding: inc = seq << 1 | 1, state = (inc + initial) stepped once
+    inc_hi, inc_lo = (s2 << _U64(1)) | (s3 >> _U64(63)), (s3 << _U64(1)) | _U64(1)
+    lo = inc_lo + s1
+    state = _pcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    gen = None
+
+    def resume(j):  # reads `state` when called: seeded, or past the six below
+        nonlocal gen
+        if gen is None:  # numpy 2 loads numpy.random, about 15 ms, on first use
+            gen = np.random.default_rng(0)
+        hi, lo = state
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": int(hi[j]) << 64 | int(lo[j]),
+                      "inc": int(inc_hi[j]) << 64 | int(inc_lo[j])}}
+        return gen
+
+    if count is None:
+        return resume(0)
+    doubles = np.empty((n, 6))
+    for k in range(6):  # XSL-RR: step, then rotate hi ^ lo right by hi's top 6 bits
+        state = hi, lo = _pcg_step(*state, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U64(58)
+        x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+        doubles[:, k] = (x >> _U64(11)) * (1.0 / 9007199254740992.0)
+    return doubles, resume
 
 
 def wilson_halfwidth(successes: int, n: int) -> float:
@@ -259,14 +371,6 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
 _CHUNK = 2048
 
 
-def _episode_draws(config: MonteCarloConfig, i: int):
-    """Episode i's stream, initial states and two shared decision uniforms,
-    in the contract's draw order."""
-    rng = episode_rng(config.master_seed, i)
-    ev0, iv0 = sample_initial(config.scenario, rng)
-    return rng, ev0, iv0, float(rng.random()), float(rng.random())
-
-
 def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
     """Run every policy over the same episode set (same master seed), episode
     by episode; see the module docstring for what is drawn once and what per
@@ -274,7 +378,11 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     the wrong scenario, is rejected before anything runs.
 
     The episodes go in chunks of _CHUNK, each in three passes.
-    (1) Episode by episode, draw as the contract says and decide each
+    (1) Derive the chunk's streams and their first six doubles in one
+    vectorized episode_rng call, equal bit for bit to numpy's SeedSequence
+    -> PCG64 per episode, and scale every initial state in one
+    sample_initial call. Then, episode by episode, take any further draws
+    from the episode's stream as the contract says and decide each
     (episode, policy) once with episode_decision. Without replay every
     policy is held for the whole episode. Under decision replay a game
     policy is held in an episode whose law is fixed (_fixed_law): P(A=0)
@@ -306,23 +414,24 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     outcomes = [Counter() for _ in specs]
     headway_totals = [0.0] * len(specs)
     k = 2 * (scenario.horizon - 1)
-    stream = np.random.default_rng(0)
+    gate_draws = any(isinstance(d, tuple) for d in dists)
 
     def tally(j, result):
         outcomes[j][result.outcome] += 1
         headway_totals[j] += result.mean_headway
 
     for start in range(0, n, _CHUNK):
-        # pass 1: the contract's draws and one decision per policy: a held
-        # joint action, or None and the replayed result. Only a uniform
-        # QG_G4 draws further (its gate, then its own block), and a label
-        # appears once, so the policies can share `rng`
+        # pass 1: the chunk's streams and initial states at once, then one
+        # decision per (episode, policy): a held joint action, or None and
+        # the replayed result. Only a uniform QG_G4 draws further (its gate,
+        # then its own block), and a label appears once, so the policies can
+        # share `rng`, reset to the episode's stream after the shared block
+        u, resume = episode_rng(config.master_seed, start, min(_CHUNK, n - start))
         episodes, replayed = [], []
-        for i in range(start, min(start + _CHUNK, n)):
-            rng, ev0, iv0, u_ev, u_iv = _episode_draws(config, i)
-            if scenario.decision_replay:  # the block after the shared two, from a copy
-                stream.bit_generator.state = rng.bit_generator.state
-            block = stream.random(k).tolist() if scenario.decision_replay else None
+        for j, ((ev0, iv0), (u_ev, u_iv)) in enumerate(zip(
+                sample_initial(scenario, u[:, :4]), u[:, 4:].tolist())):
+            block = resume(j).random(k).tolist() if scenario.decision_replay else None
+            rng = resume(j) if gate_draws else None
             joints = []
             for spec, d in zip(specs, dists):
                 joint, decide = episode_decision(spec, scenario, d, rng, ev0, iv0,

@@ -145,19 +145,23 @@ def builtin_scenario(kind: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(kind, **{**_BUILTIN[kind], **overrides})
 
 
-def sample_initial(config: ScenarioConfig, rng: np.random.Generator) -> tuple[VehicleState, VehicleState]:
-    """Draw (EV, IV) uniformly from the configured ranges.
+def sample_initial(config: ScenarioConfig, rng):
+    """Draw (EV, IV) uniformly from the configured ranges: one pair from a
+    Generator's next four uniforms, or a list of n pairs, one per row, from
+    an (n, 4) array of uniforms.
 
     Draw order is fixed (ev_s, ev_v, iv_s, iv_v) so seeded runs are stable.
-    The four uniforms come as one block and are scaled as lo + (hi - lo) * u,
-    numpy's own uniform formula, so each value equals an
-    rng.uniform(lo, hi) call on the same stream, bit for bit. Zero-width
-    ranges produce the endpoint deterministically.
+    The uniforms are scaled in one lo + (hi - lo) * u expression, numpy's
+    own uniform formula, so each value equals an rng.uniform(lo, hi) call on
+    the same stream, bit for bit. Zero-width ranges produce the endpoint
+    deterministically.
     """
-    ranges = (config.ev_s_range, config.ev_v_range, config.iv_s_range, config.iv_v_range)
-    ev_s, ev_v, iv_s, iv_v = [lo + (hi - lo) * u
-                              for (lo, hi), u in zip(ranges, rng.random(4).tolist())]
-    return VehicleState(ev_s, ev_v), VehicleState(iv_s, iv_v)
+    one = not isinstance(rng, np.ndarray)
+    lo, hi = np.array((config.ev_s_range, config.ev_v_range,
+                       config.iv_s_range, config.iv_v_range)).T
+    pairs = [(VehicleState(ev_s, ev_v), VehicleState(iv_s, iv_v)) for ev_s, ev_v, iv_s, iv_v
+             in (lo + (hi - lo) * (rng.random((1, 4)) if one else rng)).tolist()]
+    return pairs[0] if one else pairs
 
 
 def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:
@@ -223,8 +227,10 @@ def idm_accel_lanes(v: np.ndarray, gap: np.ndarray, v_lead: np.ndarray,
     r = r * r
     free = 1.0 - r * r
     dynamic = v * IDM_T + v * (v - v_lead) / _IDM_TWO_SQRT_AB
-    # max(0.0, x) keeps 0.0 unless x > 0.0
-    s_star = IDM_S0 + np.where(dynamic > 0.0, dynamic, 0.0)
+    # idm_accel keeps 0.0 unless dynamic > 0.0, and so does fmax, NaN
+    # included; the sign of fmax(-0.0, 0.0) is left open by IEEE 754, and
+    # IDM_S0 + absorbs it
+    s_star = IDM_S0 + np.fmax(dynamic, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = s_star / gap
         follow = IDM_A * (free - q * q)

@@ -82,8 +82,9 @@ def _episode_pins(stats):
 
 def test_traced_merging_comparison_keeps_the_selftest_pins(probe, tmp_path):
     # mirrors bench/selftest.py's mc-merging pins: one run_episode call per
-    # (policy, episode), each tallied once, and policies sharing results
-    from qgdrive import cli
+    # (policy, episode), each tallied once, policies sharing results, and
+    # the stream and initial-state layers busy
+    from qgdrive import cli, experiments
 
     episodes = 60
     argv = ["simulate", "--scenario", "merging",
@@ -91,14 +92,20 @@ def test_traced_merging_comparison_keeps_the_selftest_pins(probe, tmp_path):
             "--episodes", str(episodes), "--seed", "5", "--format", "json",
             "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    calls, tallied, distinct_frac = _episode_pins(probe.stats())
+    stats = probe.stats()
+    calls, tallied, distinct_frac = _episode_pins(stats)
     assert calls == tallied == 6 * episodes
     assert 0 < distinct_frac <= 4 / 6
+    # the stream and initial-state layers, busy once per chunk of episodes
+    chunks = -(-episodes // experiments._CHUNK)
+    assert stats["calls"]["experiments.episode_rng"] == chunks > 0
+    assert stats["calls"]["scenario_sim.sample_initial"] == chunks
 
 
 def test_traced_replay_comparison_keeps_the_selftest_pins(probe):
     # mirrors bench/selftest.py's mc-roundabout-replay pins, on the
-    # comparison bench/replay.py runs: no two calls share a result
+    # comparison bench/replay.py runs: no two calls share a result, and
+    # the stream layer is busy
     from qgdrive import classical_game, experiments, scenario_sim
 
     episodes = 40
@@ -108,9 +115,11 @@ def test_traced_replay_comparison_keeps_the_selftest_pins(probe):
     policies = ("cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "idm")
     experiments.run_comparison([experiments.PolicySpec(p, "uniform") for p in policies],
                                config)
-    calls, tallied, distinct_frac = _episode_pins(probe.stats())
+    stats = probe.stats()
+    calls, tallied, distinct_frac = _episode_pins(stats)
     assert calls == tallied == 6 * episodes
     assert distinct_frac == 1.0
+    assert stats["calls"]["experiments.episode_rng"] == -(-episodes // experiments._CHUNK) > 0
 
 
 @pytest.mark.parametrize("kind,name,rule", [

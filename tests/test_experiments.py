@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import inverse_cdf_joint
+from qgdrive import cli
 from qgdrive import experiments as ex
 from qgdrive import scenario_sim
 from qgdrive.classical_game import OutcomeDistribution, builtin_game
@@ -76,6 +81,30 @@ class TestSeeding:
         a = ex.episode_rng(7, 3).random(4)
         b = ex.episode_rng(7, 4).random(4)
         assert not np.array_equal(a, b)
+
+    # the oracle of the vectorized derivation: numpy's own SeedSequence and
+    # PCG64. Master seeds past 2**128 take a fifth run-entropy word, and the
+    # chunk from 2**32 - 2 crosses into two-word spawn keys
+    @given(st.integers(0, 2**130 - 1),
+           st.one_of(st.sampled_from([0, 2**32 - 2, 2**40]), st.integers(0, 2**48)))
+    @example(0, 0)
+    @example(2**128 - 1, 2**32 - 2)
+    @example(2**128, 2**40)
+    def test_streams_equal_numpys_seed_sequence_and_pcg64(self, master_seed, first):
+        count = 3
+        doubles, resume = ex.episode_rng(master_seed, first, count)
+        assert doubles.shape == (count, 6)
+        for j in range(count):
+            want = np.random.default_rng(
+                np.random.SeedSequence(master_seed, spawn_key=(first + j,)))
+            assert doubles[j].tobytes() == want.random(6).tobytes()
+            got = resume(j)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.integers(5) == want.integers(5)
+            assert got.random(298).tobytes() == want.random(298).tobytes()
+        # an int index alone is that episode's Generator at its stream's start
+        single = ex.episode_rng(master_seed, first + 2)
+        assert single.random(6).tobytes() == doubles[2].tobytes()
 
 
 class TestWilson:
@@ -309,9 +338,10 @@ class TestRuns:
         assert counts["decide"] > 0
         assert counts["rule"] == 40 + counts["decide"]
 
-    # under replay the others read their block from a copy of the stream,
-    # and a uniform QG_G4 (first here) draws its gate and own block from the
-    # stream itself; the held cases keep their bare ids
+    # under replay the others read their block from the episode's stream,
+    # and a uniform QG_G4 (first here) draws its gate and own block from
+    # that stream reset past the shared draws; the held cases keep their
+    # bare ids
     @pytest.mark.parametrize("kind,replay,chunk", [
         *(pytest.param("merging", False, chunk, id=str(chunk)) for chunk in (1, 7, 50)),
         *(pytest.param("roundabout", True, chunk, id=f"roundabout-replay-{chunk}")
@@ -341,6 +371,42 @@ class TestRuns:
         assert ex.run_comparison(policies, cfg) == default
         assert len(lanes_per_call) == -(-23 // chunk)
         assert max(lanes_per_call) <= 4 * chunk
+
+    @pytest.mark.parametrize("kind,gate,replay", [
+        ("merging", "Z", False), ("merging", "uniform", False), ("roundabout", "uniform", True),
+    ], ids=["merging-Z", "merging-uniform", "roundabout-replay-uniform"])
+    def test_chunk_size_does_not_move_the_report_bytes(self, kind, gate, replay, tmp_path,
+                                                       monkeypatch):
+        # 47 episodes in chunks of 7 end on a partial chunk; each chunk
+        # derives its streams in one pass, from its own start index
+        controller = "mobil" if kind == "merging" else "idm"
+        argv = ["simulate", "--scenario", kind, "--episodes", "47", "--seed", "7",
+                "--policies", f"cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,{controller}",
+                "--assumed-gate", gate, *(["--decision-replay"] if replay else [])]
+
+        def reports(tag):
+            paths = [tmp_path / f"{tag}.{fmt}" for fmt in ("csv", "json")]
+            for path in paths:
+                assert cli.main([*argv, "--format", path.suffix[1:], "--out", str(path)]) == 0
+            return [path.read_bytes() for path in paths]
+
+        default = reports("default")
+        monkeypatch.setattr(ex, "_CHUNK", 7)
+        assert reports("chunk7") == default
+
+    def test_held_run_never_loads_numpy_random(self, tmp_path):
+        # numpy 2 loads numpy.random on first use, about 15 ms; a held run
+        # draws nothing past each episode's six doubles, so it never needs it
+        code = ("import sys; from qgdrive import cli; loaded = 'numpy.random' in sys.modules; "
+                "code = cli.main(['simulate', '--scenario', 'merging', '--policies', "
+                "'cg-epd,qg-g4,mobil', '--episodes', '20', "
+                f"'--out', {str(tmp_path / 'r.csv')!r}]); "
+                "print(code, loaded, 'numpy.random' in sys.modules)")
+        src = str(Path(ex.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        code, before, after = out.stdout.split()[-3:]
+        assert code == "0" and after == before
 
     def test_comparison_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -719,6 +719,14 @@ class TestBatchedKernel:
         gap[:50] = 0.1
         v_lead = rng.uniform(0.0, 35.0, n)
         lead = rng.random(n) < 0.7                    # the rest: free road
+        # leaders at 20 m behind which the dynamic term is +0.0 (at rest),
+        # -0.0 (-0.0 behind -0.0) and negative (slower than the leader)
+        v[50:80], v_lead[50:80], gap[50:80], lead[50:80] = 0.0, 10.0, 20.0, True
+        v[60:70] = v_lead[60:70] = -0.0
+        v[70:80], v_lead[70:80] = 1.0, 30.0
+        dynamic = v * sim.IDM_T + v * (v - v_lead) / sim._IDM_TWO_SQRT_AB
+        assert not np.signbit(dynamic[50:60]).any() and (dynamic[50:70] == 0.0).all()
+        assert np.signbit(dynamic[60:70]).all() and (dynamic[70:80] < 0.0).all()
         got = sim.idm_accel_lanes(v, gap, v_lead, lead, v0)
         want = np.array([
             sim.idm_accel(vi, gi if li else None, wi, v0)
