@@ -15,10 +15,17 @@ The loop is episode-major: a comparison takes each episode's initial states
 and both decision uniforms once, and every policy decides and integrates
 from those same values (common random numbers). A policy's row therefore
 does not depend on which other policies run beside it, or in what order.
-episode_rng derives a whole chunk's streams in one vectorized pass, equal bit
-for bit to numpy's SeedSequence -> PCG64 for each episode; numpy itself is
-the oracle of tests/test_experiments.py's
-test_streams_equal_numpys_seed_sequence_and_pcg64.
+episode_rng derives all of these draws for a chunk of episodes in one
+vectorized pass, equal bit for bit to numpy's SeedSequence -> PCG64 for
+each episode: the six doubles (PCG64 outputs 1 .. 6); a uniform QG_G4's
+gate, as numpy's integers(5) draws it from the low 32 bits of output 7;
+and under replay the shared block (outputs 7 .. 6 + k) and that QG_G4's
+own (outputs 8 .. 7 + k, as random() never reads output 7's high half,
+which integers buffers). numpy itself is the oracle of the stream, row and
+gate tests in tests/test_experiments.py. Only where numpy would reject the
+gate's word and read on, about once in 2**32 episodes, does a run build a
+numpy Generator on the episode's stream, and so load numpy.random, to draw
+that gate and the block after it.
 
 The episodes go in chunks of _CHUNK, each in three passes (decide, integrate
 the held joint actions in one batch, tally); run_comparison's docstring
@@ -154,7 +161,14 @@ class MetricsSummary:
 # arithmetic wraps and the dtypes do not depend on numpy's casting rules.
 _U32, _U64 = np.uint32, np.uint64
 _LOW32 = 0xFFFFFFFF
-_PCG_MULT = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# _rows derives _ROWS streams' rows at a time, each row in blocks of _JUMP
+# outputs. On a 2-core Xeon with numpy 2.4.6, 305 outputs of 500 streams
+# took 3.4 ms in blocks of 16 against 9.0 ms stepping every output (8 and
+# 32 were slower), and episode_rng with 299-double rows for 500 streams
+# took 6.0, 4.7 and 4.4 ms in batches of 128, 256 and 512. A batch of 256
+# such rows is 0.6 MB.
+_ROWS, _JUMP = 256, 16
 
 
 def _hasher(const: int, mult: int):
@@ -200,63 +214,135 @@ def _seed_state(master_seed: int, index: np.ndarray) -> list:
     return [w32[2 * j] | (w32[2 * j + 1] << _U64(32)) for j in range(4)]
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's state step, state * multiplier + inc mod 2**128, on halves;
-    the low halves' 64x64-bit product is split into 32-bit limbs."""
-    m_hi, m_lo = _PCG_MULT
+def _affine(hi, lo, mult: int, add_hi, add_lo):
+    """hi:lo * mult + add_hi:add_lo mod 2**128 on (high, low) uint64 halves,
+    for a Python int mult; the low halves' 64x64-bit product is split into
+    32-bit limbs. PCG64's step is mult _PCG_MULT and add its increment."""
+    m_hi, m_lo = _U64(mult >> 64), _U64(mult & 0xFFFFFFFFFFFFFFFF)
     a0, a1 = lo & _U64(_LOW32), lo >> _U64(32)
     b0, b1 = m_lo & _U64(_LOW32), m_lo >> _U64(32)
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
     mid = (p00 >> _U64(32)) + (p01 & _U64(_LOW32)) + (p10 & _U64(_LOW32))
     carry = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
-    new_lo = lo * m_lo + inc_lo
-    return carry + hi * m_lo + lo * m_hi + inc_hi + (new_lo < inc_lo), new_lo
+    new_lo = lo * m_lo + add_lo
+    return carry + hi * m_lo + lo * m_hi + add_hi + (new_lo < add_lo), new_lo
 
 
-def episode_rng(master_seed: int, index: int, count: "int | None" = None):
+def _xsl_rr(hi, lo):
+    """PCG64's output: hi ^ lo rotated right by hi's top six bits."""
+    x, rot = hi ^ lo, hi >> _U64(58)
+    return (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+
+
+def _double(x):
+    """numpy's random() double from a 64-bit output."""
+    return (x >> _U64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _generator(hi: int, lo: int, inc_hi: int, inc_lo: int):
+    """A numpy Generator on PCG64 at state hi:lo with increment inc_hi:inc_lo.
+    numpy 2 loads numpy.random, about 15 ms, on first use."""
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": int(hi) << 64 | int(lo), "inc": int(inc_hi) << 64 | int(inc_lo)}}
+    return gen
+
+
+def _rows(hi, lo, inc_hi, inc_lo, width: int):
+    """The next `width` random() draws of each PCG64 stream at state hi:lo
+    with increment inc_hi:inc_lo (uint64 arrays, one stream per element), as
+    an array row per stream, derived _ROWS streams at a time.
+
+    Output t's state is mult**t * state + (1 + mult + ... + mult**(t-1)) *
+    inc mod 2**128. So the first block of _JUMP outputs is stepped one
+    output at a time, and each later block is the block before it under
+    one affine map, with t = _JUMP."""
+    step = min(_JUMP, width)
+    jump = pow(_PCG_MULT, step, 2**128)
+    bump = sum(pow(_PCG_MULT, t, 2**128) for t in range(step)) % 2**128
+    for r in range(0, len(lo), _ROWS):
+        cut = slice(r, r + _ROWS)
+        state, inc = (hi[cut], lo[cut]), (inc_hi[cut], inc_lo[cut])
+        his, los = np.empty((2, len(state[1]), step), _U64)
+        for t in range(step):
+            state = _affine(*state, _PCG_MULT, *inc)
+            his[:, t], los[:, t] = state
+        bump_hi, bump_lo = (b[:, None] for b in _affine(*inc, bump, _U64(0), _U64(0)))
+        batch = np.empty((len(los), width))
+        for c in range(0, width, step):
+            if c:
+                his, los = _affine(his[:, :width - c], los[:, :width - c], jump, bump_hi, bump_lo)
+            batch[:, c:c + step] = _double(_xsl_rr(his, los))
+        yield from batch
+
+
+def _streams(hi, lo, inc_hi, inc_lo, choices: "int | None"):
+    """episode_rng's (doubles, gates, rows, resume) for PCG64 streams at
+    seeded states hi:lo with increments inc_hi:inc_lo, one stream per
+    element of the uint64 arrays."""
+    doubles, gates = np.empty((len(lo), 6)), None
+    state = hi, lo
+    for t in range(6):
+        state = _affine(*state, _PCG_MULT, inc_hi, inc_lo)
+        doubles[:, t] = _double(_xsl_rr(*state))
+    if choices is not None:
+        # numpy's integers(choices): Lemire's bounded draw on the seventh
+        # output's low word, rejected only when the product's low word is
+        # below (2**32 - choices) % choices; numpy then reads the high word
+        word = _xsl_rr(*_affine(*state, _PCG_MULT, inc_hi, inc_lo)) & _U64(_LOW32)
+        m = word * _U64(choices)
+        gates = np.where(m & _U64(_LOW32) < _U64((2**32 - choices) % choices), -1,
+                         (m >> _U64(32)).astype(np.int64))
+    return (doubles, gates, lambda width: _rows(*state, inc_hi, inc_lo, width),
+            lambda j: _generator(state[0][j], state[1][j], inc_hi[j], inc_lo[j]))
+
+
+def episode_rng(master_seed: int, index: int, count: "int | None" = None,
+                choices: "int | None" = None):
     """Episode `index`'s independent stream, keyed by (master_seed, index):
     equal bit for bit to numpy's default_rng(SeedSequence(master_seed,
-    spawn_key=(index,))), which tests/test_experiments.py's oracle test
-    checks. index + count must not exceed 2**64.
+    spawn_key=(index,))), which tests/test_experiments.py's oracle tests
+    check. index + count must not exceed 2**64.
 
     With count=None, that episode's Generator at the start of its stream.
-    With a count, the streams of episodes index .. index + count - 1, derived
-    in one vectorized pass: a (count, 6) array of each stream's first six
-    doubles, the contract's ev_s, ev_v, iv_s, iv_v, u_ev and u_iv, and
-    `resume`, where resume(j) sets one reusable Generator to episode
-    index + j's stream just after those six and returns it. The Generator
-    is made at the first resume call, so a run that draws nothing more
-    never loads numpy.random.
+    With a count, the streams of episodes index .. index + count - 1,
+    derived in one vectorized pass, as (doubles, gates, rows, resume):
+    - doubles, a (count, 6) array of each stream's first six random()
+      draws, the contract's ev_s, ev_v, iv_s, iv_v, u_ev and u_iv.
+    - gates, with choices given: each stream's integers(choices) right
+      after the six, from the seventh output's low word, as an int array;
+      -1 where numpy would reject that word and read on, about once in
+      2**32 streams at five choices. None without choices.
+    - rows(width), an iterator of one array per stream, in order: the
+      `width` random() draws right after the six. Under replay the first k
+      are the shared replay block, and a uniform QG_G4's own block is the
+      k after the first, since its gate takes the seventh output's low
+      word and random() never reads the high one. The rows are derived a
+      few hundred streams at a time, so a chunk's are never all held.
+    - resume(j), a numpy Generator on episode index + j's stream just after
+      the six: the fallback for a -1 gate, and the only draw that loads
+      numpy.random.
     """
     _require_int("master_seed", master_seed, 0)
+    _require_int("index", index, 0)
+    if count is not None:
+        _require_int("count", count, 0)
+    if choices is not None:
+        _require_int("choices", choices, 2)
+        if choices > _LOW32:
+            raise ValueError(f"choices must be below 2**32, got {choices}")
     n = 1 if count is None else count
+    if index + n > 2**64:
+        raise ValueError(f"index + count must not exceed 2**64, got {index} + {n}")
     s0, s1, s2, s3 = _seed_state(master_seed, np.arange(index, index + n, dtype=_U64))
     # PCG64's seeding: inc = seq << 1 | 1, state = (inc + initial) stepped once
     inc_hi, inc_lo = (s2 << _U64(1)) | (s3 >> _U64(63)), (s3 << _U64(1)) | _U64(1)
     lo = inc_lo + s1
-    state = _pcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
-    gen = None
-
-    def resume(j):  # reads `state` when called: seeded, or past the six below
-        nonlocal gen
-        if gen is None:  # numpy 2 loads numpy.random, about 15 ms, on first use
-            gen = np.random.default_rng(0)
-        hi, lo = state
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": int(hi[j]) << 64 | int(lo[j]),
-                      "inc": int(inc_hi[j]) << 64 | int(inc_lo[j])}}
-        return gen
-
+    hi, lo = _affine(inc_hi + s0 + (lo < s1), lo, _PCG_MULT, inc_hi, inc_lo)
     if count is None:
-        return resume(0)
-    doubles = np.empty((n, 6))
-    for k in range(6):  # XSL-RR: step, then rotate hi ^ lo right by hi's top 6 bits
-        state = hi, lo = _pcg_step(*state, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U64(58)
-        x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-        doubles[:, k] = (x >> _U64(11)) * (1.0 / 9007199254740992.0)
-    return doubles, resume
+        return _generator(hi[0], lo[0], inc_hi[0], inc_lo[0])
+    return _streams(hi, lo, inc_hi, inc_lo, choices)
 
 
 def wilson_halfwidth(successes: int, n: int) -> float:
@@ -330,6 +416,11 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
     IV's, for IDM/MOBIL, whose rule reads the state the callback is given. A
     uniform QG_G4 draws its gate first, so it reads a block of its own,
     drawn from `rng` after the gate.
+
+    `rng` is read through its integers(n) and random(k) calls only: a numpy
+    Generator on the episode's stream just after the shared six, or
+    run_comparison's _Derived, which answers both calls from the row that
+    episode_rng derived.
     """
     if dists is None:
         rule = POLICIES[policy.name][1]
@@ -358,6 +449,23 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
     return start, replay
 
 
+class _Derived:
+    """A uniform QG_G4's draws past an episode's shared six, as episode_rng
+    derives them: the Generator calls episode_decision makes, integers for
+    its gate and then random for its own replay block, read from the row."""
+
+    __slots__ = ("gate", "row")
+
+    def __init__(self, gate: int, row):
+        self.gate, self.row = gate, row
+
+    def integers(self, choices):
+        return self.gate
+
+    def random(self, size):
+        return self.row[1:1 + size]
+
+
 # Episodes per kernel call. A chunk's lanes are its distinct held
 # (episode, joint action) pairs, at most four per episode, so this bounds the
 # kernel's arrays however many episodes a run has. Each call pays a fixed
@@ -367,7 +475,10 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
 # 1.04 times as long with chunks of 512, 1024, 2048 and 4096 (the median
 # ratio over 41 interleaved rounds), and 2048 is the smallest within 3% of
 # the fastest. A chunk holds about 2 KB per episode: run_comparison's
-# tracemalloc peak there is 4.1 MB at 2048, against 1.1 MB at 512.
+# tracemalloc peak there is 3.7 MB at 2048, against 0.9 MB at 512. Under
+# decision replay (roundabout, six policies with a uniform QG_G4, 10,000
+# episodes) it is 4.0 MB at 2048 and 2.1 MB at 512, mostly replayed
+# results: episode_rng derives the replay rows _ROWS episodes at a time.
 _CHUNK = 2048
 
 
@@ -378,12 +489,16 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     the wrong scenario, is rejected before anything runs.
 
     The episodes go in chunks of _CHUNK, each in three passes.
-    (1) Derive the chunk's streams and their first six doubles in one
-    vectorized episode_rng call, equal bit for bit to numpy's SeedSequence
-    -> PCG64 per episode, and scale every initial state in one
-    sample_initial call. Then, episode by episode, take any further draws
-    from the episode's stream as the contract says and decide each
-    (episode, policy) once with episode_decision. Without replay every
+    (1) Derive every draw the chunk's episodes take with one vectorized
+    episode_rng call, equal bit for bit to numpy's SeedSequence -> PCG64
+    per episode: the six doubles, a uniform QG_G4's gate, and under replay
+    the shared block and that QG_G4's own, in rows of a few hundred
+    episodes at a time. Scale every initial state in one sample_initial
+    call. Then, episode by episode, decide each (episode, policy) once with
+    episode_decision, which reads a uniform QG_G4's draws from the derived
+    row; only where numpy's bounded draw would reject the gate's word
+    (about once in 2**32 episodes) does it read a Generator on the
+    episode's stream. Without replay every
     policy is held for the whole episode. Under decision replay a game
     policy is held in an episode whose law is fixed (_fixed_law): P(A=0)
     and the drawn EV action's conditional are exactly 0.0 or 1.0, so no
@@ -413,25 +528,27 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
     dists = [policy_distributions(spec, config.game) for spec in specs]
     outcomes = [Counter() for _ in specs]
     headway_totals = [0.0] * len(specs)
+    choices = next((len(d) for d in dists if isinstance(d, tuple)), None)
     k = 2 * (scenario.horizon - 1)
-    gate_draws = any(isinstance(d, tuple) for d in dists)
 
     def tally(j, result):
         outcomes[j][result.outcome] += 1
         headway_totals[j] += result.mean_headway
 
-    for start in range(0, n, _CHUNK):
-        # pass 1: the chunk's streams and initial states at once, then one
-        # decision per (episode, policy): a held joint action, or None and
-        # the replayed result. Only a uniform QG_G4 draws further (its gate,
-        # then its own block), and a label appears once, so the policies can
-        # share `rng`, reset to the episode's stream after the shared block
-        u, resume = episode_rng(config.master_seed, start, min(_CHUNK, n - start))
+    def run_chunk(start, count):  # its arrays and results go when it returns
+        # pass 1: one decision per (episode, policy): a held joint action,
+        # or None and the replayed result. Only a uniform QG_G4 draws past
+        # the shared block, and a label appears once, so the policies share
+        # `rng`: the row's gate and own block, or the fallback Generator
+        u, gates, rows, resume = episode_rng(config.master_seed, start, count, choices)
         episodes, replayed = [], []
-        for j, ((ev0, iv0), (u_ev, u_iv)) in enumerate(zip(
-                sample_initial(scenario, u[:, :4]), u[:, 4:].tolist())):
-            block = resume(j).random(k).tolist() if scenario.decision_replay else None
-            rng = resume(j) if gate_draws else None
+        for j, ((ev0, iv0), (u_ev, u_iv), gate, row) in enumerate(zip(
+                sample_initial(scenario, u[:, :4]), u[:, 4:].tolist(),
+                [None] * count if gates is None else gates.tolist(),
+                # the shared block, then one more draw for a uniform QG_G4's own
+                rows(k + (choices is not None)) if scenario.decision_replay else [None] * count)):
+            block = None if row is None else row[:k].tolist()
+            rng = None if gate is None else resume(j) if gate < 0 else _Derived(gate, row)
             joints = []
             for spec, d in zip(specs, dists):
                 joint, decide = episode_decision(spec, scenario, d, rng, ev0, iv0,
@@ -454,6 +571,9 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
             for j, joint in enumerate(joints):
                 tally(j, next(replayed) if joint is None else
                       run_episode(scenario, ev0, iv0, *joint, shared=shared))
+
+    for start in range(0, n, _CHUNK):
+        run_chunk(start, min(_CHUNK, n - start))
     return tuple(
         MetricsSummary(
             scenario=scenario.kind,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -26,6 +27,33 @@ def merging_config(episodes=200, seed=5):
         episodes=episodes,
         master_seed=seed,
     )
+
+
+def _report_bytes(stem, argv):
+    """The CSV and JSON reports of `qgdrive simulate` with argv, written
+    next to `stem`."""
+    paths = [stem.with_suffix(f".{fmt}") for fmt in ("csv", "json")]
+    for path in paths:
+        assert cli.main([*argv, "--format", path.suffix[1:], "--out", str(path)]) == 0
+    return [path.read_bytes() for path in paths]
+
+
+def _loads_numpy_random(tmp_path, kind, gate, replay=False):
+    """Whether a `simulate` run of three policies, in a fresh interpreter,
+    loads numpy.random: 'True' or 'False'."""
+    controller = "mobil" if kind == "merging" else "idm"
+    argv = ["simulate", "--scenario", kind, "--policies", f"cg-epd,qg-g4,{controller}",
+            "--assumed-gate", gate, "--episodes", "20", "--out", str(tmp_path / "r.csv"),
+            *(["--decision-replay"] if replay else [])]
+    code = ("import sys; from qgdrive import cli; loaded = 'numpy.random' in sys.modules; "
+            f"code = cli.main({argv!r}); "
+            "print(code, loaded, 'numpy.random' in sys.modules)")
+    src = str(Path(ex.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    code, before, after = out.stdout.split()[-3:]
+    assert code == "0" and before == "False"
+    return after
 
 
 class TestPolicySpec:
@@ -92,8 +120,8 @@ class TestSeeding:
     @example(2**128, 2**40)
     def test_streams_equal_numpys_seed_sequence_and_pcg64(self, master_seed, first):
         count = 3
-        doubles, resume = ex.episode_rng(master_seed, first, count)
-        assert doubles.shape == (count, 6)
+        doubles, gates, _, resume = ex.episode_rng(master_seed, first, count)
+        assert doubles.shape == (count, 6) and gates is None
         for j in range(count):
             want = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(first + j,)))
@@ -105,6 +133,121 @@ class TestSeeding:
         # an int index alone is that episode's Generator at its stream's start
         single = ex.episode_rng(master_seed, first + 2)
         assert single.random(6).tobytes() == doubles[2].tobytes()
+
+    # the replay rows and the gate, against numpy's draws on the same
+    # stream: random(6) and random(width) for the six and the row; random(6),
+    # integers(choices) and random(width - 1) for the gate and the block
+    # after it. 298 and 299 are the roundabout's k and k + 1; 2**31 + 1
+    # choices rejects the gate's first word about half the time, so both
+    # sides of the flag are seen
+    @given(st.integers(0, 2**130 - 1),
+           st.one_of(st.sampled_from([0, 2**32 - 2, 2**40]), st.integers(0, 2**48)),
+           st.sampled_from([1, 15, 16, 17, 33, 298, 299]),
+           st.sampled_from([None, 2, 5, 7, 2**31 + 1, 2**32 - 1]))
+    @example(2**128, 2**32 - 2, 299, 5)
+    @example(2**128, 2**40, 298, None)
+    def test_rows_and_gates_equal_numpys_draws(self, master_seed, first, width, choices):
+        doubles, gates, rows, resume = ex.episode_rng(master_seed, first, 3, choices)
+        rows = list(rows(width))
+        assert len(rows) == 3 and (gates is None) == (choices is None)
+        for j, row in enumerate(rows):
+            def stream():
+                return np.random.default_rng(
+                    np.random.SeedSequence(master_seed, spawn_key=(first + j,)))
+
+            want = stream()
+            assert doubles[j].tobytes() == want.random(6).tobytes()
+            assert row.tobytes() == want.random(width).tobytes()
+            if choices is None:
+                continue
+            want, twin = stream(), stream()
+            want.random(6), twin.random(7)
+            gate = int(want.integers(choices))
+            state = want.bit_generator.state
+            block = want.random(298)
+            # numpy took the gate from output 7's low word, on the first try
+            first_try = (state["has_uint32"] == 1
+                         and state["state"] == twin.bit_generator.state["state"])
+            assert (gates[j] >= 0) == first_try
+            if first_try:
+                assert gates[j] == gate
+                assert row[1:].tobytes() == block[:width - 1].tobytes()
+            fallback = resume(j)
+            assert fallback.integers(choices) == gate
+            assert fallback.random(298).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2, 512])
+    def test_rows_do_not_depend_on_the_batch(self, batch, monkeypatch):
+        # _rows derives _ROWS streams at a time; 5 streams fill no batch of 2
+        want = [np.random.default_rng(np.random.SeedSequence(11, spawn_key=(i,))).random(305)[6:]
+                for i in range(40, 45)]
+        monkeypatch.setattr(ex, "_ROWS", batch)
+        rows = ex.episode_rng(11, 40, 5)[2]
+        assert [row.tobytes() for row in rows(299)] == [w.tobytes() for w in want]
+
+    # a PCG64 state whose seventh output has a chosen low word: zero, the
+    # one word numpy's integers(5) rejects, or 5**-1 mod 2**32, whose
+    # product with 5 leaves 1, the least low word numpy accepts. Pick the
+    # seventh state, then undo seven LCG steps, s = (s' - inc) / mult
+    @pytest.mark.parametrize("low,rejected", [(0, True), (pow(5, -1, 2**32), False)],
+                             ids=["zero-word", "least-accepted-word"])
+    def test_crafted_gate_words_are_flagged_as_numpy_rejects_them(self, low, rejected):
+        mask = 2**64 - 1
+        inc = 0x9E3779B97F4A7C15F39CC0605CEDC835
+        hi = 0xFEDCBA9876543210
+        rot = hi >> 58
+        word = 0xDEADBEEF << 32 | low
+        lo = hi ^ ((word << rot | word >> (64 - rot)) & mask)  # XSL-RR gives `word`
+        state, inverse = hi << 64 | lo, pow(ex._PCG_MULT, -1, 2**128)
+        for _ in range(7):
+            state = (state - inc) * inverse % 2**128
+        want = np.random.Generator(np.random.PCG64())
+        want.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                    "state": {"state": state, "inc": inc}}
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = want.bit_generator.state
+        six, row = want.random(6), want.random(299)
+        want.bit_generator.state = twin.bit_generator.state
+        want.random(6)
+        twin.random(6)
+        assert twin.bit_generator.random_raw() == word
+        gate = int(want.integers(5))
+        # numpy reads on to the high word only when it rejects the low one
+        assert (want.bit_generator.state["has_uint32"] == 0) == rejected
+        block = want.random(298)
+        # lane 0 is the crafted stream, lane 1 an ordinary one
+        seeded = [state, 0x243F6A8885A308D313198A2E03707344]
+        incs = [inc, 0xA4093822299F31D0082EFA98EC4E6C89 | 1]
+        halves = [np.array([v >> 64 for v in seeded], ex._U64),
+                  np.array([v & mask for v in seeded], ex._U64),
+                  np.array([v >> 64 for v in incs], ex._U64),
+                  np.array([v & mask for v in incs], ex._U64)]
+        doubles, gates, rows, resume = ex._streams(*halves, 5)
+        assert doubles[0].tobytes() == six.tobytes()
+        assert next(rows(299)).tobytes() == row.tobytes()
+        assert gates[0] == (-1 if rejected else gate) and gates[1] >= 0
+        if not rejected:
+            assert row[1:].tobytes() == block.tobytes()
+        fallback = resume(0)
+        assert fallback.integers(5) == gate
+        assert fallback.random(298).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("args,name", [
+        ((7, 1.5), "index"), ((7, -1), "index"), ((7, True), "index"), ((7, -1, 3), "index"),
+        ((7, 0, -1), "count"), ((7, 0, 2.0), "count"),
+        ((7, 2**64), "index + count"), ((7, 2**64 - 2, 3), "index + count"),
+        ((7, 0, 3, 1), "choices"), ((7, 0, 3, 2**32), "choices"),
+    ], ids=["fractional-index", "negative-index", "bool-index", "negative-index-count",
+            "negative-count", "float-count", "index-past-2**64", "count-past-2**64",
+            "one-choice", "choices-past-2**32"])
+    def test_bad_arguments_are_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
+            ex.episode_rng(*args)
+
+    def test_streams_reach_index_2_to_the_64(self):
+        doubles = ex.episode_rng(7, 2**64 - 2, 2)[0]
+        last = ex.episode_rng(7, 2**64 - 1)
+        assert last.random(6).tobytes() == doubles[1].tobytes()
 
 
 class TestWilson:
@@ -383,30 +526,45 @@ class TestRuns:
         argv = ["simulate", "--scenario", kind, "--episodes", "47", "--seed", "7",
                 "--policies", f"cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,{controller}",
                 "--assumed-gate", gate, *(["--decision-replay"] if replay else [])]
-
-        def reports(tag):
-            paths = [tmp_path / f"{tag}.{fmt}" for fmt in ("csv", "json")]
-            for path in paths:
-                assert cli.main([*argv, "--format", path.suffix[1:], "--out", str(path)]) == 0
-            return [path.read_bytes() for path in paths]
-
-        default = reports("default")
+        default = _report_bytes(tmp_path / "default", argv)
         monkeypatch.setattr(ex, "_CHUNK", 7)
-        assert reports("chunk7") == default
+        assert _report_bytes(tmp_path / "chunk7", argv) == default
 
     def test_held_run_never_loads_numpy_random(self, tmp_path):
         # numpy 2 loads numpy.random on first use, about 15 ms; a held run
         # draws nothing past each episode's six doubles, so it never needs it
-        code = ("import sys; from qgdrive import cli; loaded = 'numpy.random' in sys.modules; "
-                "code = cli.main(['simulate', '--scenario', 'merging', '--policies', "
-                "'cg-epd,qg-g4,mobil', '--episodes', '20', "
-                f"'--out', {str(tmp_path / 'r.csv')!r}]); "
-                "print(code, loaded, 'numpy.random' in sys.modules)")
-        src = str(Path(ex.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-        code, before, after = out.stdout.split()[-3:]
-        assert code == "0" and after == before
+        assert _loads_numpy_random(tmp_path, "merging", "Z") == "False"
+
+    # every draw comes from episode_rng's derived rows; numpy.random loads
+    # only for a gate word numpy would reject, about once in 2**32 episodes
+    @pytest.mark.parametrize("kind,replay", [("roundabout", True), ("merging", False)],
+                             ids=["roundabout-replay", "merging"])
+    def test_uniform_gate_runs_never_load_numpy_random(self, tmp_path, kind, replay):
+        assert _loads_numpy_random(tmp_path, kind, "uniform", replay) == "False"
+
+    def test_rejected_gates_fall_back_to_the_same_report_bytes(self, tmp_path, monkeypatch):
+        # flag every lane's gate word as rejected, so each uniform QG_G4
+        # draws its gate and its own block from a Generator on its stream
+        argv = ["simulate", "--scenario", "roundabout", "--episodes", "60", "--seed", "7",
+                "--policies", "cg-epd,cg-ms,qg-u1-1,qg-u1-2,qg-g4,idm",
+                "--assumed-gate", "uniform", "--decision-replay"]
+        derived = _report_bytes(tmp_path / "derived", argv)
+        real = ex.episode_rng
+        resumed = Counter()
+
+        def rejecting(*args):
+            doubles, gates, rows, resume = real(*args)
+
+            def counted(j):
+                resumed[j] += 1
+                return resume(j)
+
+            return doubles, np.full_like(gates, -1), rows, counted
+
+        monkeypatch.setattr(ex, "episode_rng", rejecting)
+        assert _report_bytes(tmp_path / "fallback", argv) == derived
+        # two runs, csv and json, each resume every episode once
+        assert sorted(resumed) == list(range(60)) and set(resumed.values()) == {2}
 
     def test_comparison_rejects_empty(self):
         with pytest.raises(ValueError):
