@@ -145,23 +145,20 @@ def builtin_scenario(kind: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(kind, **{**_BUILTIN[kind], **overrides})
 
 
-def sample_initial(config: ScenarioConfig, rng):
-    """Draw (EV, IV) uniformly from the configured ranges: one pair from a
-    Generator's next four uniforms, or a list of n pairs, one per row, from
-    an (n, 4) array of uniforms.
+def sample_initial(config: ScenarioConfig, uniforms):
+    """Draw (EV, IV) uniformly from the configured ranges: a list of n
+    pairs, one per row of an (n, 4) array of uniforms.
 
     Draw order is fixed (ev_s, ev_v, iv_s, iv_v) so seeded runs are stable.
     The uniforms are scaled in one lo + (hi - lo) * u expression, numpy's
-    own uniform formula, so each value equals an rng.uniform(lo, hi) call on
-    the same stream, bit for bit. Zero-width ranges produce the endpoint
-    deterministically.
+    own uniform formula, so each value equals a uniform(lo, hi) call on the
+    stream the uniforms came from, bit for bit. Zero-width ranges produce
+    the endpoint deterministically.
     """
-    one = not isinstance(rng, np.ndarray)
     lo, hi = np.array((config.ev_s_range, config.ev_v_range,
                        config.iv_s_range, config.iv_v_range)).T
-    pairs = [(VehicleState(ev_s, ev_v), VehicleState(iv_s, iv_v)) for ev_s, ev_v, iv_s, iv_v
-             in (lo + (hi - lo) * (rng.random((1, 4)) if one else rng)).tolist()]
-    return pairs[0] if one else pairs
+    return [(VehicleState(ev_s, ev_v), VehicleState(iv_s, iv_v)) for ev_s, ev_v, iv_s, iv_v
+            in (lo + (hi - lo) * uniforms).tolist()]
 
 
 def classify_outcome(collided: bool, completed: bool, violation: bool) -> str:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 from typing import get_type_hints
@@ -14,7 +15,7 @@ from hypothesis import example, given, strategies as st
 from oracles import inverse_cdf_joint
 from qgdrive import cli
 from qgdrive import experiments as ex
-from qgdrive import scenario_sim
+from qgdrive import scenario_sim, streams
 from qgdrive.classical_game import OutcomeDistribution, builtin_game
 from qgdrive.quantum_game import GATE_ORDER, QuantumGate
 from qgdrive.scenario_sim import builtin_scenario
@@ -101,13 +102,13 @@ class TestPolicySpec:
 
 class TestSeeding:
     def test_episode_rng_reproducible(self):
-        a = ex.episode_rng(7, 3).random(4)
-        b = ex.episode_rng(7, 3).random(4)
+        a = streams.episode_rng(7, 3).random(4)
+        b = streams.episode_rng(7, 3).random(4)
         assert np.array_equal(a, b)
 
     def test_episodes_independent(self):
-        a = ex.episode_rng(7, 3).random(4)
-        b = ex.episode_rng(7, 4).random(4)
+        a = streams.episode_rng(7, 3).random(4)
+        b = streams.episode_rng(7, 4).random(4)
         assert not np.array_equal(a, b)
 
     # the oracle of the vectorized derivation: numpy's own SeedSequence and
@@ -120,7 +121,7 @@ class TestSeeding:
     @example(2**128, 2**40)
     def test_streams_equal_numpys_seed_sequence_and_pcg64(self, master_seed, first):
         count = 3
-        doubles, gates, _, resume = ex.episode_rng(master_seed, first, count)
+        doubles, gates, _, resume = streams.episode_rng(master_seed, first, count)
         assert doubles.shape == (count, 6) and gates is None
         for j in range(count):
             want = np.random.default_rng(
@@ -131,7 +132,7 @@ class TestSeeding:
             assert got.integers(5) == want.integers(5)
             assert got.random(298).tobytes() == want.random(298).tobytes()
         # an int index alone is that episode's Generator at its stream's start
-        single = ex.episode_rng(master_seed, first + 2)
+        single = streams.episode_rng(master_seed, first + 2)
         assert single.random(6).tobytes() == doubles[2].tobytes()
 
     # the replay rows and the gate, against numpy's draws on the same
@@ -147,7 +148,7 @@ class TestSeeding:
     @example(2**128, 2**32 - 2, 299, 5)
     @example(2**128, 2**40, 298, None)
     def test_rows_and_gates_equal_numpys_draws(self, master_seed, first, width, choices):
-        doubles, gates, rows, resume = ex.episode_rng(master_seed, first, 3, choices)
+        doubles, gates, rows, resume = streams.episode_rng(master_seed, first, 3, choices)
         rows = list(rows(width))
         assert len(rows) == 3 and (gates is None) == (choices is None)
         for j, row in enumerate(rows):
@@ -178,11 +179,11 @@ class TestSeeding:
 
     @pytest.mark.parametrize("batch", [1, 2, 512])
     def test_rows_do_not_depend_on_the_batch(self, batch, monkeypatch):
-        # _rows derives _ROWS streams at a time; 5 streams fill no batch of 2
+        # row_batch takes _ROWS streams at a time; 5 streams fill no batch of 2
         want = [np.random.default_rng(np.random.SeedSequence(11, spawn_key=(i,))).random(305)[6:]
                 for i in range(40, 45)]
-        monkeypatch.setattr(ex, "_ROWS", batch)
-        rows = ex.episode_rng(11, 40, 5)[2]
+        monkeypatch.setattr(streams, "_ROWS", batch)
+        rows = streams.episode_rng(11, 40, 5)[2]
         assert [row.tobytes() for row in rows(299)] == [w.tobytes() for w in want]
 
     # a PCG64 state whose seventh output has a chosen low word: zero, the
@@ -198,7 +199,7 @@ class TestSeeding:
         rot = hi >> 58
         word = 0xDEADBEEF << 32 | low
         lo = hi ^ ((word << rot | word >> (64 - rot)) & mask)  # XSL-RR gives `word`
-        state, inverse = hi << 64 | lo, pow(ex._PCG_MULT, -1, 2**128)
+        state, inverse = hi << 64 | lo, pow(streams._PCG_MULT, -1, 2**128)
         for _ in range(7):
             state = (state - inc) * inverse % 2**128
         want = np.random.Generator(np.random.PCG64())
@@ -218,11 +219,11 @@ class TestSeeding:
         # lane 0 is the crafted stream, lane 1 an ordinary one
         seeded = [state, 0x243F6A8885A308D313198A2E03707344]
         incs = [inc, 0xA4093822299F31D0082EFA98EC4E6C89 | 1]
-        halves = [np.array([v >> 64 for v in seeded], ex._U64),
-                  np.array([v & mask for v in seeded], ex._U64),
-                  np.array([v >> 64 for v in incs], ex._U64),
-                  np.array([v & mask for v in incs], ex._U64)]
-        doubles, gates, rows, resume = ex._streams(*halves, 5)
+        halves = [np.array([v >> 64 for v in seeded], streams._U64),
+                  np.array([v & mask for v in seeded], streams._U64),
+                  np.array([v >> 64 for v in incs], streams._U64),
+                  np.array([v & mask for v in incs], streams._U64)]
+        doubles, gates, rows, resume = streams._streams(*halves, 5)
         assert doubles[0].tobytes() == six.tobytes()
         assert next(rows(299)).tobytes() == row.tobytes()
         assert gates[0] == (-1 if rejected else gate) and gates[1] >= 0
@@ -242,11 +243,11 @@ class TestSeeding:
             "one-choice", "choices-past-2**32"])
     def test_bad_arguments_are_rejected_by_name(self, args, name):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
-            ex.episode_rng(*args)
+            streams.episode_rng(*args)
 
     def test_streams_reach_index_2_to_the_64(self):
-        doubles = ex.episode_rng(7, 2**64 - 2, 2)[0]
-        last = ex.episode_rng(7, 2**64 - 1)
+        doubles = streams.episode_rng(7, 2**64 - 2, 2)[0]
+        last = streams.episode_rng(7, 2**64 - 1)
         assert last.random(6).tobytes() == doubles[1].tobytes()
 
 
@@ -529,6 +530,30 @@ class TestRuns:
         default = _report_bytes(tmp_path / "default", argv)
         monkeypatch.setattr(ex, "_CHUNK", 7)
         assert _report_bytes(tmp_path / "chunk7", argv) == default
+        if replay:
+            # replay rows in batches of 3 put a batch seam inside every chunk
+            monkeypatch.setattr(streams, "_ROWS", 3)
+            assert _report_bytes(tmp_path / "rows3", argv) == default
+
+    def test_each_row_batch_is_freed_before_the_next(self, monkeypatch):
+        # neither the row pass 1 holds nor the uniform QG_G4's _Derived on it
+        # may keep a batch alive while the next batch is derived
+        real, batches, alive = streams.row_batch, [], []
+
+        def tracked(*args):
+            alive.append([ref() is not None for ref in batches])
+            batch = real(*args)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(streams, "_ROWS", 4)
+        monkeypatch.setattr(streams, "row_batch", tracked)
+        policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", ex.PolicySpec("qg-g4", "uniform"),
+                    "idm"]
+        cfg = ex.MonteCarloConfig(builtin_scenario("roundabout", decision_replay=True),
+                                  builtin_game("roundabout"), 14, 7)
+        ex.run_comparison(policies, cfg)
+        assert alive == [[False] * n for n in range(4)]
 
     def test_held_run_never_loads_numpy_random(self, tmp_path):
         # numpy 2 loads numpy.random on first use, about 15 ms; a held run
@@ -709,7 +734,7 @@ class TestFixedLaws:
         spec = ex.PolicySpec("QG_G4", gate)
         law = ex.policy_distributions(spec, builtin_game(kind))
         rng = np.random.default_rng(seed)
-        ev0, iv0 = scenario_sim.sample_initial(scenario, rng)
+        ev0, iv0 = scenario_sim.sample_initial(scenario, rng.random((1, 4)))[0]
         u_ev, u_iv = rng.random(2).tolist()
         block = rng.random(2 * (scenario.horizon - 1)).tolist()
         start, callback = ex.episode_decision(spec, scenario, law, None, ev0, iv0, u_ev, u_iv,
@@ -756,7 +781,7 @@ class TestFixedLaws:
         starts, fixed = [], []
         for i in range(40):
             rng = ex.episode_rng(7, i)
-            starts.append(scenario_sim.sample_initial(cfg.scenario, rng)[0])
+            starts.append(scenario_sim.sample_initial(cfg.scenario, rng.random((1, 4)))[0][0])
             u_ev, u_iv = rng.random(2).tolist()
             gate = int(rng.integers(5))
             joint = ex._sample_joint(rows[gate].thresholds, u_ev, u_iv)

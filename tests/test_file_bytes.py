@@ -42,7 +42,7 @@ def roundabout_trace_csv(path):
     # the EV yields and then enters behind the accelerating IV, so the trace
     # passes through every phase of the episode
     cfg = scenario_sim.builtin_scenario("roundabout")
-    ev, iv = scenario_sim.sample_initial(cfg, experiments.episode_rng(7, 0))
+    ev, iv = scenario_sim.sample_initial(cfg, experiments.episode_rng(7, 0).random((1, 4)))[0]
     result = scenario_sim.run_episode(cfg, ev, iv, 1, 0, record_trace=True)
     scenario_sim.write_trace_csv(result, path)
 

@@ -87,9 +87,7 @@ class TestConfig:
 class TestSampling:
     def test_ranges_respected(self):
         cfg = sim.builtin_scenario("merging")
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            ev, iv = sim.sample_initial(cfg, rng)
+        for ev, iv in sim.sample_initial(cfg, np.random.default_rng(5).random((200, 4))):
             assert cfg.ev_s_range[0] <= ev.s <= cfg.ev_s_range[1]
             assert cfg.ev_v_range[0] <= ev.v <= cfg.ev_v_range[1]
             assert cfg.iv_s_range[0] <= iv.s <= cfg.iv_s_range[1]
@@ -101,13 +99,13 @@ class TestSampling:
             ev_s_range=(120.0, 120.0), ev_v_range=(6.0, 6.0),
             iv_s_range=(5.0, 5.0), iv_v_range=(8.0, 8.0),
         )
-        ev, iv = sim.sample_initial(cfg, np.random.default_rng(0))
+        ev, iv = sim.sample_initial(cfg, np.random.default_rng(0).random((1, 4)))[0]
         assert (ev.s, ev.v, iv.s, iv.v) == (120.0, 6.0, 5.0, 8.0)
 
     def test_same_seed_same_draw(self):
         cfg = sim.builtin_scenario("merging")
-        a = sim.sample_initial(cfg, np.random.default_rng(42))
-        b = sim.sample_initial(cfg, np.random.default_rng(42))
+        a = sim.sample_initial(cfg, np.random.default_rng(42).random((1, 4)))
+        b = sim.sample_initial(cfg, np.random.default_rng(42).random((1, 4)))
         assert a == b
 
     # the seeded contract: one block of four uniforms is four rng.uniform
@@ -124,7 +122,7 @@ class TestSampling:
     def test_one_block_equals_four_uniform_calls(self, ranges, seed):
         names = ("ev_s_range", "ev_v_range", "iv_s_range", "iv_v_range")
         cfg = sim.builtin_scenario("roundabout", **{n: tuple(r) for n, r in zip(names, ranges)})
-        ev, iv = sim.sample_initial(cfg, np.random.default_rng(seed))
+        ev, iv = sim.sample_initial(cfg, np.random.default_rng(seed).random((1, 4)))[0]
         rng = np.random.default_rng(seed)
         want = [float(rng.uniform(lo, hi)) for lo, hi in ranges]
         assert [x.hex() for x in (ev.s, ev.v, iv.s, iv.v)] == [x.hex() for x in want]
@@ -382,9 +380,7 @@ class TestEpisodes:
         # the collision/success split depends only on the joint action
         for kind, table in (("merging", MERGING_OUTCOMES), ("roundabout", ROUNDABOUT_OUTCOMES)):
             cfg = sim.builtin_scenario(kind)
-            rng = np.random.default_rng(99)
-            for _ in range(20):
-                ev, iv = sim.sample_initial(cfg, rng)
+            for ev, iv in sim.sample_initial(cfg, np.random.default_rng(99).random((20, 4))):
                 for (a, b), want in table.items():
                     got = sim.run_episode(cfg, ev, iv, a, b).outcome
                     if want == "timeout":
@@ -604,8 +600,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["merging", "roundabout"])
     def test_matches_run_episode_on_sampled_episodes(self, kind, seed):
         cfg = sim.builtin_scenario(kind)
-        rng = np.random.default_rng(seed)
-        states = [sim.sample_initial(cfg, rng) for _ in range(200)]
+        states = sim.sample_initial(cfg, np.random.default_rng(seed).random((200, 4)))
         assert_kernel_matches_run_episode(cfg, states)
 
     @pytest.mark.parametrize("kind", ["merging", "roundabout"])
@@ -663,8 +658,8 @@ class TestBatchedKernel:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_run_episode_on_drawn_configs(self, kind, seed, **fields):
         cfg = sim.builtin_scenario(kind, **fields)
-        rng = np.random.default_rng(seed)
-        assert_kernel_matches_run_episode(cfg, [sim.sample_initial(cfg, rng) for _ in range(8)])
+        states = sim.sample_initial(cfg, np.random.default_rng(seed).random((8, 4)))
+        assert_kernel_matches_run_episode(cfg, states)
 
     def test_edge_states_reach_the_branches_they_name(self):
         # the merging edge states, at EV action 0: the EV changes lane at
