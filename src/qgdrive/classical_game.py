@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +92,7 @@ class OutcomeDistribution:
                 self.p10 / p_a1 if p_a1 > 0.0 else 0.5)
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(NamedTuple):
     """Interior equilibrium. p: probability that B plays action 0, which
     makes A indifferent; q: probability that A plays action 0, which makes
     B indifferent."""
@@ -179,8 +179,7 @@ def cg_ms_distribution(game: TwoPlayerGame) -> OutcomeDistribution:
     A plays action 0 with probability q, B with probability p (each player
     mixes with the probabilities that keep the opponent indifferent).
     """
-    ms = mixed_strategy(game)
-    p, q = ms.p, ms.q
+    p, q = mixed_strategy(game)
     return OutcomeDistribution(q * p, q * (1.0 - p), (1.0 - q) * p, (1.0 - q) * (1.0 - p))
 
 
@@ -196,23 +195,30 @@ def read_key_values(path, required: dict, optional: dict) -> dict:
     `required` and `optional` map each allowed key to a converter for its
     value. Errors are ValueErrors: a missing or unreadable file (a directory,
     no permission), naming the path quoted so that an empty one shows as
-    '', or, naming path:line, a line without '=', a key outside both maps,
-    a repeated key, or a value its converter rejects with ValueError.
+    '', or, naming path:line, a line that is not UTF-8, a line without '=',
+    a key outside both maps, a repeated key, or a value its converter
+    rejects with ValueError.
     """
     fields = {**required, **optional}
     out = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # an undecodable byte is kept as a lone surrogate, so that its line is named
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         raise ValueError(f"{str(path)!r}: no such file") from None
     except OSError as e:
         raise ValueError(f"{str(path)!r}: cannot read: {e.strerror}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as e:
+                byte = ord(raw[e.start]) - 0xDC00
+                raise ValueError(f"{where}: byte {byte:#x} is not UTF-8") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             if "=" not in line:
                 raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))

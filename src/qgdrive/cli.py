@@ -24,9 +24,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple, replace
-
-import numpy as np
+from dataclasses import replace
 
 from . import classical_game, experiments, quantum_game
 from .classical_game import DegenerateGameError, NoInteriorEquilibriumError
@@ -83,9 +81,9 @@ def parse_angle(text: str) -> float:
         ) from None
 
 
-def parse_initial_flag(text: str) -> np.ndarray:
-    """'equal', a basis label, or 8 comma-separated re/im components; the
-    named forms are exact, the components are normalized."""
+def parse_initial_flag(text: str):
+    """The state vector of 'equal', a basis label, or 8 comma-separated re/im
+    components; the named forms are exact, the components are normalized."""
     s = text.strip()
     if "," not in s:
         if s.lower() == "equal":
@@ -256,8 +254,8 @@ def cmd_sweep(args) -> int:
         print(f"argmin E[u_A]: gamma = {mn.gamma!r}, theta_a = {mn.theta_a!r}, "
               f"theta_b = {mn.theta_b!r}, E = {mn.eu_a!r}")
         return 0
-    gamma = parse_angle(args.gamma) if args.gamma is not None else quantum_game.GAMMA_MAX
-    table = quantum_game.sweep_g4(game, initial=initial, gamma=gamma)
+    gamma = {} if args.gamma is None else {"gamma": parse_angle(args.gamma)}
+    table = quantum_game.sweep_g4(game, initial=initial, **gamma)
     path = output_path(args.out, f"gate_table_{file_stem(game)}.csv")
     quantum_game.write_gate_table_csv(table, path)
     print(f"wrote {path} (gamma = {table.gamma!r})")
@@ -300,7 +298,7 @@ def cmd_simulate(args) -> int:
     widths = [{"scenario": 12, "method": 16}.get(h, max(len(h) + 1, 9)) for h in header]
     print("".join(f"{h:<{w}}" for h, w in zip(header, widths)))
     for s in summaries:
-        cells = [f"{v:.6g}" if isinstance(v, float) else str(v) for v in astuple(s)]
+        cells = [f"{v:.6g}" if isinstance(v, float) else str(v) for v in s]
         print("".join(f"{c:<{w}}" for c, w in zip(cells, widths)))
     print("mean_headway_m averages post-decision steps, collision step excluded")
     return 0

@@ -40,7 +40,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classical_game import (
     OutcomeDistribution,
@@ -130,8 +131,7 @@ class MonteCarloConfig:
         _require_int("master_seed", self.master_seed, 0)
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     scenario: str
     method: str
     episodes: int
@@ -370,7 +370,7 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
 # ---------------------------------------------------------------------------
 # Reports
 
-REPORT_FIELDS = tuple(f.name for f in fields(MetricsSummary))
+REPORT_FIELDS = MetricsSummary._fields
 
 
 def emit_report(summaries, path, fmt: str = "csv") -> None:
@@ -379,10 +379,10 @@ def emit_report(summaries, path, fmt: str = "csv") -> None:
     fractions, not percent. An unknown fmt raises ValueError before the file
     is opened."""
     if fmt == "csv":
-        write_csv(path, REPORT_FIELDS, zip(*map(astuple, summaries)))
+        write_csv(path, REPORT_FIELDS, zip(*summaries))
     elif fmt == "json":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump([asdict(s) for s in summaries], fh, indent=2)
+            json.dump([dict(zip(REPORT_FIELDS, s)) for s in summaries], fh, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")

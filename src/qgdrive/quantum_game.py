@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,8 +263,7 @@ def preset(name: str, gate_b: "QuantumGate | str | None" = None) -> QuantumGameC
 # Sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     gamma: float
     theta_a: float
     theta_b: float
@@ -367,11 +367,10 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     file is opened: write_csv would spell its cells by their own str(), so
     an integer column would read 1 where every float column reads 1.0.
     """
-    header = [f.name for f in fields(SweepRow)]
-    for name, column in zip(header, result.columns):
+    for name, column in zip(SweepRow._fields, result.columns):
         if column.dtype != np.float64:
             raise ValueError(f"sweep column {name!r} must be float64, got {column.dtype}")
-    write_csv(path, header, result.columns)
+    write_csv(path, SweepRow._fields, result.columns)
 
 
 def write_gate_table_csv(table: GateTable, path) -> None:

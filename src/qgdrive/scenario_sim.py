@@ -32,8 +32,8 @@ field, idm_v0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ EV_LANE_START = {"merging": "ramp", "roundabout": "approach"}
 EV_LANE_TARGET = {"merging": "main", "roundabout": "inside"}
 
 
-@dataclass(frozen=True, slots=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     s: float        # longitudinal position along own path, m
     v: float        # speed, m/s
 
@@ -299,8 +298,7 @@ def idm_entry_decision(config: ScenarioConfig, ev_s: float, ev_v: float,
 # ---------------------------------------------------------------------------
 # Episode integration
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     t: float
     ev_lane: str
     ev_s: float
@@ -311,8 +309,7 @@ class TracePoint:
     headway: float
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     ev_action: int
     iv_action: int
     outcome: str               # "collision" | "success" | "timeout"
@@ -411,8 +408,7 @@ def run_episode(
     # per IV action, its step's speed and position terms a*dt and 0.5*a*dt*dt
     iv_terms = {i: (a * dt, 0.5 * a * dt * dt) for i, a in enumerate((a_nom, iv_a1))}
 
-    ev_s, ev_v = ev0.s, ev0.v
-    iv_s, iv_v = iv0.s, iv0.v
+    (ev_s, ev_v), (iv_s, iv_v) = ev0, iv0
 
     iv_dv, iv_ds = iv_terms[iv_action]
     phase = _GO if ev_action == 0 else _YIELD
@@ -546,8 +542,8 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     go_a = 0.0 if merging else a_nom    # EV acceleration while going
     iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
 
-    ev_s, ev_v = np.array([(ev0.s, ev0.v) for ev0 in ev0s]).T
-    iv_s, iv_v = np.array([(iv0.s, iv0.v) for iv0 in iv0s]).T
+    ev_s, ev_v = np.array(ev0s).T
+    iv_s, iv_v = np.array(iv0s).T
 
     n = len(lanes)
     iv_a = np.where(np.array(iv_actions) == 0, a_nom, iv_a1)
@@ -619,5 +615,4 @@ def write_trace_csv(result: EpisodeResult, path) -> None:
     """One line per TracePoint, one column per field."""
     if not result.trace:
         raise ValueError("episode was run without record_trace=True; no trace to write")
-    header = [f.name for f in fields(TracePoint)]
-    write_csv(path, header, zip(*map(attrgetter(*header), result.trace)))
+    write_csv(path, TracePoint._fields, zip(*result.trace))

@@ -122,7 +122,10 @@ def row_batch(hi, lo, inc_hi, inc_lo, width: int):
     Output t's state is mult**t * state + (1 + mult + ... + mult**(t-1)) *
     inc mod 2**128. So the first block of _JUMP outputs is stepped one
     output at a time, and each later block is the block before it under
-    one affine map, with t = _JUMP."""
+    one affine map, with t = _JUMP. A zero width is an empty (streams, 0)
+    array."""
+    if not width:
+        return np.empty((len(lo), 0))
     step = min(_JUMP, width)
     jump = pow(_PCG_MULT, step, 2**128)
     bump = sum(pow(_PCG_MULT, t, 2**128) for t in range(step)) % 2**128

@@ -177,6 +177,13 @@ class TestEquilibria:
         assert code == 2
         assert f"{str(tmp_path)!r}: cannot read" in err
 
+    def test_game_file_not_utf8_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.game"
+        path.write_bytes(b"label_a0 = x\nlabel_a1 = caf\xe9\nlabel_b0 = x\nlabel_b1 = y\n"
+                         b"ua = 1 2 3 4\nub = 1 2 3 4\n")
+        code, _, err = run(capsys, "equilibria", "--game-file", str(path))
+        assert (code, err) == (2, f"error: {path}:2: byte 0xe9 is not UTF-8\n")
+
 
 class TestSolve:
     def test_gate_game_point(self, capsys):
@@ -537,6 +544,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(tmp_path))
         assert code == 2
         assert f"{str(tmp_path)!r}: cannot read" in err
+
+    def test_config_file_not_utf8_names_the_line(self, capsys, tmp_path):
+        # past the first read buffer, and in a comment: every line must decode
+        path = tmp_path / "latin1.conf"
+        path.write_bytes(b"scenario.kind = merging\n" + b"# padding\n" * 2000
+                         + b"# caf\xe9\nepisodes = 5\nmaster_seed = 1\npolicy.name = cg-epd\n")
+        code, _, err = run(capsys, "simulate", "--config", str(path))
+        assert (code, err) == (2, f"error: {path}:2002: byte 0xe9 is not UTF-8\n")
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, err = run(

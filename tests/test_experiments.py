@@ -143,9 +143,10 @@ class TestSeeding:
     # sides of the flag are seen
     @given(st.integers(0, 2**130 - 1),
            st.one_of(st.sampled_from([0, 2**32 - 2, 2**40]), st.integers(0, 2**48)),
-           st.sampled_from([1, 15, 16, 17, 33, 298, 299]),
+           st.sampled_from([0, 1, 15, 16, 17, 33, 298, 299]),
            st.sampled_from([None, 2, 5, 7, 2**31 + 1, 2**32 - 1]))
     @example(2**128, 2**32 - 2, 299, 5)
+    @example(7, 0, 0, 5)
     @example(2**128, 2**40, 298, None)
     def test_rows_and_gates_equal_numpys_draws(self, master_seed, first, width, choices):
         doubles, gates, rows, resume = streams.episode_rng(master_seed, first, 3, choices)
@@ -172,7 +173,7 @@ class TestSeeding:
             assert (gates[j] >= 0) == first_try
             if first_try:
                 assert gates[j] == gate
-                assert row[1:].tobytes() == block[:width - 1].tobytes()
+                assert row[1:].tobytes() == block[:max(width - 1, 0)].tobytes()
             fallback = resume(j)
             assert fallback.integers(choices) == gate
             assert fallback.random(298).tobytes() == block.tobytes()
@@ -642,6 +643,23 @@ class TestRuns:
         b = ex.run_comparison([ex.PolicySpec("CG_EPD")], replay)[0]
         assert b == ex.run_comparison([ex.PolicySpec("CG_EPD")], replay)[0]
         assert (a.cr, a.sr) != (b.cr, b.sr)
+
+    @pytest.mark.parametrize("kind", ["merging", "roundabout"])
+    @pytest.mark.parametrize("gate", ["Z", "uniform"])
+    def test_one_step_replay_reports_equal_held_ones(self, kind, gate, tmp_path):
+        # at horizon 1 the replay block is empty and no decision is re-taken
+        controller = "mobil" if kind == "merging" else "idm"
+        specs = [ex.PolicySpec(p, gate)
+                 for p in ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", controller]]
+        reports = []
+        for replay in (False, True):
+            cfg = ex.MonteCarloConfig(builtin_scenario(kind, horizon=1, decision_replay=replay),
+                                      builtin_game(kind), 60, 7)
+            summaries = ex.run_comparison(specs, cfg)
+            for fmt in ("csv", "json"):
+                ex.emit_report(summaries, tmp_path / f"{replay}.{fmt}", fmt)
+                reports.append((tmp_path / f"{replay}.{fmt}").read_bytes())
+        assert reports[:2] == reports[2:]
 
     @pytest.mark.parametrize("kind,replay,episodes,policies,want", [
         ("merging", False, 200, ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "mobil"], [

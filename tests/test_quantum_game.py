@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -413,7 +412,7 @@ class TestSweep:
         result = qg.sweep_u1(flat, mode=mode, gamma_points=7, theta_points=5)
         assert (result.argmax.gamma, result.argmax.theta_a) == (0.0, 0.0)
         assert (result.argmin.gamma, result.argmin.theta_a) == (qg.GAMMA_MAX, 0.0)
-        assert all(isinstance(v, float) for v in astuple(result.argmin))
+        assert all(isinstance(v, float) for v in result.argmin)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -467,7 +466,7 @@ class TestCsv:
         columns = tuple(np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
                         for pool in ([pools[0]] * 9 if shared else pools))
         row = qg.SweepRow(*[0.0] * 9)
-        header = [f.name for f in fields(qg.SweepRow)]
+        header = qg.SweepRow._fields
         path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
         qg.write_sweep_csv(qg.SweepResult("equal_thetas", columns, row, row), path)
         assert path.read_bytes() == csv_bytes(header, zip(*(c.tolist() for c in columns)))

@@ -66,8 +66,8 @@ def test_policy_names_are_the_policy_table():
 
 
 def _code_names():
-    """Every module, module attribute, dataclass field and function or
-    method parameter in qgdrive."""
+    """Every module, module attribute, dataclass or named tuple field and
+    function or method parameter in qgdrive."""
     names = {"qgdrive"}
     for info in pkgutil.iter_modules(qgdrive.__path__):
         module = importlib.import_module(f"qgdrive.{info.name}")
@@ -76,6 +76,8 @@ def _code_names():
             names.add(name)
             if dataclasses.is_dataclass(value):
                 names.update(f.name for f in dataclasses.fields(value))
+            if inspect.isclass(value) and issubclass(value, tuple):
+                names.update(getattr(value, "_fields", ()))
             for fn in (value, *vars(value).values()) if inspect.isclass(value) else (value,):
                 if inspect.isfunction(fn):
                     names.update(inspect.signature(fn).parameters)

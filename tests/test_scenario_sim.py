@@ -500,8 +500,8 @@ class TestSharedResults:
         cfg, ev, iv, shared = self.filled(kind)
         for joint, stored in shared.items():
             fresh = sim.run_episode(cfg, ev, iv, *joint)
-            for f in dataclasses.fields(sim.EpisodeResult):
-                assert getattr(stored, f.name) == getattr(fresh, f.name), f.name
+            for name in sim.EpisodeResult._fields:
+                assert getattr(stored, name) == getattr(fresh, name), name
 
     def test_a_miss_raises(self):
         cfg, ev, iv, shared = self.filled("merging")
@@ -572,8 +572,8 @@ class TestDecisionReplay:
 def episode_fields(result):
     """Every EpisodeResult field but the trace, which run_episodes never
     records."""
-    return tuple(getattr(result, f.name) for f in dataclasses.fields(sim.EpisodeResult)
-                 if f.name != "trace")
+    return tuple(getattr(result, name) for name in sim.EpisodeResult._fields
+                 if name != "trace")
 
 
 JOINTS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -616,12 +616,12 @@ class TestBatchedKernel:
         at = cfg.merge_point + cfg.lane_offset
         states = [
             (ev, iv),
-            (dataclasses.replace(ev, s=cfg.merge_point), iv),           # changes lane at step 1
-            (ev, dataclasses.replace(iv, v=0.0)),                       # stopped IV
-            (ev, dataclasses.replace(iv, v=3.0)),                       # braking IV
-            (ev, dataclasses.replace(iv, v=-1.0)),                      # IV clamped at step 1
-            (dataclasses.replace(ev, v=0.0), iv),                       # stopped EV
-            (dataclasses.replace(ev, v=0.5), iv),                       # a yield brakes it to rest
+            (ev._replace(s=cfg.merge_point), iv),                       # changes lane at step 1
+            (ev, iv._replace(v=0.0)),                                   # stopped IV
+            (ev, iv._replace(v=3.0)),                                   # braking IV
+            (ev, iv._replace(v=-1.0)),                                  # IV clamped at step 1
+            (ev._replace(v=0.0), iv),                                   # stopped EV
+            (ev._replace(v=0.5), iv),                                   # a yield brakes it to rest
             (sim.VehicleState(cfg.merge_point, 10.0),                   # 0.05 m behind the IV
              sim.VehicleState(at + 5.05, 10.0)),
             (sim.VehicleState(124.0, 20.0),                             # merges 0.05 m behind the
@@ -630,8 +630,8 @@ class TestBatchedKernel:
              sim.VehicleState(at + 3.0, 12.0)),
             (sim.VehicleState(cfg.merge_point, 10.0),                   # leader ahead, closing fast
              sim.VehicleState(at + 12.0, 2.0)),
-            (ev, dataclasses.replace(iv, s=common + 40.0)),             # IV already far past
-            (dataclasses.replace(ev, s=cfg.section_end + 5.0), iv),     # past the merge section
+            (ev, iv._replace(s=common + 40.0)),                         # IV already far past
+            (ev._replace(s=cfg.section_end + 5.0), iv),                 # past the merge section
         ]
         assert_kernel_matches_run_episode(cfg, states)
         assert_kernel_matches_run_episode(dataclasses.replace(cfg, horizon=1), states)
@@ -680,7 +680,7 @@ class TestBatchedKernel:
         a = sim.idm_accel(10.0, 7.0, 2.0, cfg.idm_v0)
         assert a < -4.0 * IDM["b"] and closing.trace[0].ev_v == 10.0 + a * sim.DT > 0.0
         ev, iv = mid_merging()
-        slow = sim.run_episode(cfg, dataclasses.replace(ev, v=0.5), iv, 1, 1, record_trace=True)
+        slow = sim.run_episode(cfg, ev._replace(v=0.5), iv, 1, 1, record_trace=True)
         assert slow.trace[2].ev_v == 0.0                  # the yield clamped it to rest
         # merging at step 2 puts the EV 0.05 m behind the IV: IDM's emergency
         # brake, then a clamp to rest
@@ -691,7 +691,7 @@ class TestBatchedKernel:
         assert emergency.trace[2].ev_v == 0.0
         # IV action 1 brakes the IV from 3 m/s: step 15 would take it below
         # 0, so it is clamped to rest there and stays put to the horizon
-        braking = sim.run_episode(cfg, ev, dataclasses.replace(iv, v=3.0), 1, 1,
+        braking = sim.run_episode(cfg, ev, iv._replace(v=3.0), 1, 1,
                                   record_trace=True)
         before, *rest = braking.trace[13:]
         assert before.iv_v > 0.0 > before.iv_v - cfg.a_nominal * sim.DT
