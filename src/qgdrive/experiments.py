@@ -1,25 +1,40 @@
 """Seeded Monte Carlo comparison of decision policies on the two scenarios.
 
-Episode i draws its randomness from a generator derived from (master_seed, i)
-alone, so any episode is reproducible in isolation. Each episode consumes
-draws in a fixed order: initial states, the EV decision uniform, the IV
-decision uniform, then any policy-internal draws (a uniform QG_G4's opponent
-gate, then the replay draws). The replay draws are one block of
-2*(horizon - 1) uniforms, taken with one `random(k)` call, which equals k
-scalar draws bit for bit; without replay nothing is drawn after the gate.
-A uniform QG_G4 reads its own block, drawn right after its gate, and the
-others share the one after the two uniforms; so a gate that fixes its law
-(see below) skips that block without moving any other draw.
+The seeded draw contract. Episode i draws from numpy's
+default_rng(SeedSequence(master_seed, spawn_key=(i,))) alone, so any
+episode is reproducible in isolation, and in this order:
+- six random() doubles: the initial ev_s, ev_v, iv_s and iv_v, which
+  sample_initial scales, then the EV and the IV decision uniform;
+- a uniform QG_G4's opponent gate, integers(5);
+- under decision replay, blocks of k = 2*(horizon - 1) uniforms, each one
+  random(k) call, which equals k scalar draws bit for bit. A uniform QG_G4
+  reads its own block, drawn right after its gate, and the other policies
+  share the one after the six; so a gate that fixes its law skips its
+  block without moving any other draw. Each replayed decision reads the
+  block's next two uniforms (EV, IV) for a game policy, or the next one,
+  the IV's, for IDM/MOBIL.
+Without replay nothing is drawn after the gate. Every policy decides and
+integrates from the episode's same initial states and decision uniforms
+(common random numbers), so a policy's row does not depend on which other
+policies run beside it, or in what order. qgdrive.streams derives these
+draws, a chunk of episodes at a time.
 
-The loop is episode-major: a comparison takes each episode's initial states
-and both decision uniforms once, and every policy decides and integrates
-from those same values (common random numbers). A policy's row therefore
-does not depend on which other policies run beside it, or in what order.
-qgdrive.streams derives these draws, a chunk of episodes at a time.
-
-The episodes go in chunks of _CHUNK, each in three passes (decide, integrate
-the held joint actions in one batch, tally); run_comparison's docstring
-states them and which (episode, policy) pairs are held under replay.
+run_comparison takes the episodes in chunks of _CHUNK, each in three
+passes:
+(1) Derive the chunk's draws in one streams.episode_rng call and scale its
+    initial states in one sample_initial call. Decide each (episode,
+    policy) once with episode_decision, and record each episode's distinct
+    held joint actions. Without replay every decision is held. Under replay
+    a game policy is held in an episode whose law is fixed (_fixed_law),
+    since no replayed uniform can change its decision: QG_G4[Z], and a
+    uniform QG_G4 whose gate is X, Y, Z or I. Every other (episode, policy)
+    replays here, through run_episode's scalar loop with its callback: a
+    replayed path depends on its own draws, so it is neither shared nor
+    batched.
+(2) Integrate the recorded held joint actions, at most four per episode
+    however many policies run, in one scenario_sim.run_episodes call.
+(3) Episode-major, read each held result through run_episode's `shared`
+    lookup, and tally every (episode, policy).
 
 Each policy is one row of POLICIES: the scenario it runs on and what
 decides for it. Game-backed policies act by sampling their joint outcome
@@ -62,6 +77,7 @@ from .quantum_game import (
 )
 from .scenario_sim import (
     ScenarioConfig,
+    _require,
     builtin_scenario,
     idm_entry_decision,
     mobil_merge_decision,
@@ -127,6 +143,8 @@ class MonteCarloConfig:
     master_seed: int
 
     def __post_init__(self):
+        _require(self, ("scenario",), lambda v: isinstance(v, ScenarioConfig), "a ScenarioConfig")
+        _require(self, ("game",), lambda v: isinstance(v, TwoPlayerGame), "a TwoPlayerGame")
         _require_int("episodes", self.episodes, 1)
         _require_int("master_seed", self.master_seed, 0)
 
@@ -203,15 +221,10 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
 
     The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
     then draws its opponent gate from `rng`, and IDM/MOBIL apply their rule
-    to the positions and speeds of `ev` and `iv`. `uniforms` is the episode's
-    replay block: the 2*(horizon - 1) uniforms that follow the shared two in
-    the episode stream, drawn with one `random(k)` call. Without it, and
-    for a fixed law (_fixed_law), whose replays would repeat the start, the
-    callback is None and nothing more is drawn. Each callback call reads
-    the block's next two uniforms for a game policy, or the next one, the
-    IV's, for IDM/MOBIL, whose rule reads the state the callback is given. A
-    uniform QG_G4 draws its gate first, so it reads a block of its own,
-    drawn from `rng` after the gate.
+    to the positions and speeds of `ev` and `iv`. `uniforms` is the
+    episode's shared replay block as a list, read as the module docstring
+    states; without it, and for a fixed law (_fixed_law), whose replays
+    would repeat the start, the callback is None and nothing more is drawn.
 
     `rng` is read through its integers(n) and random(k) calls only: a numpy
     Generator on the episode's stream just after the shared six, or
@@ -245,55 +258,26 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
     return start, replay
 
 
-# Episodes per kernel call. A chunk's lanes are its distinct held
-# (episode, joint action) pairs, at most four per episode, so this bounds the
-# kernel's arrays however many episodes a run has. Each call pays a fixed
-# cost per step, so fewer, larger calls are faster up to a point: on merging
-# with six policies at the CLI default of 10,000 episodes (2-core Xeon,
-# CPython 3.11.7, numpy 2.4.6), run_comparison took 1.19, 1.07, 1.00 and
-# 1.04 times as long with chunks of 512, 1024, 2048 and 4096 (the median
-# ratio over 41 interleaved rounds), and 2048 is the smallest within 3% of
-# the fastest. A chunk holds about 2 KB per episode: run_comparison's
-# tracemalloc peak there is 3.7 MB at 2048, against 0.9 MB at 512. Under
-# decision replay (roundabout, six policies with a uniform QG_G4, 10,000
-# episodes) it is 3.8 MB at 2048 and 1.6 MB at 512, mostly replayed
-# results: streams.row_batch derives the replay rows _ROWS episodes at a time.
+# Episodes per kernel call, which bounds the kernel's arrays however many
+# episodes a run has. Each call pays a fixed cost per step, so fewer, larger
+# calls are faster up to a point: on merging with six policies at the CLI
+# default of 10,000 episodes (2-core Xeon, CPython 3.11.7, numpy 2.4.6),
+# run_comparison took 1.19, 1.07, 1.00 and 1.04 times as long with chunks of
+# 512, 1024, 2048 and 4096 (the median ratio over 41 interleaved rounds),
+# and 2048 is the smallest within 3% of the fastest. A chunk holds about
+# 2 KB per episode: run_comparison's tracemalloc peak there is 3.7 MB at
+# 2048, against 0.9 MB at 512. Under decision replay (roundabout, six policies
+# with a uniform QG_G4, 10,000 episodes) it is 3.8 MB at 2048 and 1.6 MB at
+# 512, mostly replayed results: streams.row_batch derives the replay rows
+# _ROWS episodes at a time.
 _CHUNK = 2048
 
 
 def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, ...]:
-    """Run every policy over the same episode set (same master seed), episode
-    by episode; see the module docstring for what is drawn once and what per
-    policy. Each report label may appear once; a repeat, like a policy on
-    the wrong scenario, is rejected before anything runs.
-
-    The episodes go in chunks of _CHUNK, each in three passes.
-    (1) Derive every draw the chunk's episodes take with one vectorized
-    streams.episode_rng call, equal bit for bit to numpy's SeedSequence ->
-    PCG64 per episode: the six doubles, a uniform QG_G4's gate, and under
-    replay the shared block and that QG_G4's own, in rows that
-    streams.row_batch derives _ROWS episodes at a time, each freed before
-    the next. Scale every initial state in one sample_initial call. Then,
-    episode by episode, decide each (episode, policy) once with
-    episode_decision, which reads a uniform QG_G4's draws from the derived
-    row; only where numpy's bounded draw would reject the gate's word (about
-    once in 2**32 episodes) does it read a Generator on the episode's
-    stream. Without replay every policy is held for the whole episode. Under
-    decision replay a game policy is held in an episode whose law is fixed
-    (_fixed_law): P(A=0) and the drawn EV action's conditional are exactly
-    0.0 or 1.0, so no replayed uniform can change its decision. That is
-    QG_G4[Z] and a uniform QG_G4 whose gate is X, Y, Z or I. Every other
-    (episode, policy) replays here, through run_episode's scalar loop with
-    its replay callback, since a replayed path depends on its own decisions
-    and so is neither shared nor batched; it keeps its result.
-    (2) Integrate the chunk's distinct held (episode, joint action) pairs,
-    at most four per episode however many policies run, in one
-    scenario_sim.run_episodes call.
-    (3) Episode-major, read each held result through run_episode's `shared`
-    lookup, and tally every (episode, policy). Why the scalar path stays
-    and the lookup goes through run_episode is stated in run_episode's
-    docstring.
-    """
+    """Run every policy over the same episode set (same master seed), in
+    the module docstring's three passes. Each report label may appear once;
+    a repeat, like a policy on the wrong scenario, is rejected before
+    anything runs."""
     specs = [p if isinstance(p, PolicySpec) else PolicySpec(str(p)) for p in policies]
     if not specs:
         raise ValueError("no policies given")
@@ -315,10 +299,9 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         headway_totals[j] += result.mean_headway
 
     def run_chunk(start, count):  # its arrays and results go when it returns
-        # pass 1: one decision per (episode, policy): a held joint action,
-        # or None and the replayed result. Only a uniform QG_G4 draws past
-        # the shared block, and a label appears once, so the policies share
-        # `rng`: the row's gate and own block, or the fallback Generator
+        # pass 1: a held joint action, or None and the replayed result. Only
+        # a uniform QG_G4 reads `rng`, the row's gate and own block or the
+        # fallback Generator, and a label appears once, so the policies share it
         u, gates, rows, resume = episode_rng(config.master_seed, start, count, choices)
         episodes, replayed = [], []
         for j, ((ev0, iv0), (u_ev, u_iv), gate, row) in enumerate(zip(
@@ -336,17 +319,15 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
                     replayed.append(run_episode(scenario, ev0, iv0, *joint, decide=decide))
                     joint = None
                 joints.append(joint)
-            episodes.append((ev0, iv0, joints))
-        # pass 2: each distinct held (episode, joint action), integrated once
+            held = [joint for joint in dict.fromkeys(joints) if joint is not None]
+            episodes.append((ev0, iv0, joints, held))
+        # pass 2: integrate
         results = iter(run_episodes(scenario, (
-            (ev0, iv0, *joint) for ev0, iv0, joints in episodes
-            for joint in dict.fromkeys(joints) if joint is not None)))
-        # pass 3: every held (episode, policy) reads its stored result, and
-        # every (episode, policy) is tallied
+            (ev0, iv0, *joint) for ev0, iv0, _, held in episodes for joint in held)))
+        # pass 3: look up and tally
         replayed = iter(replayed)
-        for ev0, iv0, joints in episodes:
-            shared = {joint: next(results) for joint in dict.fromkeys(joints)
-                      if joint is not None}
+        for ev0, iv0, joints, held in episodes:
+            shared = {joint: next(results) for joint in held}
             for j, joint in enumerate(joints):
                 tally(j, next(replayed) if joint is None else
                       run_episode(scenario, ev0, iv0, *joint, shared=shared))

@@ -26,6 +26,7 @@ from . import clinalg
 from .classical_game import (
     OutcomeDistribution,
     TwoPlayerGame,
+    _finite_real,
     _require_int,
     expected_payoff,
     write_csv,
@@ -86,7 +87,8 @@ def basis_state(label: "str | int") -> np.ndarray:
     index = label
     if isinstance(label, str) and label.lower() in BASIS_LABELS:
         index = BASIS_LABELS.index(label.lower())
-    if index not in range(4):
+    # numpy reads a bool index as a mask; a float is no index
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index not in range(4):
         raise ValueError(f"unknown basis state {label!r}; expected 0..3 or one of {BASIS_LABELS}")
     v = np.zeros(4, dtype=np.complex128)
     v[index] = 1.0
@@ -138,8 +140,9 @@ def state_vector(amplitudes, normalize: bool = False) -> np.ndarray:
 
 
 def _check_angle(name: str, value, top: float, top_text: str) -> float:
-    """value as a float; it must lie in [0, top] within 1e-12, and NaN does not."""
-    if not 0.0 <= value <= top + 1e-12:
+    """value as a float; it must be a finite real, not a bool, in [0, top]
+    within 1e-12."""
+    if not (_finite_real(value) and 0.0 <= value <= top + 1e-12):
         raise ValueError(f"{name} must lie in [0, {top_text}], got {value!r}")
     return float(value)
 
@@ -350,11 +353,12 @@ def sweep_g4(
     """Evaluate every gate pair. Default initial state is e_s10: the gate
     analysis starts from the classical (A=NotMerge/Decelerate, B=first
     action) joint basis state rather than a superposition."""
+    gamma = _check_angle("gamma", gamma, GAMMA_MAX, "pi/2")
     psi0 = basis_state("s10") if initial is None else state_vector(initial)
     moves = [(_GATE_MATRICES[ga], _GATE_MATRICES[gb]) for ga in GATE_ORDER for gb in GATE_ORDER]
-    dist = outcome_probabilities(final_states(psi0, float(gamma), moves))
+    dist = outcome_probabilities(final_states(psi0, gamma, moves))
     eu_a, eu_b = (expected_payoff(dist, game, player).reshape(5, 5) for player in "ab")
-    return GateTable(gamma=float(gamma), eu_a=eu_a, eu_b=eu_b)
+    return GateTable(gamma=gamma, eu_a=eu_a, eu_b=eu_b)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,6 @@ adding `lane_offset`.
 run_episode integrates one episode, optionally replaying the decision or
 recording a trace; run_episodes integrates many held-decision episodes at
 once as numpy arrays, with results equal to run_episode's bit for bit.
-The two builtin scenarios are one table of ScenarioConfig rows that
-builtin_scenario reads. The time step DT, the vehicle length
-VEHICLE_LENGTH and the constants of IDM, of MOBIL and of the roundabout's
-gap-acceptance rule are module constants; IDM's desired speed is a row
-field, idm_v0.
 """
 
 from __future__ import annotations
@@ -333,6 +328,18 @@ def _episode_result(ev_action, iv_action, collided, completed, violation, steps,
                          headway_sum / (steps - collided) if steps - collided else 0.0, trace)
 
 
+def _setup(config: ScenarioConfig):
+    """What both engines fix per scenario before their step loops: the
+    merging flag, a_nominal, idm_v0, the geometry, the EV's acceleration
+    while going, and per IV action (+a_nominal; -a_nominal merging, 0
+    roundabout) its step terms a*DT and 0.5*a*DT*DT."""
+    merging = config.kind == "merging"
+    a_nom = config.a_nominal
+    return (merging, a_nom, config.idm_v0, config.lane_offset, config.merge_point,
+            config.section_end, config.pass_clearance, 0.0 if merging else a_nom,
+            tuple((a * DT, 0.5 * a * DT * DT) for a in (a_nom, -a_nom if merging else 0.0)))
+
+
 def run_episode(
     config: ScenarioConfig,
     ev0: VehicleState,
@@ -357,9 +364,8 @@ def run_episode(
     iv_action)`, the joint decision is re-taken from the current state at
     every step until the EV reaches _FOLLOW, which every lane change enters,
     so the EV is on its entry lane at every decision; the result then records
-    the last commanded pair. The IV's step terms a*DT and 0.5*a*DT*DT are
-    looked up per commanded action (iv_terms, computed once per episode),
-    and IDM reads config.idm_v0.
+    the last commanded pair. The IV's step terms are _setup's, looked up
+    per commanded action.
 
     `shared` is a lookup: a dict the caller owns for one (config, ev0, iv0)
     triple, keyed by the joint action and filled from run_episodes.
@@ -373,13 +379,10 @@ def run_episode(
     for the whole package: bench/selftest.py pins one run_episode call per
     (policy, episode) on both Monte Carlo workloads, so a held decision
     reads the kernel's results through this lookup and a replayed one runs
-    this scalar loop. Under decision replay a game policy whose law is fixed
-    (QG_G4[Z], or a uniform QG_G4 that drew X, Y, Z or I) is held, since
-    replay cannot change its decision; only the other policies replay here.
-    Once that pin counts outcomes instead, the lookup belongs in the loop,
-    `shared` can go, and replay can move to a batched kernel.
-    The loop also records traces, and it is the reference run_episodes is
-    tested against.
+    this scalar loop. Once that pin counts outcomes instead, the lookup
+    belongs in the loop, `shared` can go, and replay can move to a batched
+    kernel. The loop also records traces, and it is the reference
+    run_episodes is tested against.
     """
     if shared is not None:
         if decide is not None or record_trace:
@@ -391,22 +394,12 @@ def run_episode(
                              f"{(ev_action, iv_action)!r}") from None
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
-    # everything fixed per episode is bound once, outside the step loop
-    merging = config.kind == "merging"
+    merging, a_nom, v0, offset, merge_point, section_end, clearance, go_a, iv_terms = \
+        _setup(config)
     dt = DT
-    a_nom = config.a_nominal
-    v0 = config.idm_v0
-    offset = config.lane_offset
-    merge_point = config.merge_point
-    section_end = config.section_end
-    clearance = config.pass_clearance
     length = VEHICLE_LENGTH
     entry_lane = EV_LANE_START[config.kind]
     target_lane = EV_LANE_TARGET[config.kind]
-    go_a = 0.0 if merging else a_nom    # EV acceleration while going
-    iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
-    # per IV action, its step's speed and position terms a*dt and 0.5*a*dt*dt
-    iv_terms = {i: (a * dt, 0.5 * a * dt * dt) for i, a in enumerate((a_nom, iv_a1))}
 
     (ev_s, ev_v), (iv_s, iv_v) = ev0, iv0
 
@@ -510,15 +503,14 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     The body is run_episode's step loop with every per-episode scalar turned
     into an array over the lanes: one `phase` array of _GO/_YIELD/_FOLLOW,
     each `if` a mask, and idm_accel_lanes on every lane (np.where keeps it
-    for the _FOLLOW lanes). Both vehicles step through _advance, which takes
-    an acceleration's step terms a*DT and 0.5*a*DT*DT: the EV's are computed
-    from its acceleration every step, the IV's held ones once per lane
-    before the loop, as run_episode's iv_terms are, and zeroed once a held
-    brake has stopped the IV, where every later step would clamp it at rest
-    and add +0.0 to its position, as zero terms do. The results are
-    bit-identical to run_episode's because the arrays see the same IEEE
-    operations in the same order: IDM's multiplications,
-    `s + (v*DT + 0.5*a*DT*DT)` and one headway sum per lane in step order.
+    for the _FOLLOW lanes). Both vehicles step through _advance: the EV's
+    step terms are computed from its acceleration every step, the IV's are
+    _setup's, indexed per lane and zeroed once a held brake has stopped the
+    IV, where every later step would clamp it at rest and add +0.0 to its
+    position, as zero terms do. The results are bit-identical to
+    run_episode's because the arrays see the same IEEE operations in the
+    same order: IDM's multiplications, `s + (v*DT + 0.5*a*DT*DT)` and one
+    headway sum per lane in step order.
     Where run_episode stops at a collision, a lane is masked, not removed:
     its counts, flags and headway sum are kept from that step (its vehicles
     and running sum move on unread), and the loop ends once every lane has
@@ -530,24 +522,14 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     ev0s, iv0s, ev_actions, iv_actions = zip(*lanes)
     if not {*ev_actions, *iv_actions} <= {0, 1}:
         raise ValueError("actions must be 0 or 1")
-    # everything fixed per episode is bound once, outside the step loop
-    merging = config.kind == "merging"
-    a_nom = config.a_nominal
-    v0 = config.idm_v0
-    offset = config.lane_offset
-    merge_point = config.merge_point
-    section_end = config.section_end
-    clearance = config.pass_clearance
-    length = VEHICLE_LENGTH
-    go_a = 0.0 if merging else a_nom    # EV acceleration while going
-    iv_a1 = -a_nom if merging else 0.0  # IV acceleration under action 1
+    merging, a_nom, v0, offset, merge_point, section_end, clearance, go_a, iv_terms = \
+        _setup(config)
 
     ev_s, ev_v = np.array(ev0s).T
     iv_s, iv_v = np.array(iv0s).T
 
     n = len(lanes)
-    iv_a = np.where(np.array(iv_actions) == 0, a_nom, iv_a1)
-    iv_dv, iv_ds = iv_a * DT, 0.5 * iv_a * DT * DT   # run_episode's iv_terms, per lane
+    iv_dv, iv_ds = np.array(iv_terms).T[:, np.array(iv_actions, int)]
     phase = np.where(np.array(ev_actions) == 0, _GO, _YIELD)
     alive = np.ones(n, bool)        # not collided: run_episode's loop still runs
     violation = np.zeros(n, bool)
@@ -582,7 +564,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         # EV acceleration for this step
         # _FOLLOW: IDM, IV as leader where it is ahead on the shared path
         ev_a = np.where(phase == _FOLLOW,
-                        idm_accel_lanes(ev_v, iv_s - ev_common - length, iv_v,
+                        idm_accel_lanes(ev_v, iv_s - ev_common - VEHICLE_LENGTH, iv_v,
                                         iv_s > ev_common, v0),
                         phase_accel[phase])
 
@@ -596,7 +578,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         ev_common = ev_s + shift
         headway = np.abs(iv_s - ev_common)
 
-        hit = alive & ~on_entry & (headway < length)
+        hit = alive & ~on_entry & (headway < VEHICLE_LENGTH)
         if np.count_nonzero(hit):
             # the colliding step is excluded from the headway average
             steps_run[hit] = step

@@ -1,29 +1,22 @@
 """Episode streams: numpy's SeedSequence -> PCG64, derived on whole arrays.
 
-episode_rng derives all the draws of qgdrive.experiments' seeded contract
-for a chunk of episodes in one vectorized pass, equal bit for bit to
-numpy's SeedSequence -> PCG64 for each episode: the six doubles (PCG64
-outputs 1 .. 6); a uniform QG_G4's gate, as numpy's integers(5) draws it
-from the low 32 bits of output 7; and under replay the shared block
-(outputs 7 .. 6 + k) and that QG_G4's own (outputs 8 .. 7 + k, as random()
-never reads output 7's high half, which integers buffers). numpy itself is
-the oracle of the stream, row and gate tests in tests/test_experiments.py.
-Only where numpy would reject the gate's word and read on, about once in
-2**32 episodes, does a run build a numpy Generator on the episode's
-stream, and so load numpy.random, to draw that gate and the block after it.
+episode_rng derives the draws of qgdrive.experiments' seeded contract for a
+chunk of episodes in one vectorized pass, equal bit for bit to numpy's
+SeedSequence -> PCG64 for each episode; its docstring maps each draw to its
+PCG64 output. numpy itself is the oracle of the stream, row and gate tests
+in tests/test_experiments.py.
 """
 
 import numpy as np
 
 from .classical_game import _require_int
 
-# Episode streams are numpy's default_rng(SeedSequence(master_seed,
-# spawn_key=(i,))), computed here on whole arrays of episodes: SeedSequence's
-# pool hashing and generate_state(4, uint64) in uint32 words (NumPy NEP 19,
-# numpy/random/bit_generator.pyx), then PCG64's seeding and XSL-RR output
-# with each 128-bit state as (high, low) uint64 halves (O'Neill, PCG,
-# HMC-CS-2014-0905). Every operand is a numpy uint32 or uint64, so the
-# arithmetic wraps and the dtypes do not depend on numpy's casting rules.
+# The derivation: SeedSequence's pool hashing and generate_state(4, uint64)
+# in uint32 words (NumPy NEP 19, numpy/random/bit_generator.pyx), then
+# PCG64's seeding and XSL-RR output with each 128-bit state as (high, low)
+# uint64 halves (O'Neill, PCG, HMC-CS-2014-0905). Every operand is a numpy
+# uint32 or uint64, so the arithmetic wraps and the dtypes do not depend on
+# numpy's casting rules.
 _U32, _U64 = np.uint32, np.uint64
 _LOW32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -174,26 +167,25 @@ def _streams(hi, lo, inc_hi, inc_lo, choices: "int | None"):
 
 def episode_rng(master_seed: int, index: int, count: "int | None" = None,
                 choices: "int | None" = None):
-    """Episode `index`'s independent stream, keyed by (master_seed, index):
-    equal bit for bit to numpy's default_rng(SeedSequence(master_seed,
-    spawn_key=(index,))), which tests/test_experiments.py's oracle tests
-    check. index + count must not exceed 2**64.
+    """Episode `index`'s stream, equal bit for bit to numpy's
+    default_rng(SeedSequence(master_seed, spawn_key=(index,))). index +
+    count must not exceed 2**64.
 
     With count=None, that episode's Generator at the start of its stream.
     With a count, the streams of episodes index .. index + count - 1,
     derived in one vectorized pass, as (doubles, gates, rows, resume):
     - doubles, a (count, 6) array of each stream's first six random()
-      draws, the contract's ev_s, ev_v, iv_s, iv_v, u_ev and u_iv.
+      draws, PCG64 outputs 1 .. 6.
     - gates, with choices given: each stream's integers(choices) right
-      after the six, from the seventh output's low word, as an int array;
-      -1 where numpy would reject that word and read on, about once in
-      2**32 streams at five choices. None without choices.
+      after the six, from output 7's low word, as an int array; -1 where
+      numpy would reject that word and read on, about once in 2**32
+      streams at five choices. None without choices.
     - rows(width), an iterator of one array per stream, in order: the
-      `width` random() draws right after the six. Under replay the first k
-      are the shared replay block, and a uniform QG_G4's own block is the
-      k after the first, since its gate takes the seventh output's low
-      word and random() never reads the high one. The rows come from
-      row_batch, _ROWS streams at a time, so a chunk's are never all held.
+      `width` random() draws right after the six, outputs 7 .. 6 + width.
+      A uniform QG_G4's own replay block starts at output 8, the row's
+      second draw, since its gate takes output 7's low word and random()
+      never reads the high one. The rows come from row_batch, _ROWS
+      streams at a time, so a chunk's are never all held.
     - resume(j), a numpy Generator on episode index + j's stream just after
       the six: the fallback for a -1 gate, and the only draw that loads
       numpy.random.

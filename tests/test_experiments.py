@@ -592,6 +592,14 @@ class TestRuns:
         # two runs, csv and json, each resume every episode once
         assert sorted(resumed) == list(range(60)) and set(resumed.values()) == {2}
 
+    @pytest.mark.parametrize("field, value", [
+        ("scenario", "merging"), ("game", "merging"), ("game", builtin_scenario("merging"))])
+    def test_config_rejects_a_scenario_or_game_of_the_wrong_type(self, field, value):
+        fields = dict(scenario=builtin_scenario("merging"), game=builtin_game("merging"),
+                      episodes=3, master_seed=1)
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            ex.MonteCarloConfig(**{**fields, field: value})
+
     def test_comparison_rejects_empty(self):
         with pytest.raises(ValueError):
             ex.run_comparison([], merging_config())

@@ -95,6 +95,15 @@ class TestStates:
         with pytest.raises(ValueError):
             qg.basis_state(-1)
 
+    @pytest.mark.parametrize("index", [True, False, 1.0])
+    def test_basis_state_rejects_a_bool_or_a_float(self, index):
+        # numpy would read True as a mask and set all four amplitudes
+        with pytest.raises(ValueError, match="unknown basis state"):
+            qg.basis_state(index)
+
+    def test_basis_state_takes_a_numpy_integer(self):
+        assert np.array_equal(qg.basis_state(np.int64(2)), qg.basis_state(2))
+
     def test_basis_labels_map_to_indices(self):
         for i, label in enumerate(qg.BASIS_LABELS):
             assert qg.basis_state(label)[i] == 1.0
@@ -146,6 +155,20 @@ class TestStrategyU:
     def test_phi_range_enforced(self):
         with pytest.raises(ValueError):
             qg.StrategyU(1.0, qg.PHI_MAX + 0.01)
+
+    @pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "str"])
+    @pytest.mark.parametrize("name, build", [
+        ("theta", lambda x: qg.StrategyU(x)),
+        ("phi", lambda x: qg.StrategyU(0.0, x)),
+        ("gamma", lambda x: qg.QuantumGameConfig(
+            qg.equal_superposition(), x, qg.StrategyU(0.0), qg.StrategyU(0.0))),
+        ("gamma", lambda x: qg.entangler(x)),
+        ("gamma", lambda x: qg.sweep_g4(builtin_game("merging"), gamma=x)),
+    ], ids=["StrategyU.theta", "StrategyU.phi", "QuantumGameConfig.gamma", "entangler",
+            "sweep_g4"])
+    def test_angles_reject_a_bool_or_a_string(self, name, build, bad):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            build(bad)
 
     @given(
         st.floats(min_value=0.0, max_value=qg.THETA_MAX, allow_nan=False),
