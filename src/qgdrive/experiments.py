@@ -19,22 +19,21 @@ integrates from the episode's same initial states and decision uniforms
 policies run beside it, or in what order. qgdrive.streams derives these
 draws, a chunk of episodes at a time.
 
-run_comparison takes the episodes in chunks of _CHUNK, each in three
-passes:
-(1) Derive the chunk's draws in one streams.episode_rng call and scale its
-    initial states in one sample_initial call. Decide each (episode,
-    policy) once with episode_decision, and record each episode's distinct
-    held joint actions. Without replay every decision is held. Under replay
-    a game policy is held in an episode whose law is fixed (_fixed_law),
-    since no replayed uniform can change its decision: QG_G4[Z], and a
-    uniform QG_G4 whose gate is X, Y, Z or I. Every other (episode, policy)
-    replays here, through run_episode's scalar loop with its callback: a
-    replayed path depends on its own draws, so it is neither shared nor
-    batched.
-(2) Integrate the recorded held joint actions, at most four per episode
-    however many policies run, in one scenario_sim.run_episodes call.
-(3) Episode-major, read each held result through run_episode's `shared`
-    lookup, and tally every (episode, policy).
+run_comparison derives a chunk of _CHUNK episodes' draws in one
+streams.episode_rng call and scales its initial states in one
+sample_initial call, then runs the chunk, or under replay each of its row
+batches (streams._ROWS episodes), in three passes:
+(1) Decide each (episode, policy) once with episode_decision, and record
+    each episode's distinct held joint actions. Under replay a game policy
+    is held where its law is fixed (_fixed_law): QG_G4[Z], and a uniform
+    QG_G4 whose gate is X, Y, Z or I. Every other game policy's replayed
+    decisions read only its block, so _columns derives them in advance,
+    one vectorized call per law and block. IDM and MOBIL read the state,
+    so their replay runs here, in run_episode's scalar loop, and is tallied.
+(2) Integrate the held joint actions, at most four per episode, and the
+    replaying game policies' lanes in one scenario_sim.run_episodes call.
+(3) Episode-major, read each result through run_episode's `shared` lookup,
+    by joint action or by replay handle, and tally every (episode, policy).
 
 Each policy is one row of POLICIES: the scenario it runs on and what
 decides for it. Game-backed policies act by sampling their joint outcome
@@ -56,6 +55,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .classical_game import (
@@ -214,22 +214,34 @@ def _fixed_law(dist: OutcomeDistribution) -> bool:
     return p_ev0 == 0.0 and p_iv0_ev1 in (0.0, 1.0)
 
 
+def _columns(thresholds: tuple, blocks):
+    """_sample_joint at `thresholds` over the k/2 (EV, IV) uniform pairs of
+    each row of the (n, k) `blocks`: an (n, k/2, 2) bool array of (EV action,
+    IV action), True for 1, each row a run_episodes lane's columns. No
+    uniform is NaN, so `>=` is _sample_joint's `not <`."""
+    p_ev0, p_iv0_ev0, p_iv0_ev1 = thresholds
+    pairs = blocks.reshape(len(blocks), -1, 2)
+    # the IV's action given EV action 0, then given 1 where the EV takes it
+    decisions = pairs >= (p_ev0, p_iv0_ev0)
+    ev, iv = decisions[..., 0], decisions[..., 1]
+    iv &= ~ev
+    iv |= ev & (pairs[..., 1] >= p_iv0_ev1)
+    return decisions
+
+
 def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=None):
-    """Episode-start (EV action, IV action), and the episode's replay
-    callback `(ev_s, ev_v, iv_s, iv_v) -> (EV action, IV action)` or None
-    if the episode is held, for `dists` from policy_distributions.
+    """Episode-start (EV action, IV action), and how the episode replays,
+    for `dists` from policy_distributions: None if it is held, a driver
+    baseline's callback `(ev_s, ev_v, iv_s, iv_v) -> (EV action, IV
+    action)`, or the OutcomeDistribution a game policy's replays invert.
 
     The start takes the episode's shared EV and IV uniforms; a uniform QG_G4
     then draws its opponent gate from `rng`, and IDM/MOBIL apply their rule
     to the positions and speeds of `ev` and `iv`. `uniforms` is the
-    episode's shared replay block as a list, read as the module docstring
-    states; without it, and for a fixed law (_fixed_law), whose replays
-    would repeat the start, the callback is None and nothing more is drawn.
-
-    `rng` is read through its integers(n) and random(k) calls only: a numpy
-    Generator on the episode's stream just after the shared six, or
-    run_comparison's streams._Derived, which answers both calls from the row
-    that streams.episode_rng derived.
+    episode's shared replay block, which the driver callback reads as the
+    module docstring states; without it, and for a fixed law (_fixed_law),
+    the episode is held. `rng` is read through integers(n) only: a numpy
+    Generator just after the episode's shared six, or streams._Derived.
     """
     if dists is None:
         rule = POLICIES[policy.name][1]
@@ -244,32 +256,22 @@ def episode_decision(policy, scenario, dists, rng, ev, iv, u_ev, u_iv, uniforms=
 
         return start, replay
     dist = dists[int(rng.integers(len(dists)))] if isinstance(dists, tuple) else dists
-    thresholds = dist.thresholds
-    start = _sample_joint(thresholds, u_ev, u_iv)
-    if uniforms is None or _fixed_law(dist):
-        return start, None
-    if dist is not dists:  # its gate comes before its block
-        uniforms = rng.random(len(uniforms)).tolist()
-    u_next = iter(uniforms).__next__
-
-    def replay(ev_s, ev_v, iv_s, iv_v):
-        return _sample_joint(thresholds, u_next(), u_next())
-
-    return start, replay
+    start = _sample_joint(dist.thresholds, u_ev, u_iv)
+    return start, None if uniforms is None or _fixed_law(dist) else dist
 
 
-# Episodes per kernel call, which bounds the kernel's arrays however many
-# episodes a run has. Each call pays a fixed cost per step, so fewer, larger
-# calls are faster up to a point: on merging with six policies at the CLI
-# default of 10,000 episodes (2-core Xeon, CPython 3.11.7, numpy 2.4.6),
-# run_comparison took 1.19, 1.07, 1.00 and 1.04 times as long with chunks of
-# 512, 1024, 2048 and 4096 (the median ratio over 41 interleaved rounds),
-# and 2048 is the smallest within 3% of the fastest. A chunk holds about
-# 2 KB per episode: run_comparison's tracemalloc peak there is 3.7 MB at
-# 2048, against 0.9 MB at 512. Under decision replay (roundabout, six policies
-# with a uniform QG_G4, 10,000 episodes) it is 3.8 MB at 2048 and 1.6 MB at
-# 512, mostly replayed results: streams.row_batch derives the replay rows
-# _ROWS episodes at a time.
+# Episodes per episode_rng call and, without replay, per kernel call. Each
+# kernel call pays a fixed cost per step, so fewer, larger calls are faster
+# up to a point: on merging with six policies at the CLI default of
+# 10,000 episodes (2-core Xeon, CPython 3.11.7, numpy 2.4.6), run_comparison
+# took 1.19, 1.07, 1.00 and 1.04 times as long with chunks of 512, 1024,
+# 2048 and 4096 (the median ratio over 41 interleaved rounds), and 2048 is
+# the smallest within 3% of the fastest. A chunk holds about 2 KB per
+# episode: run_comparison's tracemalloc peak there is 4.2 MB at 2048,
+# against 1.0 MB at 512. Under decision replay (roundabout, six policies
+# with a uniform QG_G4, 10,000 episodes) it is 2.3 MB at 2048 and 1.6 MB at
+# 512: the chunk's draws and initial states, and one row batch's columns,
+# lanes and results at a time.
 _CHUNK = 2048
 
 
@@ -298,39 +300,77 @@ def run_comparison(policies, config: MonteCarloConfig) -> tuple[MetricsSummary, 
         outcomes[j][result.outcome] += 1
         headway_totals[j] += result.mean_headway
 
-    def run_chunk(start, count):  # its arrays and results go when it returns
-        # pass 1: a held joint action, or None and the replayed result. Only
-        # a uniform QG_G4 reads `rng`, the row's gate and own block or the
-        # fallback Generator, and a label appears once, so the policies share it
-        u, gates, rows, resume = episode_rng(config.master_seed, start, count, choices)
-        episodes, replayed = [], []
-        for j, ((ev0, iv0), (u_ev, u_iv), gate, row) in enumerate(zip(
-                sample_initial(scenario, u[:, :4]), u[:, 4:].tolist(),
-                [None] * count if gates is None else gates.tolist(),
-                # the shared block, then one more draw for a uniform QG_G4's own
-                rows(k + (choices is not None)) if scenario.decision_replay else [None] * count)):
-            block = None if row is None else row[:k].tolist()
-            rng = None if gate is None else resume(j) if gate < 0 else _Derived(gate, row)
-            joints = []
-            for spec, d in zip(specs, dists):
-                joint, decide = episode_decision(spec, scenario, d, rng, ev0, iv0,
-                                                 u_ev, u_iv, block)
-                if decide is not None:
-                    replayed.append(run_episode(scenario, ev0, iv0, *joint, decide=decide))
+    def decide(span, rows, resume):
+        """Pass 1 over `span`'s (index in the chunk, initial states, decision
+        uniforms, gate) and `rows`, their row batch under replay: each
+        episode's (ev0, iv0, joints, held, handles), and the replayed lanes."""
+        # joints holds the held joint actions, handles each replayed game
+        # policy's (index, start joint action), the index its replay handle;
+        # a driver's replay is tallied here. Only a uniform QG_G4 reads
+        # `rng`, and a label appears once, so the policies share it
+        episodes, replays, fallbacks = [], [], []
+        for r, (j, (ev0, iv0), (u_ev, u_iv), gate) in enumerate(span):
+            block = None if rows is None else rows[r, :k]
+            rng = None if gate is None else _Derived(gate) if gate >= 0 else resume(j)
+            joints, handles = [], []
+            for p, (spec, d) in enumerate(zip(specs, dists)):
+                joint, replay = episode_decision(spec, scenario, d, rng, ev0, iv0, u_ev, u_iv,
+                                                 block)
+                if replay is not None:
+                    if d is None:
+                        tally(p, run_episode(scenario, ev0, iv0, *joint, decide=replay))
+                    else:
+                        replays.append((ev0, iv0, joint, r, replay.thresholds,
+                                        isinstance(d, tuple)))
+                        handles.append((p, joint))
                     joint = None
                 joints.append(joint)
+            if gate is not None and gate < 0:
+                fallbacks.append((r, rng))
             held = [joint for joint in dict.fromkeys(joints) if joint is not None]
-            episodes.append((ev0, iv0, joints, held))
-        # pass 2: integrate
-        results = iter(run_episodes(scenario, (
-            (ev0, iv0, *joint) for ev0, iv0, _, held in episodes for joint in held)))
-        # pass 3: look up and tally
-        replayed = iter(replayed)
-        for ev0, iv0, joints, held in episodes:
-            shared = {joint: next(results) for joint in held}
-            for j, joint in enumerate(joints):
-                tally(j, next(replayed) if joint is None else
-                      run_episode(scenario, ev0, iv0, *joint, shared=shared))
+            episodes.append((ev0, iv0, joints, held, handles or ()))
+        columns, replay_lanes = {}, []
+        if replays:
+            blocks = [rows[:, :k], rows[:, 1:1 + k]]  # the shared ones, a uniform QG_G4's own
+            if fallbacks:  # their Generators drew the gates, and draw the own blocks
+                blocks[1] = blocks[1].copy()
+                for r, gen in fallbacks:
+                    blocks[1][r] = gen.random(k)
+        for ev0, iv0, joint, r, thresholds, own in replays:
+            if (thresholds, own) not in columns:
+                columns[thresholds, own] = _columns(thresholds, blocks[own])
+            replay_lanes.append((ev0, iv0, *joint, columns[thresholds, own][r]))
+        return episodes, replay_lanes
+
+    def integrate(episodes, replay_lanes):
+        """Passes 2 and 3, the held lanes first."""
+        results = run_episodes(scenario, chain(
+            ((ev0, iv0, *joint) for ev0, iv0, _, held, _ in episodes for joint in held),
+            replay_lanes))
+        held_results = iter(results)
+        replayed = islice(results, len(results) - len(replay_lanes), None)
+        for ev0, iv0, joints, held, handles in episodes:
+            shared = {joint: next(held_results) for joint in held}
+            for p, joint in enumerate(joints):
+                if joint is not None:
+                    tally(p, run_episode(scenario, ev0, iv0, *joint, shared=shared))
+            for p, joint in handles:
+                shared[p] = next(replayed)
+                tally(p, run_episode(scenario, ev0, iv0, *joint, decide=p, shared=shared))
+
+    def run_chunk(start, count):  # its arrays and results go when it returns
+        u, gates, batches, resume = episode_rng(config.master_seed, start, count, choices)
+        # strict: reading every episode frees each list before the kernel runs
+        span = zip(range(count), sample_initial(scenario, u[:, :4]), u[:, 4:].tolist(),
+                   [None] * count if gates is None else gates.tolist(), strict=True)
+        if not scenario.decision_replay:
+            return integrate(*decide(span, None, resume))
+        # the shared block, then one more draw for a uniform QG_G4's own block
+        for rows in batches(k + (choices is not None)):
+            work = decide(islice(span, len(rows)), rows, resume)
+            del rows  # freed before the kernel runs
+            integrate(*work)
+            del work  # the columns too, before the next batch is derived
 
     for start in range(0, n, _CHUNK):
         run_chunk(start, min(_CHUNK, n - start))

@@ -20,14 +20,16 @@ the EV enters. Own-path coordinates differ per lane; the shared exit path is
 the target lane's own path, and an entry-lane position projects onto it by
 adding `lane_offset`.
 run_episode integrates one episode, optionally replaying the decision or
-recording a trace; run_episodes integrates many held-decision episodes at
-once as numpy arrays, with results equal to run_episode's bit for bit.
+recording a trace; run_episodes integrates many episodes at once as numpy
+arrays, held or replaying given decisions, with results equal to
+run_episode's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -368,30 +370,29 @@ def run_episode(
     per commanded action.
 
     `shared` is a lookup: a dict the caller owns for one (config, ev0, iv0)
-    triple, keyed by the joint action and filled from run_episodes.
-    run_episode returns `shared[ev_action, iv_action]`, integrating nothing;
-    a joint action missing from it raises ValueError.
-    It cannot be combined with `decide` (a replayed path depends on the
-    callback's own draws) or with `record_trace` (a stored result carries no
-    trace).
+    triple, filled from run_episodes. run_episode returns `shared[ev_action,
+    iv_action]`, or `shared[decide]`, where `decide` is a replayed lane's
+    handle, not a callback, integrating nothing; a missing key raises
+    ValueError, and so does `record_trace` (a stored result has no trace).
 
     Why the Monte Carlo loop calls run_episode at all is stated here once
     for the whole package: bench/selftest.py pins one run_episode call per
-    (policy, episode) on both Monte Carlo workloads, so a held decision
-    reads the kernel's results through this lookup and a replayed one runs
-    this scalar loop. Once that pin counts outcomes instead, the lookup
-    belongs in the loop, `shared` can go, and replay can move to a batched
-    kernel. The loop also records traces, and it is the reference
-    run_episodes is tested against.
+    (policy, episode) on both Monte Carlo workloads, so a held decision and
+    a replayed game policy read the kernel's results through this lookup,
+    and an IDM/MOBIL replay runs this scalar loop. Once that pin counts
+    outcomes instead, the lookup belongs in the loop and `shared` can go.
+    The loop also records traces, and it is the reference run_episodes is
+    tested against.
     """
     if shared is not None:
-        if decide is not None or record_trace:
-            raise ValueError("shared results take neither a decide callback nor a trace")
+        if record_trace:
+            raise ValueError("shared results carry no trace")
+        key, what = ((ev_action, iv_action), "joint action") if decide is None else \
+            (decide, "replay handle")
         try:
-            return shared[ev_action, iv_action]
+            return shared[key]
         except KeyError:
-            raise ValueError(f"no shared result for joint action "
-                             f"{(ev_action, iv_action)!r}") from None
+            raise ValueError(f"no shared result for {what} {key!r}") from None
     if ev_action not in (0, 1) or iv_action not in (0, 1):
         raise ValueError("actions must be 0 or 1")
     merging, a_nom, v0, offset, merge_point, section_end, clearance, go_a, iv_terms = \
@@ -495,19 +496,23 @@ def _advance(s: np.ndarray, v: np.ndarray, dv: np.ndarray, ds: np.ndarray):
 
 
 def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
-    """Integrate many held-decision episodes at once: one lane per
-    (ev0, iv0, ev_action, iv_action) in `lanes`, one EpisodeResult per lane,
-    in order. Each result equals run_episode's on the same arguments in
-    every field; the trace is always empty.
+    """Integrate many episodes at once: one EpisodeResult per lane of
+    `lanes`, in order, each a held (ev0, iv0, ev_action, iv_action) or a
+    replayed (ev0, iv0, ev_action, iv_action, columns), whose columns are
+    the config.horizon - 1 (EV action, IV action) pairs a decide callback
+    would return. Each result equals run_episode's in every field; the
+    trace is always empty.
 
     The body is run_episode's step loop with every per-episode scalar turned
     into an array over the lanes: one `phase` array of _GO/_YIELD/_FOLLOW,
     each `if` a mask, and idm_accel_lanes on every lane (np.where keeps it
-    for the _FOLLOW lanes). Both vehicles step through _advance: the EV's
-    step terms are computed from its acceleration every step, the IV's are
-    _setup's, indexed per lane and zeroed once a held brake has stopped the
-    IV, where every later step would clamp it at rest and add +0.0 to its
-    position, as zero terms do. The results are bit-identical to
+    for the _FOLLOW lanes). From step 2 on, a replayed lane not yet in
+    _FOLLOW takes its next column, as run_episode's decide block does. Both
+    vehicles step through _advance: the EV's step terms are computed from
+    its acceleration every step, the IV's are _setup's, indexed per lane
+    and zeroed once a brake has stopped the IV, where every later step
+    would clamp it at rest and add +0.0 to its position, as zero terms do,
+    until a decision indexes them again. The results are bit-identical to
     run_episode's because the arrays see the same IEEE operations in the
     same order: IDM's multiplications, `s + (v*DT + 0.5*a*DT*DT)` and one
     headway sum per lane in step order.
@@ -519,18 +524,34 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     lanes = list(lanes)
     if not lanes:
         return []
-    ev0s, iv0s, ev_actions, iv_actions = zip(*lanes)
+    ev0s, iv0s, ev_actions, iv_actions, *columns = zip_longest(*lanes)
+    columns = columns[0] if columns else ()     # None for a held lane
     if not {*ev_actions, *iv_actions} <= {0, 1}:
         raise ValueError("actions must be 0 or 1")
     merging, a_nom, v0, offset, merge_point, section_end, clearance, go_a, iv_terms = \
         _setup(config)
+    terms = np.array(iv_terms).T    # (a*DT, 0.5*a*DT*DT) by IV action
+
+    n = len(lanes)
+    ev_act, iv_act = np.array(ev_actions, np.int8), np.array(iv_actions, np.int8)
+    # the replayed lanes still deciding, and their rows of `decisions`
+    deciding = [i for i, c in enumerate(columns) if c is not None]
+    if deciding:
+        shape = (len(deciding), config.horizon - 1, 2)
+        decisions = np.array([columns[i] for i in deciding], np.int8)
+        if not decisions.size:  # numpy sees no pair axis in empty columns
+            decisions = decisions.reshape(shape)
+        if (decisions.shape != shape or decisions.min(initial=0) < 0
+                or decisions.max(initial=0) > 1):
+            raise ValueError(f"columns must be {shape[1]} (EV action, IV action) pairs, "
+                             "each action 0 or 1")
+        deciding, row = np.array(deciding), np.arange(len(deciding))
 
     ev_s, ev_v = np.array(ev0s).T
     iv_s, iv_v = np.array(iv0s).T
 
-    n = len(lanes)
-    iv_dv, iv_ds = np.array(iv_terms).T[:, np.array(iv_actions, int)]
-    phase = np.where(np.array(ev_actions) == 0, _GO, _YIELD)
+    iv_dv, iv_ds = terms[:, iv_act]
+    phase = np.where(ev_act == 0, _GO, _YIELD)
     alive = np.ones(n, bool)        # not collided: run_episode's loop still runs
     violation = np.zeros(n, bool)
     steps_run = np.full(n, config.horizon)
@@ -545,6 +566,15 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
     phase_accel = np.array([go_a, -a_nom, 0.0])  # by phase; _FOLLOW's IDM is set per step
 
     for step in range(1, config.horizon + 1):
+        if step > 1 and len(deciding):
+            # run_episode's decide block
+            live = phase[deciding] != _FOLLOW
+            deciding, row = deciding[live], row[live]
+            a_ev, a_iv = decisions[row, step - 2].T
+            phase[deciding] = np.where(a_ev == 0, _GO, _YIELD)
+            iv_dv[deciding], iv_ds[deciding] = terms[:, a_iv]
+            ev_act[deciding], iv_act[deciding] = a_ev, a_iv
+
         # phase transitions on the current state; a collided lane is on the
         # target lane, so in _FOLLOW: it never yields or changes lane again
         yielding = phase == _YIELD
@@ -571,7 +601,7 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
         ev_s, ev_v, _ = _advance(ev_s, ev_v, ev_a * DT, 0.5 * ev_a * DT * DT)
         iv_s, iv_v, stop = _advance(iv_s, iv_v, iv_dv, iv_ds)
         if np.count_nonzero(stop):
-            # a held brake keeps a stopped IV at rest: zero terms, no clamp
+            # a brake keeps a stopped IV at rest: zero terms, no clamp
             rest = stop & (iv_dv < 0.0)
             iv_dv[rest] = iv_ds[rest] = 0.0
 
@@ -588,6 +618,8 @@ def run_episodes(config: ScenarioConfig, lanes) -> list[EpisodeResult]:
                 break
         headway_sum += headway
 
+    if columns:  # the last commanded pairs
+        ev_actions, iv_actions = ev_act.tolist(), iv_act.tolist()
     return list(map(_episode_result, ev_actions, iv_actions, (~alive).tolist(),
                     (~on_entry).tolist(), violation.tolist(), steps_run.tolist(),
                     np.where(alive, headway_sum, hit_sum).tolist()))

@@ -24,9 +24,13 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # outputs. On a 2-core Xeon with numpy 2.4.6, 305 outputs of 500 streams
 # took 3.4 ms in blocks of 16 against 9.0 ms stepping every output (8 and
 # 32 were slower), and episode_rng with 299-double rows for 500 streams
-# took 6.0, 4.7 and 4.4 ms in batches of 128, 256 and 512. A batch of 256
-# such rows is 0.6 MB.
-_ROWS, _JUMP = 256, 16
+# took 6.0, 4.7 and 4.4 ms in batches of 128, 256 and 512. A row batch is
+# also a replayed run's kernel span: for 500 roundabout replay episodes,
+# run_comparison took 1.07, 1.00 and 0.91 times as long in batches of 128,
+# 192 and 256 (median of 15 interleaved rounds), and bench/replay.py's
+# process peaked at 31.6, 31.8 and 32.2 MB resident (32.05 MB replaying
+# in run_episode's scalar loop), so 192.
+_ROWS, _JUMP = 192, 16
 
 
 def _hasher(const: int, mult: int):
@@ -135,17 +139,8 @@ def row_batch(hi, lo, inc_hi, inc_lo, width: int):
     return batch
 
 
-def _rows(hi, lo, inc_hi, inc_lo, width: int):
-    """row_batch's rows, one array per stream, derived _ROWS streams at a
-    time. Each row is a copy, so the row a consumer still holds does not keep
-    its batch alive while the next batch is derived."""
-    for r in range(0, len(lo), _ROWS):
-        cut = slice(r, r + _ROWS)
-        yield from map(np.copy, row_batch(hi[cut], lo[cut], inc_hi[cut], inc_lo[cut], width))
-
-
 def _streams(hi, lo, inc_hi, inc_lo, choices: "int | None"):
-    """episode_rng's (doubles, gates, rows, resume) for PCG64 streams at
+    """episode_rng's (doubles, gates, batches, resume) for PCG64 streams at
     seeded states hi:lo with increments inc_hi:inc_lo, one stream per
     element of the uint64 arrays."""
     doubles, gates = np.empty((len(lo), 6)), None
@@ -161,7 +156,13 @@ def _streams(hi, lo, inc_hi, inc_lo, choices: "int | None"):
         m = word * _U64(choices)
         gates = np.where(m & _U64(_LOW32) < _U64((2**32 - choices) % choices), -1,
                          (m >> _U64(32)).astype(np.int64))
-    return (doubles, gates, lambda width: _rows(*state, inc_hi, inc_lo, width),
+
+    def batches(width):
+        for r in range(0, len(lo), _ROWS):
+            cut = slice(r, r + _ROWS)
+            yield row_batch(state[0][cut], state[1][cut], inc_hi[cut], inc_lo[cut], width)
+
+    return (doubles, gates, batches,
             lambda j: _generator(state[0][j], state[1][j], inc_hi[j], inc_lo[j]))
 
 
@@ -173,19 +174,20 @@ def episode_rng(master_seed: int, index: int, count: "int | None" = None,
 
     With count=None, that episode's Generator at the start of its stream.
     With a count, the streams of episodes index .. index + count - 1,
-    derived in one vectorized pass, as (doubles, gates, rows, resume):
+    derived in one vectorized pass, as (doubles, gates, batches, resume):
     - doubles, a (count, 6) array of each stream's first six random()
       draws, PCG64 outputs 1 .. 6.
     - gates, with choices given: each stream's integers(choices) right
       after the six, from output 7's low word, as an int array; -1 where
       numpy would reject that word and read on, about once in 2**32
       streams at five choices. None without choices.
-    - rows(width), an iterator of one array per stream, in order: the
-      `width` random() draws right after the six, outputs 7 .. 6 + width.
-      A uniform QG_G4's own replay block starts at output 8, the row's
-      second draw, since its gate takes output 7's low word and random()
-      never reads the high one. The rows come from row_batch, _ROWS
-      streams at a time, so a chunk's are never all held.
+    - batches(width), an iterator of row_batch arrays, one row per stream
+      and _ROWS streams to an array, in order: the `width` random() draws
+      right after the six, outputs 7 .. 6 + width. A uniform QG_G4's own
+      replay block starts at output 8, the row's second draw, since its
+      gate takes output 7's low word and random() never reads the high
+      one. Each array is derived when the iterator reaches it, so a
+      chunk's rows are never all held.
     - resume(j), a numpy Generator on episode index + j's stream just after
       the six: the fallback for a -1 gate, and the only draw that loads
       numpy.random.
@@ -212,18 +214,14 @@ def episode_rng(master_seed: int, index: int, count: "int | None" = None,
 
 
 class _Derived:
-    """A uniform QG_G4's draws past an episode's shared six, as episode_rng
-    derives them: the Generator calls episode_decision makes, integers for
-    its gate and then random for its own replay block, read from the row."""
+    """A uniform QG_G4's gate as episode_rng derives it, answering the one
+    Generator call episode_decision makes for it, integers."""
 
-    __slots__ = ("gate", "row")
+    __slots__ = ("gate",)
 
-    def __init__(self, gate: int, row):
-        self.gate, self.row = gate, row
+    def __init__(self, gate: int):
+        self.gate = gate
 
     def integers(self, choices):
         return self.gate
-
-    def random(self, size):
-        return self.row[1:1 + size]
 

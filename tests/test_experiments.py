@@ -149,8 +149,8 @@ class TestSeeding:
     @example(7, 0, 0, 5)
     @example(2**128, 2**40, 298, None)
     def test_rows_and_gates_equal_numpys_draws(self, master_seed, first, width, choices):
-        doubles, gates, rows, resume = streams.episode_rng(master_seed, first, 3, choices)
-        rows = list(rows(width))
+        doubles, gates, batches, resume = streams.episode_rng(master_seed, first, 3, choices)
+        rows = [row for batch in batches(width) for row in batch]
         assert len(rows) == 3 and (gates is None) == (choices is None)
         for j, row in enumerate(rows):
             def stream():
@@ -184,8 +184,9 @@ class TestSeeding:
         want = [np.random.default_rng(np.random.SeedSequence(11, spawn_key=(i,))).random(305)[6:]
                 for i in range(40, 45)]
         monkeypatch.setattr(streams, "_ROWS", batch)
-        rows = streams.episode_rng(11, 40, 5)[2]
-        assert [row.tobytes() for row in rows(299)] == [w.tobytes() for w in want]
+        batches = list(streams.episode_rng(11, 40, 5)[2](299))
+        assert [len(b) for b in batches] == [min(batch, 5 - r) for r in range(0, 5, batch)]
+        assert [row.tobytes() for b in batches for row in b] == [w.tobytes() for w in want]
 
     # a PCG64 state whose seventh output has a chosen low word: zero, the
     # one word numpy's integers(5) rejects, or 5**-1 mod 2**32, whose
@@ -224,9 +225,9 @@ class TestSeeding:
                   np.array([v & mask for v in seeded], streams._U64),
                   np.array([v >> 64 for v in incs], streams._U64),
                   np.array([v & mask for v in incs], streams._U64)]
-        doubles, gates, rows, resume = streams._streams(*halves, 5)
+        doubles, gates, batches, resume = streams._streams(*halves, 5)
         assert doubles[0].tobytes() == six.tobytes()
-        assert next(rows(299)).tobytes() == row.tobytes()
+        assert next(batches(299))[0].tobytes() == row.tobytes()
         assert gates[0] == (-1 if rejected else gate) and gates[1] >= 0
         if not rejected:
             assert row[1:].tobytes() == block.tobytes()
@@ -337,14 +338,15 @@ class TestJointSampling:
         u_ev, u_iv = (0.5, 0.5) if data is None else (data.draw(uniform), data.draw(uniform))
         want = inverse_cdf_joint(p, u_ev, u_iv)
         assert ex._sample_joint(dist.thresholds, u_ev, u_iv) == want
-        # the start decision and a replayed one read the same thresholds;
-        # a fixed law gets no replay callback
+        # the start decision and a replayed one read the same thresholds: a
+        # replaying law's decision columns, here of a one-decision block,
+        # invert the uniforms as the oracle does; a fixed law is held
         start, replay = ex.episode_decision(ex.PolicySpec("cg-ms"), builtin_scenario("merging"),
                                             dist, None, None, None, u_ev, u_iv, [u_ev, u_iv])
         assert start == want
-        assert (replay is None) == ex._fixed_law(dist)
-        if replay is not None:
-            assert replay(110.0, 20.0, 105.0, 20.0) == want
+        assert replay is (None if ex._fixed_law(dist) else dist)
+        columns = ex._columns(dist.thresholds, np.array([[u_ev, u_iv]]))
+        assert columns.astype(int).tolist() == [[list(want)]]
 
     def test_uniform_gate_drawn_after_decision_uniforms(self):
         # the gate index must come from the third draw so the first two
@@ -503,23 +505,34 @@ class TestRuns:
             builtin_scenario(kind, decision_replay=replay), builtin_game(kind), 23, 7
         )
         default = ex.run_comparison(policies, cfg)
-        lanes_per_call = []
+        held_per_call, replayed_per_call = [], []
         real = ex.run_episodes
 
         def recording(config, lanes):
+            # a held lane is (ev0, iv0, ev_action, iv_action), a replayed one
+            # carries its decision columns as a fifth item
             lanes = list(lanes)
-            lanes_per_call.append(len(lanes))
+            held_per_call.append(sum(len(lane) == 4 for lane in lanes))
+            replayed_per_call.append(sum(len(lane) == 5 for lane in lanes))
             return real(config, lanes)
 
         monkeypatch.setattr(ex, "_CHUNK", chunk)
         monkeypatch.setattr(ex, "run_episodes", recording)
         assert ex.run_comparison(policies, cfg) == default
-        assert len(lanes_per_call) == -(-23 // chunk)
-        assert max(lanes_per_call) <= 4 * chunk
+        assert len(held_per_call) == -(-23 // chunk)
+        assert max(held_per_call) <= 4 * chunk
+        # under replay the five game policies' lanes join the held ones
+        if replay:
+            assert 0 < min(replayed_per_call) and max(replayed_per_call) <= 5 * chunk
+        else:
+            assert set(replayed_per_call) == {0}
 
+    # merging is the one scenario whose replayed IV can brake
     @pytest.mark.parametrize("kind,gate,replay", [
         ("merging", "Z", False), ("merging", "uniform", False), ("roundabout", "uniform", True),
-    ], ids=["merging-Z", "merging-uniform", "roundabout-replay-uniform"])
+        ("merging", "Z", True), ("merging", "uniform", True),
+    ], ids=["merging-Z", "merging-uniform", "roundabout-replay-uniform", "merging-replay-Z",
+            "merging-replay-uniform"])
     def test_chunk_size_does_not_move_the_report_bytes(self, kind, gate, replay, tmp_path,
                                                        monkeypatch):
         # 47 episodes in chunks of 7 end on a partial chunk; each chunk
@@ -537,24 +550,37 @@ class TestRuns:
             assert _report_bytes(tmp_path / "rows3", argv) == default
 
     def test_each_row_batch_is_freed_before_the_next(self, monkeypatch):
-        # neither the row pass 1 holds nor the uniform QG_G4's _Derived on it
-        # may keep a batch alive while the next batch is derived
+        # neither a batch nor the decision columns derived from it may be
+        # kept alive, by pass 1's rows, the kernel's lanes or the lookups,
+        # while the next batch is derived
         real, batches, alive = streams.row_batch, [], []
+        real_columns, columns, columns_alive = ex._columns, [], []
 
         def tracked(*args):
             alive.append([ref() is not None for ref in batches])
+            columns_alive.append([ref() is not None for ref in columns])
             batch = real(*args)
             batches.append(weakref.ref(batch))
             return batch
 
+        def deriving(*args):
+            derived = real_columns(*args)
+            columns.extend(map(weakref.ref, derived))
+            return derived
+
         monkeypatch.setattr(streams, "_ROWS", 4)
         monkeypatch.setattr(streams, "row_batch", tracked)
+        monkeypatch.setattr(ex, "_columns", deriving)
         policies = ["cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", ex.PolicySpec("qg-g4", "uniform"),
                     "idm"]
         cfg = ex.MonteCarloConfig(builtin_scenario("roundabout", decision_replay=True),
                                   builtin_game("roundabout"), 14, 7)
         ex.run_comparison(policies, cfg)
         assert alive == [[False] * n for n in range(4)]
+        # each batch derives two columns per law: three laws (CG_EPD's is
+        # QG_U1_2's), and QG_G4's H law where the batch draws that gate
+        assert [len(seen) for seen in columns_alive] == sorted(set(map(len, columns_alive)))
+        assert len(columns_alive[-1]) >= 3 * 3 * 2 and not any(map(any, columns_alive))
 
     def test_held_run_never_loads_numpy_random(self, tmp_path):
         # numpy 2 loads numpy.random on first use, about 15 ms; a held run
@@ -591,6 +617,34 @@ class TestRuns:
         assert _report_bytes(tmp_path / "fallback", argv) == derived
         # two runs, csv and json, each resume every episode once
         assert sorted(resumed) == list(range(60)) and set(resumed.values()) == {2}
+
+    def test_a_rejected_gate_replays_its_generators_own_block(self, monkeypatch):
+        # a flagged gate's Generator draws the uniform QG_G4's own block: one
+        # whose blocks are mirrored (u -> 1 - u) moves that row and no other
+        real = ex.episode_rng
+
+        class Mirrored:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def integers(self, n):
+                return self.gen.integers(n)
+
+            def random(self, size):
+                return 1.0 - self.gen.random(size)
+
+        def rejecting(*args):
+            doubles, gates, batches, resume = real(*args)
+            return doubles, np.full_like(gates, -1), batches, lambda j: Mirrored(resume(j))
+
+        specs = [ex.PolicySpec(p, "uniform")
+                 for p in ("cg-epd", "cg-ms", "qg-u1-1", "qg-u1-2", "qg-g4", "idm")]
+        cfg = ex.MonteCarloConfig(builtin_scenario("roundabout", decision_replay=True),
+                                  builtin_game("roundabout"), 60, 7)
+        derived = ex.run_comparison(specs, cfg)
+        monkeypatch.setattr(ex, "episode_rng", rejecting)
+        mirrored = ex.run_comparison(specs, cfg)
+        assert [a == b for a, b in zip(derived, mirrored)] == [True] * 4 + [False, True]
 
     @pytest.mark.parametrize("field, value", [
         ("scenario", "merging"), ("game", "merging"), ("game", builtin_scenario("merging"))])
@@ -788,9 +842,12 @@ class TestFixedLaws:
             lanes.extend(batch)
             return real_many(config, batch)
 
-        def one(config, ev0, iv0, a_ev, a_iv, **kwargs):
-            calls.append((ev0, (a_ev, a_iv), "shared" in kwargs))
-            return real_one(config, ev0, iv0, a_ev, a_iv, **kwargs)
+        def one(config, ev0, iv0, a_ev, a_iv, decide=None, shared=None, **kwargs):
+            # a lookup keyed by the joint action or by a replay handle, or a
+            # scalar replay with its callback
+            how = "scalar" if shared is None else "joint" if decide is None else "handle"
+            calls.append((ev0, (a_ev, a_iv), how))
+            return real_one(config, ev0, iv0, a_ev, a_iv, decide=decide, shared=shared, **kwargs)
 
         monkeypatch.setattr(ex, "_CHUNK", chunk)
         monkeypatch.setattr(ex, "run_episodes", many)
@@ -800,27 +857,52 @@ class TestFixedLaws:
         cfg = ex.MonteCarloConfig(
             builtin_scenario(kind, decision_replay=True), builtin_game(kind), 40, 7
         )
-        ex.run_comparison([ex.PolicySpec(p, "uniform") for p in policies], cfg)
-        # each episode's gate, drawn as the contract says, and the joint
-        # action the uniform QG_G4 holds when the gate fixes its law
-        rows = ex.policy_distributions(ex.PolicySpec("qg-g4", "uniform"), cfg.game)
-        starts, fixed = [], []
+        specs = [ex.PolicySpec(p, "uniform") for p in policies]
+        ex.run_comparison(specs, cfg)
+        # each episode's gate and blocks, drawn as the contract says from
+        # numpy's Generator; the joint action the uniform QG_G4 holds when
+        # the gate fixes its law; and every replaying game policy's lane:
+        # its start, and its columns, _sample_joint over its block's pairs
+        laws = [ex.policy_distributions(spec, cfg.game) for spec in specs[:5]]
+        k = 2 * (cfg.scenario.horizon - 1)
+        starts, fixed, replayed = [], [], []
         for i in range(40):
-            rng = ex.episode_rng(7, i)
+            rng, own = ex.episode_rng(7, i), ex.episode_rng(7, i)
             starts.append(scenario_sim.sample_initial(cfg.scenario, rng.random((1, 4)))[0][0])
             u_ev, u_iv = rng.random(2).tolist()
-            gate = int(rng.integers(5))
-            joint = ex._sample_joint(rows[gate].thresholds, u_ev, u_iv)
-            fixed.append(joint if GATE_ORDER[gate] is not QuantumGate.HADAMARD else None)
+            own.random(6)
+            gate = int(own.integers(5))
+            blocks = [rng.random(k).tolist(), own.random(k).tolist()]
+            for law in laws:
+                law, uniform = (law[gate], True) if isinstance(law, tuple) else (law, False)
+                joint = ex._sample_joint(law.thresholds, u_ev, u_iv)
+                if uniform:
+                    fixed.append(joint if GATE_ORDER[gate] is not QuantumGate.HADAMARD else None)
+                if not ex._fixed_law(law):
+                    block = blocks[uniform]
+                    decisions = [ex._sample_joint(law.thresholds, *block[r:r + 2])
+                                 for r in range(0, k, 2)]
+                    replayed.append((starts[-1], joint, list(map(list, decisions))))
         assert 0 < sum(f is not None for f in fixed) < 40
-        assert [lane[0] for lane in lanes] == [ev0 for ev0, f in zip(starts, fixed) if f]
-        # one call per (episode, policy), and only the fixed gates' held
+        # held: lanes without columns, and joint-keyed lookups, are exactly
+        # the fixed gates'
+        assert [lane[0] for lane in lanes if len(lane) == 4] == [
+            ev0 for ev0, f in zip(starts, fixed) if f]
         by_episode = {}
-        for ev0, joint, held in calls:
-            by_episode.setdefault(ev0, []).append(joint if held else None)
+        for ev0, joint, how in calls:
+            by_episode.setdefault(ev0, []).append((joint, how))
         assert list(by_episode) == starts
-        assert [sorted(j for j in joints if j) for joints in by_episode.values()] == [
+        assert [[j for j, how in joints if how == "joint"] for joints in by_episode.values()] == [
             [f] if f else [] for f in fixed]
+        # replayed: every replaying game (episode, policy) is exactly one
+        # lane with columns, looked up by its handle, and no IDM or MOBIL
+        # lane reaches the kernel; the controller replays in the scalar loop
+        assert [(ev0, (a_ev, a_iv), columns.astype(int).tolist())
+                for ev0, iv0, a_ev, a_iv, columns in (l for l in lanes if len(l) == 5)] == replayed
+        assert [sum(how == "handle" for _, how in joints) for joints in by_episode.values()] == [
+            4 + (f is None) for f in fixed]
+        assert [sum(how == "scalar" for _, how in joints) for joints in by_episode.values()] == [
+            1] * 40
         assert {len(joints) for joints in by_episode.values()} == {len(policies)}
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import idm_accel_exact, idm_entry_max_rule
+from qgdrive import experiments as ex
 from qgdrive import scenario_sim as sim
+from qgdrive.classical_game import OutcomeDistribution
 
 # IDM's standard constants (Treiber, Hennecke & Helbing 2000), written out
 # so that the oracle pins the module's values too
@@ -514,10 +516,21 @@ class TestSharedResults:
         {"decide": lambda *state: (1, 1)}, {"record_trace": True},
     ], ids=["decide", "record_trace"])
     def test_shared_refuses_replay_and_trace(self, extra):
+        # with `shared`, a decide is a replayed lane's handle: one missing
+        # from the lookup raises, one present returns its result; a trace is
+        # refused even where the lookup holds the joint action
         cfg = sim.builtin_scenario("merging")
         ev, iv = mid_merging()
-        with pytest.raises(ValueError, match="shared"):
-            sim.run_episode(cfg, ev, iv, 0, 1, shared={}, **extra)
+        stored = sim.run_episode(cfg, ev, iv, 0, 1)
+        if "decide" in extra:
+            handle = extra["decide"]
+            with pytest.raises(ValueError, match="no shared result for replay handle"):
+                sim.run_episode(cfg, ev, iv, 0, 1, shared={(0, 1): stored}, **extra)
+            assert sim.run_episode(cfg, ev, iv, 0, 1, shared={handle: stored},
+                                   **extra) is stored
+        else:
+            with pytest.raises(ValueError, match="^shared results carry no trace$"):
+                sim.run_episode(cfg, ev, iv, 0, 1, shared={(0, 1): stored}, **extra)
 
 
 class TestDecisionReplay:
@@ -591,6 +604,33 @@ def assert_kernel_matches_run_episode(cfg, states):
     for lane, result in zip(lanes, got):
         assert result.trace == ()
         assert episode_fields(result) == episode_fields(sim.run_episode(cfg, *lane)), lane
+
+
+# sampling ranges wider than the builtin rows, inside which every joint
+# action can collide, time out or succeed
+WIDE = {
+    "merging": dict(ev_s_range=(95.0, 125.0), ev_v_range=(14.0, 26.0),
+                    iv_s_range=(80.0, 130.0), iv_v_range=(14.0, 26.0)),
+    "roundabout": dict(ev_s_range=(110.0, 125.0), ev_v_range=(2.0, 10.0),
+                       iv_s_range=(0.0, 35.0), iv_v_range=(4.0, 12.0)),
+}
+
+
+def replaying(columns):
+    """A decide callback that returns a replayed lane's columns in order."""
+    pairs = iter(columns).__next__
+    return lambda *state: tuple(map(int, pairs()))
+
+
+def assert_replay_matches_run_episode(cfg, lanes, decides):
+    """run_episodes on `lanes`, held and replayed mixed, equals run_episode
+    in every field, a replayed lane's with its decide callback in
+    `decides` (None for a held lane)."""
+    got = sim.run_episodes(cfg, lanes)
+    assert len(got) == len(lanes)
+    for lane, decide, result in zip(lanes, decides, got):
+        assert result == sim.run_episode(cfg, *lane[:4], decide=decide), lane[:4]
+    return got
 
 
 class TestBatchedKernel:
@@ -697,6 +737,70 @@ class TestBatchedKernel:
         assert before.iv_v > 0.0 > before.iv_v - cfg.a_nominal * sim.DT
         assert braking.steps_run == cfg.horizon
         assert {(p.iv_v, p.iv_s) for p in rest} == {(0.0, rest[0].iv_s)}
+
+    # replayed lanes: their columns are run_comparison's, derived from one
+    # uniform block per lane, and the oracle is run_episode with the
+    # _sample_joint callback on the same block; a held lane of the same
+    # episode rides in the same call. Horizons 1, 2 and 150 read blocks of
+    # 0, 2 and 298 uniforms
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["merging", "roundabout"]), wide=st.booleans(),
+           horizon=st.sampled_from([1, 2, 150]),
+           weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4,
+                            max_size=4).filter(lambda w: sum(w) > 0.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_replayed_lanes_match_run_episode(self, kind, wide, horizon, weights, seed):
+        cfg = sim.builtin_scenario(kind, horizon=horizon, **(WIDE[kind] if wide else {}))
+        game = ex.policy_distributions(ex.PolicySpec("cg-epd"), None)
+        laws = [game, OutcomeDistribution(*(w / sum(weights) for w in weights))]
+        rng = np.random.default_rng(seed)
+        k = 2 * (horizon - 1)
+        lanes, decides = [], []
+        for ev, iv in sim.sample_initial(cfg, rng.random((4, 4))):
+            u_ev, u_iv = rng.random(2).tolist()
+            block = rng.random(k)
+            for law in laws:
+                start = ex._sample_joint(law.thresholds, u_ev, u_iv)
+                lanes.append((ev, iv, *start, ex._columns(law.thresholds, block[None])[0]))
+                u_next = iter(block.tolist()).__next__
+                decides.append(lambda *state, th=law.thresholds, u=u_next:
+                               ex._sample_joint(th, u(), u()))
+            lanes.append((ev, iv, *start))
+            decides.append(None)
+        assert_replay_matches_run_episode(cfg, lanes, decides)
+
+    def test_replayed_lanes_reach_a_collision_and_a_restarted_iv(self):
+        # merging, in one call with a held lane: lane A yields with a
+        # braking IV for 10 decisions, then goes with an accelerating one
+        # and collides while lane B still decides; lane B's IV brakes to
+        # rest from 3 m/s under 30 yield decisions, its terms zeroed at
+        # rest, and is then re-decided to accelerate
+        cfg = sim.builtin_scenario("merging")
+        ev, iv = mid_merging()
+        k = cfg.horizon - 1
+        collide = [(1, 1)] * 10 + [(0, 0)] * (k - 10)
+        restart = [(1, 1)] * 30 + [(1, 0)] * (k - 30)
+        lanes = [(ev, iv, 1, 1, collide), (ev, iv._replace(v=3.0), 1, 1, restart), (ev, iv, 1, 1)]
+        a, b, held = assert_replay_matches_run_episode(
+            cfg, lanes, [replaying(collide), replaying(restart), None])
+        assert a.outcome == "collision" and (a.ev_action, a.iv_action) == (0, 0)
+        assert b.steps_run > a.steps_run and (b.ev_action, b.iv_action) == (1, 0)
+        trace = sim.run_episode(cfg, ev, iv._replace(v=3.0), 1, 1, record_trace=True,
+                                decide=replaying(restart)).trace
+        speeds = [p.iv_v for p in trace]
+        rest = speeds.index(0.0)
+        assert rest < 30 and speeds[30] == 0.0 and speeds[31] > 0.0
+        # lane B still decides when lane A collides
+        assert not any(p.ev_lane == "main" for p in trace[:a.steps_run])
+        assert held == sim.run_episode(cfg, ev, iv, 1, 1)
+
+    def test_rejected_columns(self):
+        cfg = sim.builtin_scenario("merging", horizon=3)
+        ev, iv = mid_merging()
+        # horizon 3 takes two decisions; numpy rejects ragged columns itself
+        for columns in [[(0, 1)] * 3, [(0, 1), (2, 0)], [(0, 1), (0,)], [0, 1], [(0, 1, 1)] * 2]:
+            with pytest.raises(ValueError, match="columns|inhomogeneous"):
+                sim.run_episodes(cfg, [(ev, iv, 0, 1), (ev, iv, 0, 1, columns)])
 
     def test_empty_and_rejected_lanes(self):
         cfg = sim.builtin_scenario("merging")
